@@ -14,7 +14,7 @@ Subpackages by concern:
 
 __version__ = "1.0.0"
 
-from .rings import QuadElem, RingTag, RING_Q, RING_Z, conj, quad_mul, reduce_mod
+from .rings import QuadElem, RingTag, RING_Q, RING_Z, conj, quad_mul, reduce_mod, reduce_pair
 from .recurrence import (
     InexactDivision,
     Poly,
@@ -29,14 +29,16 @@ from .recurrence import (
     recurrence_from_quadratic,
     scaled_integrality_check,
     term_iterator,
+    term_pairs,
 )
 from .catalog import binomial_oracle, epsilon_specialize, get_entry, sequence
 
 __all__ = [
-    "QuadElem", "RingTag", "RING_Q", "RING_Z", "conj", "quad_mul", "reduce_mod",
+    "QuadElem", "RingTag", "RING_Q", "RING_Z", "conj", "quad_mul", "reduce_mod", "reduce_pair",
     "InexactDivision", "Poly", "RecurrenceSpec", "SequenceDef",
     "cubic_from_quadratic_asz", "cubic_from_quadratic_ctyz", "fourterm_params",
     "generate_terms", "is_self_starting", "recurrence_from_gh",
     "recurrence_from_quadratic", "scaled_integrality_check", "term_iterator",
+    "term_pairs",
     "binomial_oracle", "epsilon_specialize", "get_entry", "sequence",
 ]

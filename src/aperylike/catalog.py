@@ -25,7 +25,7 @@ from .recurrence import (
     poly_product,
     recurrence_from_gh,
     recurrence_from_quadratic,
-    term_iterator,
+    term_pairs,
 )
 from .rings import QuadElem, RingTag, RING_Q, RING_Z, Scalar
 
@@ -642,8 +642,9 @@ class Sequence:
     def terms(self, n_max: int) -> List[Scalar]:
         return generate_terms(self.spec, n_max, self.ring)
 
-    def iter_terms(self):
-        return term_iterator(self.spec, self.ring)
+    def iter_pairs(self):
+        """The terms as exact pairs (a, b), T = a + b*sqrt(d); see term_pairs."""
+        return term_pairs(self.spec, self.ring)
 
     def seq_def(self) -> Optional[SequenceDef]:
         if self.G is None or self.H is None:

@@ -96,7 +96,10 @@ def _emit_csv(report: RunReport) -> None:
 
 def cmd_terms(args) -> RunReport:
     if args.def_file:
-        sdef = SequenceDef.load(args.def_file)
+        try:
+            sdef = SequenceDef.load(args.def_file)
+        except OSError as exc:
+            raise ValueError("cannot read --def-file: %s" % exc) from None
         terms = sdef.terms(args.nmax)
         name = sdef.name
     else:
@@ -261,18 +264,36 @@ def cmd_verify_identities(args) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _parse_primes(text: str) -> List[int]:
+def _prime(text: str) -> int:
+    p = int(text)
+    if not congruence.is_prime(p):
+        raise argparse.ArgumentTypeError("%d is not prime" % p)
+    return p
+
+
+def _primes(text: str) -> List[int]:
     """"2,3,5" or "2..101" (primes in the inclusive range)."""
     if ".." in text:
         lo, hi = text.split("..")
-        return [p for p in congruence.primes_below(int(hi) + 1) if p >= int(lo)]
-    return [int(t) for t in text.split(",") if t]
+        primes = [p for p in congruence.primes_below(int(hi) + 1) if p >= int(lo)]
+    else:
+        primes = [_prime(t) for t in text.split(",") if t]
+    if not primes:
+        raise argparse.ArgumentTypeError("no primes in %r" % text)
+    return primes
+
+
+def _positive_int(text: str) -> int:
+    k = int(text)
+    if k < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % k)
+    return k
 
 
 def cmd_lucas(args) -> RunReport:
     if not args.primes and args.prime is None:
         raise ValueError("one of --prime or --primes is required")
-    primes = _parse_primes(args.primes) if args.primes else [args.prime]
+    primes = args.primes or [args.prime]
     reports = congruence.lucas_scan_many(args.seq, primes, args.nmax, args.jobs)
     rows = [r.to_json() for r in reports]
     ok = all(r.ok for r in reports)
@@ -292,11 +313,10 @@ def cmd_supercong(args) -> RunReport:
 
 
 def cmd_scan(args) -> RunReport:
-    primes = _parse_primes(args.primes)
-    counts = congruence.scan_c_counts(args.seq, primes, args.nmax, args.jobs)
+    counts = congruence.scan_c_counts(args.seq, args.primes, args.nmax, args.jobs)
     payload = {"seq": args.seq, "n_max": args.nmax,
                "counts": {str(p): counts[p] for p in sorted(counts)}}
-    return RunReport("scan", {"seq": args.seq, "primes": primes,
+    return RunReport("scan", {"seq": args.seq, "primes": args.primes,
                               "nmax": args.nmax}, "DATA", payload)
 
 
@@ -438,9 +458,8 @@ def reproduce(table_id: str, order: int = 30, nmax: int = 1000,
 
 
 def cmd_reproduce(args) -> RunReport:
-    primes = _parse_primes(args.primes) if args.primes else None
     return reproduce(args.table, order=args.order, nmax=args.nmax,
-                     primes=primes, jobs=args.jobs)
+                     primes=args.primes, jobs=args.jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -485,23 +504,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lucas", help="Lucas congruence scan")
     p.add_argument("--seq", required=True)
-    p.add_argument("--prime", type=int)
-    p.add_argument("--primes", help='"2,3,5" or "2..97"')
+    p.add_argument("--prime", type=_prime)
+    p.add_argument("--primes", type=_primes, help='"2,3,5" or "2..97"')
     p.add_argument("--nmax", type=int, default=2000)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_lucas)
 
     p = sub.add_parser("supercong", help="T(pn) = T(n) mod p^e scan")
     p.add_argument("--seq", required=True)
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--exp", type=int, default=2)
+    p.add_argument("--prime", type=_prime, required=True)
+    p.add_argument("--exp", type=_positive_int, default=2)
     p.add_argument("--nmax", type=int, default=1000)
     p.add_argument("--pattern", choices=sorted(congruence.PATTERNS))
     p.set_defaults(func=cmd_supercong)
 
     p = sub.add_parser("scan", help="c(p) counts over a prime range")
     p.add_argument("--seq", default="level11")
-    p.add_argument("--primes", required=True)
+    p.add_argument("--primes", type=_primes, required=True)
     p.add_argument("--nmax", type=int, default=1000)
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=cmd_scan)
@@ -518,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", choices=REPRODUCE_TABLES)
     p.add_argument("--order", type=int, default=30)
     p.add_argument("--nmax", type=int, default=1000)
-    p.add_argument("--primes")
+    p.add_argument("--primes", type=_primes)
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=cmd_reproduce)
 
@@ -530,7 +549,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     t0 = time.time()
     try:
         report = args.func(args)
-    except (catalog.UnknownKeyError, KeyError) as exc:
+    except catalog.UnknownKeyError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     except InexactDivision as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
-from .rings import reduce_mod
+from .rings import reduce_pair
 
 Residue = Tuple[int, int]
 
@@ -87,11 +87,11 @@ def residue_table(seq_key: str, p: int, e: int = 1, n_max: int = 1000,
     m = p ** e
     d = seq.ring.d if seq.ring.kind == "quad" else 0
     residues: Dict[int, Residue] = {}
-    for n, t in enumerate(seq.iter_terms()):
+    for n, (a, b) in enumerate(seq.iter_pairs()):
         if n > n_max:
             break
         if keep is None or keep(n):
-            residues[n] = reduce_mod(t, m)
+            residues[n] = reduce_pair(a, b, m)
     return ResidueTable(seq.key, p, e, d, residues, n_max)
 
 
@@ -241,11 +241,11 @@ def structured_congruence_check(seq_key: str, p: int, modulus: int,
     """
     seq = catalog.sequence(seq_key)
     residues: Dict[int, Residue] = {}
-    for n, t in enumerate(seq.iter_terms()):
+    for n, (a, b) in enumerate(seq.iter_pairs()):
         if n > p * n_max:
             break
         if n <= n_max or n % p == 0:
-            residues[n] = reduce_mod(t, modulus)
+            residues[n] = reduce_pair(a, b, modulus)
     report = CongruenceReport(seq_key, p, 0, n_max, 0, kind="structured")
     for n in range(1, n_max + 1):
         want = offsets.get(n % class_mod, 0)
@@ -277,11 +277,11 @@ def lucas_scan_many(seq_key: str, primes: Sequence[int], n_max: int,
     seq = catalog.sequence(seq_key)
     d = seq.ring.d if seq.ring.kind == "quad" else 0
     tables = {p: {} for p in primes}
-    for n, t in enumerate(seq.iter_terms()):
+    for n, (a, b) in enumerate(seq.iter_pairs()):
         if n > n_max:
             break
         for p in primes:
-            tables[p][n] = reduce_mod(t, p)
+            tables[p][n] = reduce_pair(a, b, p)
     return [
         lucas_check(ResidueTable(seq.key, p, 1, d, tables[p], n_max), (1, n_max))
         for p in primes
@@ -302,3 +302,34 @@ def primes_below(bound: int) -> List[int]:
             for m in range(p * p, bound, p):
                 is_comp[m] = 1
     return out
+
+
+# Miller-Rabin with these bases is exact for every n below this bound.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318665857834031151167461
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for n < 3.18e23; larger n raise ValueError."""
+    if n >= _MR_BOUND:
+        raise ValueError("primality of %d is not decided below %d" % (n, _MR_BOUND))
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

@@ -17,13 +17,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .rings import (
+    QuadElem,
+    Rat,
     RingTag,
     RING_Z,
     Scalar,
+    conj,
     scalar_denominator,
     scalar_from_str,
     scalar_to_str,
@@ -291,15 +295,18 @@ def is_self_starting(spec: RecurrenceSpec) -> Tuple[bool, Optional[Tuple[int, in
 # ---------------------------------------------------------------------------
 
 
-def _clear_denominators(spec: RecurrenceSpec) -> Tuple[int, List[Tuple[Scalar, ...]]]:
+def _integral_relation(spec: RecurrenceSpec
+                       ) -> Tuple[Tuple[Scalar, ...], List[Tuple[Scalar, ...]]]:
+    """The relation scaled once to integral coefficients and solved for
+    T(n+1): (lead, backs), with backs[j-1] the coefficients of
+    -coeff_polys[j], so that lead(n) T(n+1) = sum_j backs[j-1](n) T(n+1-j)."""
     L = 1
     for p in spec.coeff_polys:
         for c in p.coeffs:
             L = lcm(L, scalar_denominator(c))
-    cleared = []
-    for p in spec.coeff_polys:
-        cleared.append(tuple(_norm(c * L) for c in p.coeffs))
-    return L, cleared
+    lead = tuple(_norm(c * L) for c in spec.coeff_polys[0].coeffs)
+    backs = [tuple(_norm(-c * L) for c in p.coeffs) for p in spec.coeff_polys[1:]]
+    return lead, backs
 
 
 def _eval_int_poly(coeffs: Tuple[Scalar, ...], n: int) -> Scalar:
@@ -309,60 +316,156 @@ def _eval_int_poly(coeffs: Tuple[Scalar, ...], n: int) -> Scalar:
     return out
 
 
-def term_iterator(spec: RecurrenceSpec, ring: RingTag = RING_Z,
-                  initial: Sequence[Scalar] = (1,)) -> Iterator[Scalar]:
-    """Yield T(0), T(1), ... exactly, keeping only a k-term window.
+def _rational_lead(spec: RecurrenceSpec) -> RecurrenceSpec:
+    """The same relation with a rational lead coefficient.
 
-    Under ring Z every division by the leading coefficient must be exact,
-    otherwise InexactDivision carries the offending index.  Under Q and
-    Quad(d) the division happens in the fraction field.
-    """
-    k = spec.order
-    L, cleared = _clear_denominators(spec)
-    lead, backs = cleared[0], cleared[1:]
-    zero = ring.zero()
-    window = [zero] * k  # window[j-1] = T(n+1-j) while producing T(n+1)
+    A lead with a surd part (possible only in a hand-built spec) is
+    multiplied through by its conjugate, which turns the lead into its
+    norm; both vanish at the same n, so the solution is unchanged."""
+    lead = spec.coeff_polys[0]
+    if not any(isinstance(c, QuadElem) and c.b for c in lead.coeffs):
+        return spec
+    bar = Poly([conj(c) for c in lead.coeffs])
+    return RecurrenceSpec(tuple(p * bar for p in spec.coeff_polys))
+
+
+def _split_surd(coeffs: Tuple[Scalar, ...], ring: RingTag
+                ) -> Tuple[Tuple[Rat, ...], Tuple[Rat, ...]]:
+    """The coefficient tuples (A, B) of a polynomial A(n) + B(n)*sqrt(d)."""
+    xs = [ring.coerce(c) for c in coeffs]
+    return tuple(x.a for x in xs), tuple(x.b for x in xs)
+
+
+def _stream_z(spec: RecurrenceSpec, ring: RingTag,
+              initial: Sequence[Scalar]) -> Iterator[int]:
+    """Kernel for Z: every division by the lead must be exact."""
+    lead, backs = _integral_relation(spec)
+    window = [0] * len(backs)  # window[j-1] = T(n+1-j) while producing T(n+1)
     n = 0
     for t in initial:
         t = ring.coerce(t)
         yield t
-        if k:
-            window = [t] + window[:-1]
+        window.insert(0, t)
+        window.pop()
         n += 1
-    is_z = ring.kind == "Z"
-    is_q = ring.kind == "Q"
     while True:
         m = n - 1  # relation index producing T(m+1) = T(n)
-        s = zero
-        for j in range(1, k + 1):
-            w = window[j - 1]
+        s = 0
+        for c, w in zip(backs, window):
             if w:
-                s = s + _eval_int_poly(backs[j - 1], m) * w
-        den = _eval_int_poly(lead, m)
-        if is_z:
-            q, r = divmod(-s, den)
-            if r:
-                raise InexactDivision(n)
-            t = q
-        elif is_q:
-            t = Fraction(-s) / den
-        else:
-            t = (-s) / den
+                s += _eval_int_poly(c, m) * w
+        t, r = divmod(s, _eval_int_poly(lead, m))
+        if r:
+            raise InexactDivision(n)
         yield t
-        if k:
-            window = [t] + window[:-1]
+        window.insert(0, t)
+        window.pop()
         n += 1
+
+
+def _stream_q(spec: RecurrenceSpec, ring: RingTag,
+              initial: Sequence[Scalar]) -> Iterator[Fraction]:
+    """Kernel for Q: Fraction terms, division in the field."""
+    lead, backs = _integral_relation(spec)
+    window = [Fraction(0)] * len(backs)
+    n = 0
+    for t in initial:
+        t = ring.coerce(t)
+        yield t
+        window.insert(0, t)
+        window.pop()
+        n += 1
+    while True:
+        m = n - 1
+        s = 0
+        for c, w in zip(backs, window):
+            if w:
+                s += _eval_int_poly(c, m) * w
+        t = Fraction(s) / _eval_int_poly(lead, m)
+        yield t
+        window.insert(0, t)
+        window.pop()
+        n += 1
+
+
+def _stream_quad(spec: RecurrenceSpec, ring: RingTag,
+                 initial: Sequence[Scalar]) -> Iterator[Tuple[Rat, Rat]]:
+    """Kernel for Q(sqrt(d)) on integer pairs: T = a + b*sqrt(d) as (a, b).
+
+    Each back polynomial is split into the integer coefficient tuples of
+    its rational and surd parts, evaluated by plain-int Horner; each
+    component of the sum is divided by the integer lead with divmod.  An
+    inexact division gives a Fraction, as division in the field would."""
+    d = ring.d
+    lead, backs = _integral_relation(_rational_lead(spec))
+    lead, _ = _split_surd(lead, ring)  # the surd part is 0 after _rational_lead
+    backs = [_split_surd(p, ring) for p in backs]
+    window = [(0, 0)] * len(backs)
+    n = 0
+    for t in initial:
+        t = ring.coerce(t)
+        t = (t.a, t.b)
+        yield t
+        window.insert(0, t)
+        window.pop()
+        n += 1
+    while True:
+        m = n - 1
+        sa = sb = 0
+        for (pa, pb), (wa, wb) in zip(backs, window):
+            if wa or wb:
+                A = _eval_int_poly(pa, m)
+                B = _eval_int_poly(pb, m)
+                sa += A * wa + d * B * wb
+                sb += A * wb + B * wa
+        den = _eval_int_poly(lead, m)
+        a, r = divmod(sa, den)
+        if r:
+            a = Fraction(sa, den)
+        b, r = divmod(sb, den)
+        if r:
+            b = Fraction(sb, den)
+        t = (a, b)
+        yield t
+        window.insert(0, t)
+        window.pop()
+        n += 1
+
+
+def term_iterator(spec: RecurrenceSpec, ring: RingTag = RING_Z,
+                  initial: Sequence[Scalar] = (1,)) -> Iterator[Scalar]:
+    """Yield T(0), T(1), ... exactly, keeping only a k-term window.
+
+    The kernel is chosen here, once per ring.  Under ring Z every division
+    by the leading coefficient must be exact, otherwise InexactDivision
+    carries the offending index.  Under Q and Quad(d) the division happens
+    in the fraction field; Quad(d) streams run on integer pairs (see
+    term_pairs) and become QuadElem only as each term is yielded.
+    """
+    if ring.kind == "quad":
+        d = ring.d
+        return (QuadElem(d, a, b) for a, b in _stream_quad(spec, ring, initial))
+    if ring.kind == "Q":
+        return _stream_q(spec, ring, initial)
+    return _stream_z(spec, ring, initial)
+
+
+def term_pairs(spec: RecurrenceSpec, ring: RingTag = RING_Z,
+               initial: Sequence[Scalar] = (1,)) -> Iterator[Tuple[Rat, Rat]]:
+    """Yield each T(n) = a + b*sqrt(d) as the exact pair (a, b), without
+    building a QuadElem; b = 0 over Z and Q.  Same terms and errors as
+    term_iterator."""
+    if ring.kind == "quad":
+        return _stream_quad(spec, ring, initial)
+    return ((t, 0) for t in term_iterator(spec, ring, initial))
 
 
 def generate_terms(spec: RecurrenceSpec, n_max: int, ring: RingTag = RING_Z,
                    initial: Sequence[Scalar] = (1,)) -> List[Scalar]:
     """T(0..n_max) as a list."""
-    out = []
-    for n, t in enumerate(term_iterator(spec, ring, initial)):
-        out.append(t)
-        if n == n_max:
-            return out
-    raise AssertionError("unreachable")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0, got %d" % n_max)
+    return list(islice(term_iterator(spec, ring, initial), n_max + 1))
 
 
 @dataclass
@@ -433,6 +536,11 @@ class SequenceDef:
 
     @staticmethod
     def from_json(doc: dict) -> "SequenceDef":
+        if not isinstance(doc, dict):
+            raise ValueError("a sequence definition is a JSON object")
+        missing = [k for k in ("name", "ring", "G", "H") if k not in doc]
+        if missing:
+            raise ValueError("sequence definition lacks %s" % ", ".join(missing))
         ring = RingTag.parse(doc["ring"])
         G = Poly([scalar_from_str(s) for s in doc["G"]])
         H = Poly([scalar_from_str(s) for s in doc["H"]])

@@ -55,8 +55,8 @@ class QuadElem:
         if d in (0, 1) or not _is_squarefree(d):
             raise RingError("d must be squarefree and not 0 or 1: got %r" % (d,))
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "a", _norm_rat(Fraction(a)))
-        object.__setattr__(self, "b", _norm_rat(Fraction(b)))
+        object.__setattr__(self, "a", a if type(a) is int else _norm_rat(Fraction(a)))
+        object.__setattr__(self, "b", b if type(b) is int else _norm_rat(Fraction(b)))
 
     def __setattr__(self, *args):
         raise AttributeError("QuadElem is immutable")
@@ -212,17 +212,21 @@ def reduce_mod(x: Scalar, m: int) -> Tuple[int, int]:
     For int and Fraction input the surd residue is 0.  Requires m >= 2 and
     integral components; otherwise raises RingError("not m-integral").
     """
+    if isinstance(x, QuadElem):
+        return reduce_pair(x.a, x.b, m)
+    return reduce_pair(x, 0, m)
+
+
+def reduce_pair(a: Rat, b: Rat, m: int) -> Tuple[int, int]:
+    """reduce_mod for a term given as the exact pair (a, b) = a + b*sqrt(d)."""
     if m < 2:
         raise RingError("modulus must be >= 2")
-    if isinstance(x, QuadElem):
-        if not x.is_integral():
-            raise RingError("not m-integral: %s" % (x,))
-        return (int(x.a) % m, int(x.b) % m)
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            raise RingError("not m-integral: %s" % (x,))
-        x = int(x)
-    return (x % m, 0)
+    if type(a) is not int or type(b) is not int:
+        fa, fb = Fraction(a), Fraction(b)
+        if fa.denominator != 1 or fb.denominator != 1:
+            raise RingError("not m-integral: (%s, %s)" % (_rat_to_str(fa), _rat_to_str(fb)))
+        a, b = fa.numerator, fb.numerator
+    return (a % m, b % m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from aperylike import catalog
+import aperylike
+from aperylike import catalog, cli
 from aperylike.cli import build_parser, main, reproduce
 
 
@@ -141,3 +145,47 @@ def test_reproduce_terms_tables():
     assert rep.outcome == "PASS"
     rep = reproduce("terms-15")
     assert rep.outcome == "PASS"
+
+
+def test_terms_negative_nmax_fails_fast(capsys):
+    # a subprocess under a timeout: an unchecked negative n_max never ends the stream
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aperylike.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "aperylike.cli", "terms", "--seq", "level11", "--nmax", "-1"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "n_max" in json.loads(proc.stderr)["error"]
+
+
+def test_def_file_errors_are_json(tmp_path, capsys):
+    code = main(["terms", "--def-file", str(tmp_path / "missing.json")])
+    assert code == 1
+    assert "missing.json" in json.loads(capsys.readouterr().err)["error"]
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps({"name": "x", "ring": "Z", "G": ["1"]}))
+    assert main(["terms", "--def-file", str(path)]) == 1
+    assert "lacks H" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_internal_key_error_is_not_a_bad_key(monkeypatch):
+    def broken(args):
+        raise KeyError(7)
+    monkeypatch.setattr(cli, "cmd_catalog", broken)
+    with pytest.raises(KeyError):
+        main(["catalog"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["lucas", "--seq", "level24", "--prime", "4"],
+    ["lucas", "--seq", "level24", "--primes", "4,6"],
+    ["lucas", "--seq", "level24", "--primes", "2,9"],
+    ["lucas", "--seq", "level24", "--primes", "24..28"],
+    ["supercong", "--seq", "level11", "--prime", "6"],
+    ["supercong", "--seq", "level11", "--prime", "2", "--exp", "0"],
+    ["scan", "--primes", "2,4"],
+])
+def test_composite_primes_and_bad_exponents_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

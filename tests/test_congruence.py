@@ -150,3 +150,15 @@ def test_report_json_shape():
     doc = rep.to_json()
     assert set(doc) >= {"seq", "p", "e", "n_max", "passes", "violations",
                         "pattern_hits", "ok"}
+
+
+def test_is_prime():
+    from aperylike.congruence import is_prime
+    small = set(primes_below(5000))
+    assert all(is_prime(n) == (n in small) for n in range(-3, 5000))
+    # Carmichael numbers and a strong pseudoprime to the bases 2, 3, 5, 7
+    for n in (561, 41041, 3215031751):
+        assert not is_prime(n)
+    assert is_prime(2 ** 61 - 1) and not is_prime(2 ** 61 + 1)
+    with pytest.raises(ValueError):
+        is_prime(10 ** 30)

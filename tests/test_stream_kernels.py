@@ -1,0 +1,160 @@
+"""Differential tests: the per-ring stream kernels against a generic
+reference loop that does ring-scalar arithmetic (QuadElem, Fraction or
+int) on every step."""
+
+from fractions import Fraction as F
+from itertools import islice
+from math import lcm
+
+import pytest
+
+from aperylike import catalog, congruence
+from aperylike.catalog import EPSILON_FAMILIES, epsilon_specialize
+from aperylike.congruence import primes_below
+from aperylike.recurrence import Poly, RecurrenceSpec, generate_terms, term_iterator, term_pairs
+from aperylike.rings import QuadElem, RingError, RingTag, reduce_mod, reduce_pair, scalar_denominator
+
+N_MAX = 300
+SQRT2 = QuadElem(2, 0, 1)
+RING_SQRT2 = RingTag("quad", 2)
+
+
+def reference_terms(spec, ring, n_max, initial=(1,)):
+    """T(0..n_max) by the generic loop: clear denominators once, then per
+    step Horner-evaluate each coefficient polynomial and divide in the
+    ring's scalars (exactly over Z, in the fraction field otherwise)."""
+    L = 1
+    for p in spec.coeff_polys:
+        for c in p.coeffs:
+            L = lcm(L, scalar_denominator(c))
+    cleared = [tuple(c * L for c in p.coeffs) for p in spec.coeff_polys]
+
+    def horner(coeffs, n):
+        out = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            out = out * n + c
+        return out
+
+    k = spec.order
+    terms = [ring.coerce(t) for t in initial]
+    while len(terms) <= n_max:
+        m = len(terms) - 1
+        s = ring.zero()
+        for j in range(1, k + 1):
+            if m + 1 - j >= 0 and terms[m + 1 - j]:
+                s = s + horner(cleared[j], m) * terms[m + 1 - j]
+        den = horner(cleared[0], m)
+        if ring.kind == "Z":
+            q, r = divmod(-s, den)
+            assert not r, "inexact division at %d" % (m + 1)
+            terms.append(q)
+        elif ring.kind == "Q":
+            terms.append(F(-s) / den)
+        else:
+            terms.append((-s) / den)
+    return terms[:n_max + 1]
+
+
+def _epsilon_defs():
+    """The quad-ring specials of each family, plus one generic quad eps."""
+    defs = []
+    for fam, generic in ((EPSILON_FAMILIES[14], 1 + SQRT2),
+                         (EPSILON_FAMILIES[15], QuadElem(-1, 1, 1))):
+        for _, eps in fam.specials:
+            if isinstance(eps, QuadElem):
+                defs.append(epsilon_specialize(fam, eps))
+        defs.append(epsilon_specialize(fam, generic))
+    return defs
+
+
+def _hand_built_specs():
+    """Q(sqrt(2)) relations whose terms are not integral; the second one
+    has a surd in its lead coefficient."""
+    nonintegral = RecurrenceSpec((Poly([1, 1]) ** 2, -Poly([1 + SQRT2, 1]),
+                                  -Poly([0, 0, F(1, 3)])))
+    surd_lead = RecurrenceSpec((Poly([1 + SQRT2, 1]) * Poly([1, 1]),
+                                -Poly([2, SQRT2]), -Poly([0, 1])))
+    return nonintegral, surd_lead
+
+
+@pytest.mark.parametrize("key", catalog.sequence_keys())
+def test_kernel_matches_generic_loop_on_catalog(key):
+    seq = catalog.sequence(key)
+    want = reference_terms(seq.spec, seq.ring, N_MAX)
+    got = seq.terms(N_MAX)
+    assert got == want
+    assert [type(t) for t in got] == [type(t) for t in want]
+
+
+def test_kernel_matches_generic_loop_on_epsilon_specials():
+    defs = _epsilon_defs()
+    assert sorted(s.ring.d for s in defs) == [-1, -1, -1, 2, 2, 2]
+    for sdef in defs:
+        assert sdef.terms(N_MAX) == reference_terms(sdef.spec(), sdef.ring, N_MAX), sdef.name
+
+
+def test_pair_residues_equal_reduce_mod():
+    primes = primes_below(48)
+    keys = [k for k in catalog.sequence_keys() if catalog.sequence(k).ring.kind == "quad"]
+    assert sorted(keys) == ["14C", "14Cbar", "15C", "15Cbar"]
+    for key in keys:
+        seq = catalog.sequence(key)
+        pairs = list(islice(seq.iter_pairs(), N_MAX + 1))
+        for (a, b), t in zip(pairs, seq.terms(N_MAX)):
+            assert type(a) is int and type(b) is int
+            for p in primes:
+                assert reduce_pair(a, b, p) == reduce_mod(t, p), (key, p)
+
+
+def test_pairs_over_z_and_q_carry_zero_surd():
+    seq = catalog.sequence("level13")
+    pairs = list(islice(seq.iter_pairs(), 7))
+    assert pairs == [(t, 0) for t in catalog.REFERENCE_TERMS["level13"]]
+
+
+def test_hand_built_quad_specs_keep_fraction_coordinates():
+    nonintegral, surd_lead = _hand_built_specs()
+    # values pinned from the reference loop
+    assert generate_terms(nonintegral, 4, RING_SQRT2) == [
+        QuadElem(2, 1, 0), QuadElem(2, 1, 1), QuadElem(2, F(13, 12), F(3, 4)),
+        QuadElem(2, F(73, 108), F(14, 27)), QuadElem(2, F(755, 1728), F(5, 16))]
+    assert generate_terms(surd_lead, 4, RING_SQRT2) == [
+        QuadElem(2, 1, 0), QuadElem(2, -2, 2), QuadElem(2, F(-1, 2), F(3, 4)),
+        QuadElem(2, F(-5, 7), F(31, 42)), QuadElem(2, F(17, 336), F(29, 336))]
+    start = (1, QuadElem(2, F(1, 2), 1))
+    assert generate_terms(nonintegral, 3, RING_SQRT2, start) == [
+        QuadElem(2, 1, 0), QuadElem(2, F(1, 2), 1), QuadElem(2, F(5, 6), F(5, 8)),
+        QuadElem(2, F(53, 108), F(97, 216))]
+    for spec in (nonintegral, surd_lead):
+        assert generate_terms(spec, 60, RING_SQRT2) == reference_terms(spec, RING_SQRT2, 60)
+    assert generate_terms(nonintegral, 60, RING_SQRT2, start) == \
+        reference_terms(nonintegral, RING_SQRT2, 60, start)
+
+
+def test_residue_path_rejects_nonintegral_pairs(monkeypatch):
+    nonintegral, _ = _hand_built_specs()
+    a, b = list(islice(term_pairs(nonintegral, RING_SQRT2), 3))[2]
+    assert (a, b) == (F(13, 12), F(3, 4))
+    with pytest.raises(RingError, match="not m-integral"):
+        reduce_pair(a, b, 5)
+    seq = catalog.Sequence("hand-built", RING_SQRT2, nonintegral)
+    monkeypatch.setattr(catalog, "sequence", lambda key: seq)
+    with pytest.raises(RingError, match="not m-integral"):
+        congruence.residue_table("hand-built", 5, 1, 10)
+    with pytest.raises(RingError, match="not m-integral"):
+        congruence.lucas_scan_many("hand-built", [2, 3], 10)
+    with pytest.raises(RingError, match="not m-integral"):
+        congruence.structured_congruence_check("hand-built", 3, 9, 3, {}, 5)
+
+
+def test_mixed_radicand_coefficient_is_rejected():
+    spec = RecurrenceSpec((Poly([1, 1]), -Poly([QuadElem(-1, 0, 1)])))
+    with pytest.raises(RingError):
+        list(islice(term_iterator(spec, RING_SQRT2), 3))
+
+
+def test_negative_n_max_is_rejected():
+    seq = catalog.sequence("level11")
+    with pytest.raises(ValueError, match="n_max"):
+        generate_terms(seq.spec, -1)
+    assert generate_terms(seq.spec, 0) == [1]
