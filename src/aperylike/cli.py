@@ -141,43 +141,37 @@ def cmd_catalog(args) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _qseries_row(key: str, order: int) -> dict:
-    row = catalog.LEVEL_ROWS[key]
-    ok_d, m_d = qseries.verify_diff_formula(row, order)
-    ok_o, m_o = qseries.verify_ode(row, order)
-    out = {"level": key, "diff_formula": "PASS" if ok_d else "FAIL",
-           "ode": "PASS" if ok_o else "FAIL"}
-    if not ok_d:
-        out["diff_mismatch_at"] = str(m_d)
-    if not ok_o:
-        out["ode_mismatch_at"] = str(m_o)
-    return out
+def _qseries_rows(keys: Sequence[str], order: int) -> List[dict]:
+    """One row per key: the differentiation formula and the ODE for a level
+    row, the weight-one check for a Zagier row."""
+    rows = []
+    for key in keys:
+        if key in catalog.LEVEL_ROWS:
+            row = catalog.LEVEL_ROWS[key]
+            ok_d, m_d = qseries.verify_diff_formula(row, order)
+            ok_o, m_o = qseries.verify_ode(row, order)
+            out = {"level": key, "diff_formula": "PASS" if ok_d else "FAIL",
+                   "ode": "PASS" if ok_o else "FAIL"}
+            if not ok_d:
+                out["diff_mismatch_at"] = str(m_d)
+            if not ok_o:
+                out["ode_mismatch_at"] = str(m_o)
+        else:
+            okk, m = qseries.verify_weight_one(catalog.ZAGIER_ROWS[key], order)
+            out = {"level": key, "weight_one": "PASS" if okk else "FAIL"}
+            if not okk:
+                out["mismatch_at"] = str(m)
+        rows.append(out)
+    return rows
 
 
-def _qseries_job(arg):
-    key, order = arg
-    if key in catalog.LEVEL_ROWS:
-        return _qseries_row(key, order)
-    okk, m = qseries.verify_weight_one(catalog.ZAGIER_ROWS[key], order)
-    row = {"level": key, "weight_one": "PASS" if okk else "FAIL"}
-    if not okk:
-        row["mismatch_at"] = str(m)
-    return row
-
-
-def verify_all(order: int = 30, jobs: int = 1) -> RunReport:
+def verify_all(order: int = 30) -> RunReport:
     """The full verification sweep: differentiation formula and ODE on every
     level row, the six weight-one rows, the identity bank, the Clausen-type
     identities on the sporadic set, and the generating-function independence
     at levels 14 and 15.  Aggregate PASS only if every check passes."""
     keys = list(catalog.TABLE_LEVEL_KEYS) + ["level13star"] + sorted(catalog.ZAGIER_ROWS)
-    tasks = [(key, order) for key in keys]
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            rows = list(pool.map(_qseries_job, tasks))
-    else:
-        rows = [_qseries_job(t) for t in tasks]
+    rows = _qseries_rows(keys, order)
     for name in sorted(qseries.IDENTITY_BANK):
         okk, m = qseries.verify_identity_bank(name, order)
         row = {"level": "identity:" + name,
@@ -205,20 +199,14 @@ def verify_all(order: int = 30, jobs: int = 1) -> RunReport:
 def cmd_verify_qseries(args) -> RunReport:
     order = args.order
     if args.all:
-        return verify_all(order, args.jobs)
+        return verify_all(order)
     if args.level:
         keys = [args.level]
         if args.level not in catalog.LEVEL_ROWS and args.level not in catalog.ZAGIER_ROWS:
             raise catalog.UnknownKeyError("unknown level key %r" % (args.level,))
     else:
         keys = list(catalog.TABLE_LEVEL_KEYS) + ["level13star"]
-    tasks = [(key, order) for key in keys]
-    if args.jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
-            rows = list(pool.map(_qseries_job, tasks))
-    else:
-        rows = [_qseries_job(t) for t in tasks]
+    rows = _qseries_rows(keys, order)
     ok = all(row.get(k, "PASS") == "PASS"
              for row in rows for k in ("diff_formula", "ode", "weight_one"))
     payload = {"order": order, "rows": rows}
@@ -272,10 +260,13 @@ def _prime(text: str) -> int:
 
 
 def _primes(text: str) -> List[int]:
-    """"2,3,5" or "2..101" (primes in the inclusive range)."""
+    """"2,3,5" or "2..101" (primes in the inclusive range, hi <= SIEVE_CAP)."""
     if ".." in text:
-        lo, hi = text.split("..")
-        primes = [p for p in congruence.primes_below(int(hi) + 1) if p >= int(lo)]
+        lo, hi = (int(t) for t in text.split(".."))
+        if hi > congruence.SIEVE_CAP:
+            raise argparse.ArgumentTypeError(
+                "range end %d is above the sieve cap %d" % (hi, congruence.SIEVE_CAP))
+        primes = [p for p in congruence.primes_below(hi + 1) if p >= lo]
     else:
         primes = [_prime(t) for t in text.split(",") if t]
     if not primes:
@@ -398,10 +389,9 @@ def reproduce(table_id: str, order: int = 30, nmax: int = 1000,
                 ok &= all(Fraction(orc(n)) == Fraction(want[n]) for n in range(9))
             rows.append({"row": key, "status": "PASS" if ok else "FAIL"})
     elif table_id == "levels-BH":
-        for key in list(catalog.TABLE_LEVEL_KEYS) + ["level13star"]:
-            r = _qseries_row(key, order)
+        for r in _qseries_rows(list(catalog.TABLE_LEVEL_KEYS) + ["level13star"], order):
             ok = r["diff_formula"] == "PASS" and r["ode"] == "PASS"
-            rows.append({"row": key, "status": "PASS" if ok else "FAIL"})
+            rows.append({"row": r["level"], "status": "PASS" if ok else "FAIL"})
     elif table_id == "fourterm-params":
         for key, want in sorted(catalog.REFERENCE_FOURTERM_PARAMS.items()):
             seq = catalog.sequence(key)
@@ -491,15 +481,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check the differentiation formula and ODE rows")
     p.add_argument("--level", help="one catalog level key")
     p.add_argument("--all", action="store_true", help="include weight-one rows")
-    p.add_argument("--order", type=int, default=30)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--order", type=_positive_int, default=30)
     p.set_defaults(func=cmd_verify_qseries)
 
     p = sub.add_parser("verify-identities",
                        help="check the named q-series identity bank and the "
                             "Clausen-type series identities")
     p.add_argument("--name", help="a single identity from the bank")
-    p.add_argument("--order", type=int, default=30)
+    p.add_argument("--order", type=_positive_int, default=30)
     p.set_defaults(func=cmd_verify_identities)
 
     p = sub.add_parser("lucas", help="Lucas congruence scan")
@@ -535,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="regenerate a committed table and diff")
     p.add_argument("table", choices=REPRODUCE_TABLES)
-    p.add_argument("--order", type=int, default=30)
+    p.add_argument("--order", type=_positive_int, default=30)
     p.add_argument("--nmax", type=int, default=1000)
     p.add_argument("--primes", type=_primes)
     p.add_argument("--jobs", type=int, default=_default_jobs())

@@ -293,7 +293,14 @@ def _lucas_one(arg: Tuple[str, int, int]) -> CongruenceReport:
     return lucas_scan(seq_key, p, n_max)
 
 
+# The sieve holds one byte per candidate, so the largest candidate is capped.
+SIEVE_CAP = 10 ** 7
+
+
 def primes_below(bound: int) -> List[int]:
+    """The primes p < bound, by a sieve; bound - 1 may be at most SIEVE_CAP."""
+    if bound - 1 > SIEVE_CAP:
+        raise ValueError("primes below %d: the sieve stops at %d" % (bound, SIEVE_CAP))
     is_comp = bytearray(max(bound, 2))
     out = []
     for p in range(2, bound):

@@ -5,13 +5,17 @@ and a bank of named q-series identities.
 
 A QExpansion is q^offset * (c0 + c1 q + c2 q^2 + ...) with exact rational
 coefficients and a rational offset (eta products live on the q^(1/24)
-grid).  Every operation tracks how far the result is actually known, and
-comparisons refuse to answer beyond that point.
+grid).  The coefficients are stored as Python ints over one common
+denominator, so every operation is plain-int arithmetic.  Every operation
+tracks how far the result is actually known, and comparisons refuse to
+answer beyond that point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, gcd, lcm
+from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
@@ -27,15 +31,25 @@ class QSeriesError(ArithmeticError):
 
 
 class QExpansion:
-    """q^offset * sum(coeffs[i] q^i), known exactly below q^(offset+len)."""
+    """q^offset * sum(num[i] q^i) / den, known exactly below q^(offset+len(num)).
 
-    __slots__ = ("offset", "coeffs")
+    ``num`` is a list of ints and ``den`` a positive int, kept in lowest
+    terms: gcd(den, *num) == 1 (so a series that is zero to working
+    precision has den == 1).  ``coeffs`` gives the coefficients as
+    Fractions.
+    """
+
+    __slots__ = ("offset", "num", "den")
 
     def __init__(self, offset, coeffs: Sequence):
-        object.__setattr__(self, "offset", F(offset))
-        object.__setattr__(self, "coeffs", [F(c) for c in coeffs])
-        if not self.coeffs:
-            raise QSeriesError("empty coefficient list")
+        cs = list(coeffs)
+        if all(type(c) is int for c in cs):
+            num, den = cs, 1
+        else:
+            fs = [F(c) for c in cs]
+            den = lcm(*(f.denominator for f in fs))
+            num = [f.numerator * (den // f.denominator) for f in fs]
+        _fill(self, F(offset), num, den)
 
     def __setattr__(self, *args):
         raise AttributeError("QExpansion is immutable")
@@ -43,23 +57,30 @@ class QExpansion:
     # -- structure ------------------------------------------------------
 
     @property
+    def coeffs(self) -> List[Fraction]:
+        """The coefficients c_i = num[i] / den, as a new list of Fractions."""
+        den = self.den
+        return [F(c, den) for c in self.num]
+
+    @property
     def prec(self) -> Fraction:
         """First exponent at which the expansion is unknown."""
-        return self.offset + len(self.coeffs)
+        return self.offset + len(self.num)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def normalized(self) -> "QExpansion":
         """Strip leading zero coefficients into the offset."""
+        num = self.num
         i = 0
-        while i < len(self.coeffs) and self.coeffs[i] == 0:
+        while i < len(num) and num[i] == 0:
             i += 1
         if i == 0:
             return self
-        if i == len(self.coeffs):
+        if i == len(num):
             raise QSeriesError("series is zero to working precision")
-        return QExpansion(self.offset + i, self.coeffs[i:])
+        return _raw(self.offset + i, num[i:], self.den)
 
     def coefficient(self, exponent) -> Fraction:
         """Exact coefficient of q^exponent; exponent must be below prec."""
@@ -69,34 +90,28 @@ class QExpansion:
         rel = e - self.offset
         if rel.denominator != 1 or rel < 0:
             return F(0)
-        return self.coeffs[int(rel)]
+        return F(self.num[int(rel)], self.den)
 
     # -- arithmetic -------------------------------------------------------
 
     def __neg__(self):
-        return QExpansion(self.offset, [-c for c in self.coeffs])
+        return _raw(self.offset, [-c for c in self.num], self.den)
 
     def _add(self, other: "QExpansion", sign: int) -> "QExpansion":
-        shift = other.offset - self.offset
-        if shift.denominator != 1:
+        if (other.offset - self.offset).denominator != 1:
             raise QSeriesError("offsets differ by a non-integer: %s vs %s"
                                % (self.offset, other.offset))
-        shift = int(shift)
         off = min(self.offset, other.offset)
-        prec = min(self.prec, other.prec)
-        n = int(prec - off)
-        out = [F(0)] * n
-        base = int(self.offset - off)
-        for i, c in enumerate(self.coeffs):
-            if 0 <= base + i < n:
-                out[base + i] += c
-        base = int(other.offset - off)
-        for i, c in enumerate(other.coeffs):
-            if 0 <= base + i < n:
-                out[base + i] += sign * c
-        if not out:
+        n = int(min(self.prec, other.prec) - off)
+        if n <= 0:
             raise QSeriesError("empty overlap in addition")
-        return QExpansion(off, out)
+        den = lcm(self.den, other.den)
+        out = [0] * n
+        for f, scale in ((self, den // self.den), (other, sign * (den // other.den))):
+            base = int(f.offset - off)
+            for i, c in enumerate(f.num[: max(n - base, 0)], base):
+                out[i] += c * scale
+        return _make(off, out, den)
 
     def __add__(self, other):
         if isinstance(other, QExpansion):
@@ -115,44 +130,54 @@ class QExpansion:
 
     def __mul__(self, other):
         if not isinstance(other, QExpansion):
-            return QExpansion(self.offset, [c * other for c in self.coeffs])
+            p, s = _ratio(other)
+            return _make(self.offset, [c * p for c in self.num], self.den * s)
         a, b = self.normalized(), other.normalized()
-        n = min(len(a.coeffs), len(b.coeffs))
-        out = [F(0)] * n
-        for i, x in enumerate(a.coeffs[:n]):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs[: n - i]):
-                if y:
-                    out[i + j] += x * y
-        return QExpansion(a.offset + b.offset, out)
+        n = min(len(a.num), len(b.num))
+        x, y = a.num, b.num
+        out = [sum(map(mul, x[: k + 1], y[k::-1])) for k in range(n)]
+        return _make(a.offset + b.offset, out, a.den * b.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, QExpansion):
-            inv = F(1) / F(other)
-            return QExpansion(self.offset, [c * inv for c in self.coeffs])
+            p, s = _ratio(other)
+            if p == 0:
+                raise ZeroDivisionError("q-expansion divided by zero")
+            if p < 0:
+                p, s = -p, -s
+            return _make(self.offset, [c * s for c in self.num], self.den * p)
         a, b = self.normalized(), other.normalized()
-        n = min(len(a.coeffs), len(b.coeffs))
-        lead = b.coeffs[0]
-        out: List[Fraction] = []
+        n = min(len(a.num), len(b.num))
+        x, y = a.num, b.num
+        lead = y[0]
+        # With out = x/y, carry the ints z_i = out_i lead^(i+1):
+        # z_i = x_i lead^i - sum_{j=1..i} (y_j lead^(j-1)) z_(i-j).
+        lp = [1] * (n + 1)
+        for k in range(1, n + 1):
+            lp[k] = lp[k - 1] * lead
+        ys = [y[j] * lp[j - 1] for j in range(1, n)]
+        z: List[int] = []
         for i in range(n):
-            acc = a.coeffs[i] if i < len(a.coeffs) else F(0)
-            for j in range(1, i + 1):
-                acc -= b.coeffs[j] * out[i - j]
-            out.append(acc / lead)
-        return QExpansion(a.offset - b.offset, out)
+            z.append(x[i] * lp[i] - sum(map(mul, ys[:i], reversed(z))))
+        # a/b = (b.den / a.den) * out, over the common denominator a.den lead^n
+        bd = b.den
+        num = [bd * zi * lp[n - 1 - i] for i, zi in enumerate(z)]
+        den = a.den * lp[n]
+        if den < 0:
+            num, den = [-c for c in num], -den
+        return _make(a.offset - b.offset, num, den)
 
     def __rtruediv__(self, other):
         a = self.normalized()
-        return _embed_scalar(other, a.offset + len(a.coeffs)) / self
+        return _embed_scalar(other, a.prec) / self
 
     def __pow__(self, e: int):
         if e < 0:
             return (_one_like(self) / self) ** (-e)
         a = self.normalized()
-        out = QExpansion(0, [F(1)] + [F(0)] * (len(a.coeffs) - 1))
+        out = _raw(F(0), [1] + [0] * (len(a.num) - 1), 1)
         base = a
         while e:
             if e & 1:
@@ -165,52 +190,64 @@ class QExpansion:
         """f^r for rational r; needs leading coefficient exactly 1."""
         a = self.normalized()
         r = F(r)
-        if a.coeffs[0] != 1:
+        u, d = a.num, a.den
+        if u[0] != d:
             raise QSeriesError("rational power needs leading coefficient 1")
-        n = len(a.coeffs)
-        out = [F(1)] + [F(0)] * (n - 1)
-        # k P_k = sum_{j=1..k} (r j - (k - j)) u_j P_{k-j}
+        p, s = r.numerator, r.denominator
+        sd = s * d
+        n = len(u)
+        # f^r = sum P_k q^k with k P_k = sum_{j=1..k} (r j - (k - j)) u_j P_(k-j),
+        # u_j = num_j / den.  Carry the ints Y_k = P_k k! (s den)^k:
+        # Y_k = sum_{j=1..k} (p j - s (k - j)) num_j Y_(k-j) (k-1)!/(k-j)! (s den)^(j-1),
+        # summed by Horner from j = k down to 1.
+        ys = [1]
         for k in range(1, n):
-            acc = F(0)
-            for j in range(1, k + 1):
-                if a.coeffs[j] if j < n else 0:
-                    acc += (r * j - (k - j)) * a.coeffs[j] * out[k - j]
-            out[k] = acc / k
-        return QExpansion(a.offset * r, out)
+            acc = 0
+            for j in range(k, 0, -1):
+                acc *= (k - j) * sd
+                if u[j]:
+                    acc += (p * j - s * (k - j)) * u[j] * ys[k - j]
+            ys.append(acc)
+        # P_k over the common denominator (n-1)! (s den)^(n-1)
+        out = [0] * n
+        scale = 1
+        for k in range(n - 1, -1, -1):
+            out[k] = ys[k] * scale
+            scale *= k * sd
+        return _make(a.offset * r, out, factorial(n - 1) * sd ** (n - 1))
 
     def q_derivative(self) -> "QExpansion":
         """q d/dq, exact on the fractional exponent grid."""
-        return QExpansion(self.offset,
-                          [(self.offset + i) * c for i, c in enumerate(self.coeffs)])
+        op, od = self.offset.numerator, self.offset.denominator
+        return _make(self.offset, [(op + i * od) * c for i, c in enumerate(self.num)],
+                     od * self.den)
 
     def shift(self, k) -> "QExpansion":
         """Multiply by q^k."""
-        return QExpansion(self.offset + F(k), self.coeffs)
+        return _raw(self.offset + F(k), self.num, self.den)
 
     def subs_q_power(self, m: int) -> "QExpansion":
         """f(q^m); the gaps are known zeros, so precision scales by m."""
         if m < 1:
             raise QSeriesError("substitution power must be >= 1")
-        out = [F(0)] * (m * len(self.coeffs))
-        for i, c in enumerate(self.coeffs):
-            out[m * i] = c
-        return QExpansion(self.offset * m, out)
+        out = [0] * (m * len(self.num))
+        out[::m] = self.num
+        return _raw(self.offset * m, out, self.den)
 
     def subs_q_negated(self) -> "QExpansion":
         """f(-q); requires integer offset."""
         if self.offset.denominator != 1:
             raise QSeriesError("f(-q) needs an integer exponent grid")
         base = int(self.offset)
-        return QExpansion(self.offset,
-                          [c if (base + i) % 2 == 0 else -c
-                           for i, c in enumerate(self.coeffs)])
+        return _raw(self.offset, [-c if (base + i) % 2 else c
+                                  for i, c in enumerate(self.num)], self.den)
 
     def truncate_abs(self, exponent) -> "QExpansion":
         """Drop knowledge above q^exponent (inclusive)."""
         n = int(F(exponent) - self.offset) + 1
         if n <= 0:
             raise QSeriesError("truncation removes every known coefficient")
-        return QExpansion(self.offset, self.coeffs[: n])
+        return _make(self.offset, self.num[:n], self.den)
 
     def __repr__(self):
         a = self.normalized() if not self.is_zero() else self
@@ -222,28 +259,64 @@ class QExpansion:
                                      " + O(q^%s)" % a.prec)
 
 
+def _fill(f: QExpansion, offset: Fraction, num: List[int], den: int) -> None:
+    if not num:
+        raise QSeriesError("empty coefficient list")
+    object.__setattr__(f, "offset", offset)
+    object.__setattr__(f, "num", num)
+    object.__setattr__(f, "den", den)
+
+
+def _raw(offset: Fraction, num: List[int], den: int) -> QExpansion:
+    """A QExpansion from numerators already in lowest terms over den > 0."""
+    f = object.__new__(QExpansion)
+    _fill(f, offset, num, den)
+    return f
+
+
+def _make(offset: Fraction, num: List[int], den: int) -> QExpansion:
+    """A QExpansion from int numerators over den > 0, reduced to lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _raw(offset, num, den)
+
+
+def _ratio(c) -> Tuple[int, int]:
+    """(numerator, denominator > 0) of an exact rational scalar."""
+    if type(c) is int:
+        return c, 1
+    c = F(c)
+    return c.numerator, c.denominator
+
+
 def _embed_scalar(c, prec_abs) -> QExpansion:
     n = int(F(prec_abs))
     if n <= 0:
         raise QSeriesError("cannot embed a constant at nonpositive precision")
-    return QExpansion(0, [F(c)] + [F(0)] * (n - 1))
+    p, s = _ratio(c)
+    return _raw(F(0), [p] + [0] * (n - 1), s)
 
 
 def _one_like(f: QExpansion) -> QExpansion:
-    return QExpansion(0, [F(1)] + [F(0)] * (len(f.coeffs) - 1))
+    return _raw(F(0), [1] + [0] * (len(f.num) - 1), 1)
 
 
 def qexp_equal(a: QExpansion, b: QExpansion, through: int) -> Tuple[bool, Optional[Fraction]]:
     """Compare two expansions coefficientwise up to q^through.
 
-    Raises if either side is not known that far; returns (ok, exponent of
-    the first mismatch).
+    Raises if through is negative or either side is not known that far;
+    returns (ok, exponent of the first mismatch).
     """
+    if through < 0:
+        raise QSeriesError("comparison through q^%s: need through >= 0" % (through,))
     if a.prec <= through or b.prec <= through:
         raise QSeriesError("known only to q^%s and q^%s, need q^%d"
                            % (a.prec, b.prec, through))
     diff = a - b
-    for i, c in enumerate(diff.coeffs):
+    for i, c in enumerate(diff.num):
         e = diff.offset + i
         if e > through:
             break
@@ -257,10 +330,12 @@ def qexp_equal(a: QExpansion, b: QExpansion, through: int) -> Tuple[bool, Option
 # ---------------------------------------------------------------------------
 
 
-def poch_unit(a: int, m: int, rel: int) -> List[Fraction]:
+def poch_unit(a: int, m: int, rel: int) -> List[int]:
     """Unit-part coefficients of prod_{j>=0} (1 - q^(a+j m)) to q^rel."""
-    out = [F(0)] * (rel + 1)
-    out[0] = F(1)
+    if rel < 0:
+        raise QSeriesError("precision q^%d is negative" % rel)
+    out = [0] * (rel + 1)
+    out[0] = 1
     e = a
     while e <= rel:
         # multiply by (1 - q^e) in place
@@ -278,7 +353,7 @@ def eta_expand(N: int, order: int) -> QExpansion:
 
 
 def eta_quotient(factors: Sequence[Tuple[int, int]], order: int) -> QExpansion:
-    out = QExpansion(0, [F(1)] + [F(0)] * order)
+    out = QExpansion(0, [1] + [0] * order)
     for N, e in factors:
         f = eta_expand(N, order)
         if e > 0:
@@ -289,7 +364,7 @@ def eta_quotient(factors: Sequence[Tuple[int, int]], order: int) -> QExpansion:
 
 
 def poch_quotient(offset, factors: Sequence[Tuple[int, int, int]], order: int) -> QExpansion:
-    out = QExpansion(F(offset), [F(1)] + [F(0)] * order)
+    out = QExpansion(offset, [1] + [0] * order)
     for a, m, e in factors:
         unit = QExpansion(0, poch_unit(a, m, order))
         if e > 0:
@@ -344,33 +419,32 @@ def _legendre13(j: int) -> int:
     return 1 if r in (1, 3, 4, 9, 10, 12) else -1
 
 
+_EISENSTEIN = {"P": (-24, 1), "Q": (240, 3), "R": (-504, 5)}
+
+
+def _divisor_sums(order: int, weight: Callable[[int], int]) -> List[int]:
+    """s[n] = sum of weight(d) over the divisors d of n, for n <= order (a sieve)."""
+    s = [0] * (order + 1)
+    for d in range(1, order + 1):
+        w = weight(d)
+        if w:
+            for n in range(d, order + 1, d):
+                s[n] += w
+    return s
+
+
 def eisenstein_expand(kind: str, order: int) -> QExpansion:
     """P, Q, R with the classical normalizations, or the level-13 series U."""
-    out = [F(0)] * (order + 1)
-    if kind == "P":
-        out[0], mult, power = F(1), -24, 1
-    elif kind == "Q":
-        out[0], mult, power = F(1), 240, 3
-    elif kind == "R":
-        out[0], mult, power = F(1), -504, 5
-    elif kind == "U13":
-        out[0] = F(1)
-        for n in range(1, order + 1):
-            s = 0
-            for d in range(1, n + 1):
-                if n % d == 0:
-                    s += _legendre13(d) * d
-            out[n] = F(-s)
-        return QExpansion(0, out)
+    if order < 0:
+        raise QSeriesError("precision q^%d is negative" % order)
+    if kind == "U13":
+        mult, s = -1, _divisor_sums(order, lambda d: _legendre13(d) * d)
+    elif kind in _EISENSTEIN:
+        mult, power = _EISENSTEIN[kind]
+        s = _divisor_sums(order, lambda d: d ** power)
     else:
         raise QSeriesError("unknown Eisenstein kind %r" % (kind,))
-    for n in range(1, order + 1):
-        s = 0
-        for d in range(1, n + 1):
-            if n % d == 0:
-                s += d ** power
-        out[n] = F(mult * s)
-    return QExpansion(0, out)
+    return QExpansion(0, [1] + [mult * c for c in s[1:]])
 
 
 def build_product(spec: tuple, order: int) -> QExpansion:
@@ -448,18 +522,18 @@ def build_xz(row: LevelRow, order: int) -> Tuple[QExpansion, QExpansion]:
     """The pair (X, Z) for a catalog level, verified to have X = q + O(q^2)
     and Z = 1 + O(q); raises "definition inconsistent" otherwise."""
     X = build_x(row, order + 4).normalized()
-    if X.offset != 1 or X.coeffs[0] != 1:
+    if X.offset != 1 or X.coefficient(1) != 1:
         raise QSeriesError("definition inconsistent: X of %s starts %s q^%s"
-                           % (row.key, X.coeffs[0], X.offset))
+                           % (row.key, X.coefficient(X.offset), X.offset))
     if row.z_eta and row.z_eta[0] == "eisenstein13":
         Z = build_product(("eisenstein13",), order + 4)
     else:
         num = eta_quotient(row.z_eta, order + 4)
         Z = num / X.pow_fraction(row.z_xexp) if row.z_xexp else num
     Z = Z.normalized()
-    if Z.offset != 0 or Z.coeffs[0] != 1:
+    if Z.offset != 0 or Z.coefficient(0) != 1:
         raise QSeriesError("definition inconsistent: Z of %s starts %s q^%s"
-                           % (row.key, Z.coeffs[0], Z.offset))
+                           % (row.key, Z.coefficient(Z.offset), Z.offset))
     return X.truncate_abs(order + 1), Z.truncate_abs(order)
 
 
@@ -474,7 +548,7 @@ def expansion_coefficients(Z: QExpansion, X: QExpansion, n_max: int) -> List[Sca
     out: List[Scalar] = []
     rem = Z
     xpow = _embed_scalar(1, Z.prec)  # X^n, with leading coefficient lead^n
-    lead = Xn.coeffs[0]
+    lead = Xn.coefficient(1)
     leadpow = F(1)
     for n in range(n_max + 1):
         c = rem.coefficient(n) / leadpow
@@ -490,8 +564,14 @@ def expansion_coefficients(Z: QExpansion, X: QExpansion, n_max: int) -> List[Sca
 # ---------------------------------------------------------------------------
 
 
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise QSeriesError("verification order must be >= 1, got %s" % (order,))
+
+
 def verify_diff_formula(row: LevelRow, order: int = 30) -> Tuple[bool, Optional[Fraction]]:
     """(q dX/dq)^2 == Z^2 X^2 G(X) through q^order (squared form, no roots)."""
+    _check_order(order)
     X, Z = build_xz(row, order + 2)
     lhs = X.q_derivative()
     lhs = lhs * lhs
@@ -502,6 +582,7 @@ def verify_diff_formula(row: LevelRow, order: int = 30) -> Tuple[bool, Optional[
 
 def verify_ode(row: LevelRow, order: int = 30) -> Tuple[bool, Optional[Fraction]]:
     """D^2 Z - (DZ)^2/(2Z) == H(X) Z with D = (1/Z) q d/dq, through q^order."""
+    _check_order(order)
     X, Z = build_xz(row, order + 4)
     DZ = Z.q_derivative() / Z
     D2Z = DZ.q_derivative() / Z
@@ -515,10 +596,11 @@ def verify_ode(row: LevelRow, order: int = 30) -> Tuple[bool, Optional[Fraction]
 
 def verify_weight_one(row: Weight1Row, order: int = 30) -> Tuple[bool, Optional[Fraction]]:
     """z == sum t(n) x^n and q dx/dq == z^2 x (1 - a x - c x^2), through q^order."""
+    _check_order(order)
     a, b, g = row.triple
     x = build_product(row.x, order + 4).normalized()
     z = build_product(row.z, order + 4).normalized()
-    if x.offset != 1 or x.coeffs[0] != 1:
+    if x.offset != 1 or x.coefficient(1) != 1:
         raise QSeriesError("x of %s is not q + O(q^2)" % row.key)
     t = generate_terms(recurrence_from_quadratic(a, b, g), order, RING_Z)
     got = expansion_coefficients(z, x, order)
@@ -532,6 +614,7 @@ def verify_weight_one(row: Weight1Row, order: int = 30) -> Tuple[bool, Optional[
 
 def verify_weight_two(row, order: int = 20) -> Tuple[bool, Optional[Fraction]]:
     """y == sum s(n) w^n for a cubic-companion table row, through q^order."""
+    _check_order(order)
     from .recurrence import cubic_from_quadratic_asz
     a, b, g = row.triple
     w = build_product(row.w, order + 4).normalized()
@@ -723,6 +806,7 @@ IDENTITY_BANK: Dict[str, Callable[[int], Tuple[bool, Optional[Fraction]]]] = {
 def verify_identity_bank(name: str, order: int = 30) -> Tuple[bool, Optional[Fraction]]:
     if name not in IDENTITY_BANK:
         raise catalog.UnknownKeyError("unknown identity %r" % (name,))
+    _check_order(order)
     return IDENTITY_BANK[name](order)
 
 

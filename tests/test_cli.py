@@ -64,7 +64,7 @@ def test_catalog_show_and_export(capsys):
 
 def test_verify_qseries_single_level(capsys):
     code, doc = run_json(capsys, "verify-qseries", "--level", "level4",
-                         "--order", "12", "--jobs", "1")
+                         "--order", "12")
     assert code == 0 and doc["outcome"] == "PASS"
 
 
@@ -128,8 +128,7 @@ def test_payloads_are_deterministic(capsys):
 
 def test_verify_all_aggregate(capsys):
     # a weaker order still passes (prefix of a passing check)
-    code, doc = run_json(capsys, "verify-qseries", "--all", "--order", "8",
-                         "--jobs", "1")
+    code, doc = run_json(capsys, "verify-qseries", "--all", "--order", "8")
     assert code == 0 and doc["outcome"] == "PASS"
     kinds = {r["level"].split(":")[0] for r in doc["payload"]["rows"]}
     assert {"level4", "identity", "clausen", "gf-independence"} <= kinds
@@ -189,3 +188,33 @@ def test_composite_primes_and_bad_exponents_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-qseries", "--level", "level11", "--order", "-1"],
+    ["verify-qseries", "--all", "--order", "0"],
+    ["verify-identities", "--name", "phi-eta", "--order", "-3"],
+    ["reproduce", "levels-BH", "--order", "0"],
+    ["verify-qseries", "--jobs", "2"],
+])
+def test_meaningless_orders_and_removed_jobs_flag_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_prime_range_cap_fires_before_the_sieve(monkeypatch, capsys):
+    from aperylike import congruence
+
+    def no_sieve(size):
+        raise AssertionError("sieve allocated for %d candidates" % size)
+    monkeypatch.setattr(congruence, "bytearray", no_sieve, raising=False)
+    cap = congruence.SIEVE_CAP
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--primes", "2..%d" % (cap + 1)])
+    assert exc.value.code == 2
+    assert "sieve cap" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        congruence.primes_below(cap + 2)
+    with pytest.raises(ValueError):
+        congruence.primes_below(10 ** 30)

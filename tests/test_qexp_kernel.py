@@ -1,0 +1,504 @@
+"""Differential tests: the integer-coefficient QExpansion kernel against
+the Fraction-per-coefficient reference it replaced.
+
+The reference below is the previous implementation, kept verbatim apart
+from its names.  ``reference_kernel`` swaps it into ``aperylike.qseries``,
+so the module's builders (eta and theta products, Eisenstein series, the
+(X, Z) pairs, the identity bank) run unchanged on either kernel and their
+outputs can be compared coefficient by coefficient.
+"""
+
+from contextlib import contextmanager
+from fractions import Fraction
+from math import gcd
+from typing import List, Optional, Sequence, Tuple
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from aperylike import catalog, qseries
+from aperylike.qseries import QSeriesError, _legendre13
+
+F = Fraction
+
+
+# ---------------------------------------------------------------------------
+# The reference kernel
+# ---------------------------------------------------------------------------
+
+
+class RefQExpansion:
+    """q^offset * sum(coeffs[i] q^i), known exactly below q^(offset+len)."""
+
+    __slots__ = ("offset", "coeffs")
+
+    def __init__(self, offset, coeffs: Sequence):
+        object.__setattr__(self, "offset", F(offset))
+        object.__setattr__(self, "coeffs", [F(c) for c in coeffs])
+        if not self.coeffs:
+            raise QSeriesError("empty coefficient list")
+
+    def __setattr__(self, *args):
+        raise AttributeError("RefQExpansion is immutable")
+
+    # -- structure ------------------------------------------------------
+
+    @property
+    def prec(self) -> Fraction:
+        """First exponent at which the expansion is unknown."""
+        return self.offset + len(self.coeffs)
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def normalized(self) -> "RefQExpansion":
+        """Strip leading zero coefficients into the offset."""
+        i = 0
+        while i < len(self.coeffs) and self.coeffs[i] == 0:
+            i += 1
+        if i == 0:
+            return self
+        if i == len(self.coeffs):
+            raise QSeriesError("series is zero to working precision")
+        return RefQExpansion(self.offset + i, self.coeffs[i:])
+
+    def coefficient(self, exponent) -> Fraction:
+        """Exact coefficient of q^exponent; exponent must be below prec."""
+        e = F(exponent)
+        if e >= self.prec:
+            raise QSeriesError("coefficient of q^%s is beyond precision" % e)
+        rel = e - self.offset
+        if rel.denominator != 1 or rel < 0:
+            return F(0)
+        return self.coeffs[int(rel)]
+
+    # -- arithmetic -------------------------------------------------------
+
+    def __neg__(self):
+        return RefQExpansion(self.offset, [-c for c in self.coeffs])
+
+    def _add(self, other: "RefQExpansion", sign: int) -> "RefQExpansion":
+        shift = other.offset - self.offset
+        if shift.denominator != 1:
+            raise QSeriesError("offsets differ by a non-integer: %s vs %s"
+                               % (self.offset, other.offset))
+        shift = int(shift)
+        off = min(self.offset, other.offset)
+        prec = min(self.prec, other.prec)
+        n = int(prec - off)
+        out = [F(0)] * n
+        base = int(self.offset - off)
+        for i, c in enumerate(self.coeffs):
+            if 0 <= base + i < n:
+                out[base + i] += c
+        base = int(other.offset - off)
+        for i, c in enumerate(other.coeffs):
+            if 0 <= base + i < n:
+                out[base + i] += sign * c
+        if not out:
+            raise QSeriesError("empty overlap in addition")
+        return RefQExpansion(off, out)
+
+    def __add__(self, other):
+        if isinstance(other, RefQExpansion):
+            return self._add(other, +1)
+        return self._add(ref_embed_scalar(other, self.prec), +1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, RefQExpansion):
+            return self._add(other, -1)
+        return self._add(ref_embed_scalar(other, self.prec), -1)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, RefQExpansion):
+            return RefQExpansion(self.offset, [c * other for c in self.coeffs])
+        a, b = self.normalized(), other.normalized()
+        n = min(len(a.coeffs), len(b.coeffs))
+        out = [F(0)] * n
+        for i, x in enumerate(a.coeffs[:n]):
+            if not x:
+                continue
+            for j, y in enumerate(b.coeffs[: n - i]):
+                if y:
+                    out[i + j] += x * y
+        return RefQExpansion(a.offset + b.offset, out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, RefQExpansion):
+            inv = F(1) / F(other)
+            return RefQExpansion(self.offset, [c * inv for c in self.coeffs])
+        a, b = self.normalized(), other.normalized()
+        n = min(len(a.coeffs), len(b.coeffs))
+        lead = b.coeffs[0]
+        out: List[Fraction] = []
+        for i in range(n):
+            acc = a.coeffs[i] if i < len(a.coeffs) else F(0)
+            for j in range(1, i + 1):
+                acc -= b.coeffs[j] * out[i - j]
+            out.append(acc / lead)
+        return RefQExpansion(a.offset - b.offset, out)
+
+    def __rtruediv__(self, other):
+        a = self.normalized()
+        return ref_embed_scalar(other, a.offset + len(a.coeffs)) / self
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return (ref_one_like(self) / self) ** (-e)
+        a = self.normalized()
+        out = RefQExpansion(0, [F(1)] + [F(0)] * (len(a.coeffs) - 1))
+        base = a
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    def pow_fraction(self, r) -> "RefQExpansion":
+        """f^r for rational r; needs leading coefficient exactly 1."""
+        a = self.normalized()
+        r = F(r)
+        if a.coeffs[0] != 1:
+            raise QSeriesError("rational power needs leading coefficient 1")
+        n = len(a.coeffs)
+        out = [F(1)] + [F(0)] * (n - 1)
+        # k P_k = sum_{j=1..k} (r j - (k - j)) u_j P_{k-j}
+        for k in range(1, n):
+            acc = F(0)
+            for j in range(1, k + 1):
+                if a.coeffs[j] if j < n else 0:
+                    acc += (r * j - (k - j)) * a.coeffs[j] * out[k - j]
+            out[k] = acc / k
+        return RefQExpansion(a.offset * r, out)
+
+    def q_derivative(self) -> "RefQExpansion":
+        """q d/dq, exact on the fractional exponent grid."""
+        return RefQExpansion(self.offset,
+                          [(self.offset + i) * c for i, c in enumerate(self.coeffs)])
+
+    def shift(self, k) -> "RefQExpansion":
+        """Multiply by q^k."""
+        return RefQExpansion(self.offset + F(k), self.coeffs)
+
+    def subs_q_power(self, m: int) -> "RefQExpansion":
+        """f(q^m); the gaps are known zeros, so precision scales by m."""
+        if m < 1:
+            raise QSeriesError("substitution power must be >= 1")
+        out = [F(0)] * (m * len(self.coeffs))
+        for i, c in enumerate(self.coeffs):
+            out[m * i] = c
+        return RefQExpansion(self.offset * m, out)
+
+    def subs_q_negated(self) -> "RefQExpansion":
+        """f(-q); requires integer offset."""
+        if self.offset.denominator != 1:
+            raise QSeriesError("f(-q) needs an integer exponent grid")
+        base = int(self.offset)
+        return RefQExpansion(self.offset,
+                          [c if (base + i) % 2 == 0 else -c
+                           for i, c in enumerate(self.coeffs)])
+
+    def truncate_abs(self, exponent) -> "RefQExpansion":
+        """Drop knowledge above q^exponent (inclusive)."""
+        n = int(F(exponent) - self.offset) + 1
+        if n <= 0:
+            raise QSeriesError("truncation removes every known coefficient")
+        return RefQExpansion(self.offset, self.coeffs[: n])
+
+    def __repr__(self):
+        a = self.normalized() if not self.is_zero() else self
+        parts = []
+        for i, c in enumerate(a.coeffs[:6]):
+            if c:
+                parts.append("%s*q^%s" % (c, a.offset + i))
+        return "QExpansion(%s%s)" % (" + ".join(parts) or "0",
+                                     " + O(q^%s)" % a.prec)
+
+
+def ref_embed_scalar(c, prec_abs) -> RefQExpansion:
+    n = int(F(prec_abs))
+    if n <= 0:
+        raise QSeriesError("cannot embed a constant at nonpositive precision")
+    return RefQExpansion(0, [F(c)] + [F(0)] * (n - 1))
+
+
+def ref_one_like(f: RefQExpansion) -> RefQExpansion:
+    return RefQExpansion(0, [F(1)] + [F(0)] * (len(f.coeffs) - 1))
+
+
+def ref_qexp_equal(a: RefQExpansion, b: RefQExpansion, through: int) -> Tuple[bool, Optional[Fraction]]:
+    """Compare two expansions coefficientwise up to q^through.
+
+    Raises if either side is not known that far; returns (ok, exponent of
+    the first mismatch).
+    """
+    if a.prec <= through or b.prec <= through:
+        raise QSeriesError("known only to q^%s and q^%s, need q^%d"
+                           % (a.prec, b.prec, through))
+    diff = a - b
+    for i, c in enumerate(diff.coeffs):
+        e = diff.offset + i
+        if e > through:
+            break
+        if c != 0:
+            return False, e
+    return True, None
+
+
+# ---------------------------------------------------------------------------
+# Building blocks
+# ---------------------------------------------------------------------------
+
+
+def ref_poch_unit(a: int, m: int, rel: int) -> List[Fraction]:
+    """Unit-part coefficients of prod_{j>=0} (1 - q^(a+j m)) to q^rel."""
+    out = [F(0)] * (rel + 1)
+    out[0] = F(1)
+    e = a
+    while e <= rel:
+        # multiply by (1 - q^e) in place
+        for i in range(rel, e - 1, -1):
+            out[i] -= out[i - e]
+        e += m
+    return out
+
+
+def ref_eisenstein_expand(kind: str, order: int) -> RefQExpansion:
+    """P, Q, R with the classical normalizations, or the level-13 series U."""
+    out = [F(0)] * (order + 1)
+    if kind == "P":
+        out[0], mult, power = F(1), -24, 1
+    elif kind == "Q":
+        out[0], mult, power = F(1), 240, 3
+    elif kind == "R":
+        out[0], mult, power = F(1), -504, 5
+    elif kind == "U13":
+        out[0] = F(1)
+        for n in range(1, order + 1):
+            s = 0
+            for d in range(1, n + 1):
+                if n % d == 0:
+                    s += _legendre13(d) * d
+            out[n] = F(-s)
+        return RefQExpansion(0, out)
+    else:
+        raise QSeriesError("unknown Eisenstein kind %r" % (kind,))
+    for n in range(1, order + 1):
+        s = 0
+        for d in range(1, n + 1):
+            if n % d == 0:
+                s += d ** power
+        out[n] = F(mult * s)
+    return RefQExpansion(0, out)
+
+
+@contextmanager
+def reference_kernel():
+    """Run the qseries builders on the reference kernel inside the block;
+    yields the MonkeyPatch, which is undone on exit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qseries, "QExpansion", RefQExpansion)
+        mp.setattr(qseries, "_embed_scalar", ref_embed_scalar)
+        mp.setattr(qseries, "_one_like", ref_one_like)
+        mp.setattr(qseries, "qexp_equal", ref_qexp_equal)
+        mp.setattr(qseries, "poch_unit", ref_poch_unit)
+        mp.setattr(qseries, "eisenstein_expand", ref_eisenstein_expand)
+        yield mp
+
+
+# ---------------------------------------------------------------------------
+# Comparison
+# ---------------------------------------------------------------------------
+
+
+def assert_canonical(f):
+    assert type(f) is qseries.QExpansion
+    assert f.num and all(type(c) is int for c in f.num)
+    assert type(f.den) is int and f.den > 0
+    assert gcd(f.den, *f.num) == 1
+    assert type(f.offset) is Fraction
+
+
+def assert_same(new, ref):
+    assert_canonical(new)
+    assert type(ref) is RefQExpansion
+    assert new.offset == ref.offset
+    assert new.prec == ref.prec
+    assert new.coeffs == ref.coeffs
+    assert all(type(c) is Fraction for c in new.coeffs)
+    assert repr(new) == repr(ref)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (QSeriesError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def assert_same_outcome(new, ref):
+    if isinstance(new, type) or isinstance(ref, type):
+        assert new is ref
+    else:
+        assert_same(new, ref)
+
+
+def record_comparisons(calls):
+    """A qexp_equal that records its arguments before comparing."""
+    inner = qseries.qexp_equal
+
+    def recorded(a, b, through):
+        calls.append((a, b, through))
+        return inner(a, b, through)
+    return recorded
+
+
+# ---------------------------------------------------------------------------
+# The module's builders on both kernels
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", sorted(catalog.LEVEL_ROWS))
+def test_build_xz_matches_reference(key):
+    row = catalog.LEVEL_ROWS[key]
+    new = outcome(qseries.build_xz, row, 30)
+    with reference_kernel():
+        ref = outcome(qseries.build_xz, row, 30)
+    if isinstance(new, type) or isinstance(ref, type):
+        assert new is ref
+        return
+    for f, g in zip(new, ref):
+        assert_same(f, g)
+
+
+@pytest.mark.parametrize("name", sorted(qseries.IDENTITY_BANK))
+def test_identity_bank_matches_reference(name):
+    order = 40 if name.startswith("level13") else 30
+    new_calls, ref_calls = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qseries, "qexp_equal", record_comparisons(new_calls))
+        new = qseries.verify_identity_bank(name, order)
+    with reference_kernel() as mp:
+        mp.setattr(qseries, "qexp_equal", record_comparisons(ref_calls))
+        ref = qseries.verify_identity_bank(name, order)
+    assert new == ref
+    assert len(new_calls) == len(ref_calls)
+    for (a, b, t), (c, d, u) in zip(new_calls, ref_calls):
+        assert t == u
+        assert_same(a, c)
+        assert_same(b, d)
+
+
+@pytest.mark.parametrize("key", sorted(catalog.ZAGIER_ROWS))
+def test_zagier_expansion_coefficients_match_reference(key):
+    row = catalog.ZAGIER_ROWS[key]
+
+    def run():
+        x = qseries.build_product(row.x, 34).normalized()
+        z = qseries.build_product(row.z, 34).normalized()
+        return x, z, qseries.expansion_coefficients(z, x, 30)
+    x, z, new = run()
+    with reference_kernel():
+        rx, rz, ref = run()
+    assert_same(x, rx)
+    assert_same(z, rz)
+    assert new == ref
+    assert [type(c) for c in new] == [type(c) for c in ref]
+
+
+def test_eisenstein_and_pochhammer_builders_match_reference():
+    for kind in ("P", "Q", "R", "U13"):
+        assert_same(qseries.eisenstein_expand(kind, 60), ref_eisenstein_expand(kind, 60))
+    for a, m, rel in ((1, 1, 40), (2, 5, 40), (3, 7, 33), (13, 13, 60)):
+        assert qseries.poch_unit(a, m, rel) == ref_poch_unit(a, m, rel)
+
+
+# ---------------------------------------------------------------------------
+# Random operations
+# ---------------------------------------------------------------------------
+
+rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 12))
+coeff_lists = st.lists(rationals, min_size=1, max_size=10)
+grid_offsets = st.builds(F, st.integers(-48, 48), st.just(24))
+POWERS = (F(1, 2), F(3, 2), F(2, 3), F(-7, 6))
+
+
+def pair(offset, coeffs):
+    return qseries.QExpansion(offset, coeffs), RefQExpansion(offset, coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_offsets, coeff_lists, st.integers(-3, 3), coeff_lists)
+def test_random_add_sub_match_reference(off, cs, k, ds):
+    a, ra = pair(off, cs)
+    b, rb = pair(off + k, ds)
+    assert_same_outcome(outcome(lambda: a + b), outcome(lambda: ra + rb))
+    assert_same_outcome(outcome(lambda: a - b), outcome(lambda: ra - rb))
+    assert_same_outcome(outcome(lambda: b - a), outcome(lambda: rb - ra))
+    assert_same_outcome(outcome(lambda: -a), outcome(lambda: -ra))
+    through = int(min(a.prec, b.prec)) - 1
+    if through >= 0:
+        assert qseries.qexp_equal(a, b, through) == ref_qexp_equal(ra, rb, through)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_offsets, coeff_lists, grid_offsets, coeff_lists, rationals)
+def test_random_mul_and_scalars_match_reference(off, cs, off2, ds, c):
+    a, ra = pair(off, cs)
+    b, rb = pair(off2, ds)
+    assert_same_outcome(outcome(lambda: a * b), outcome(lambda: ra * rb))
+    assert_same_outcome(outcome(lambda: a * c), outcome(lambda: ra * c))
+    assert_same_outcome(outcome(lambda: c * a), outcome(lambda: c * ra))
+    assert_same_outcome(outcome(lambda: a / c), outcome(lambda: ra / c))
+    assert_same_outcome(outcome(lambda: a / -c), outcome(lambda: ra / -c))
+    assert_same_outcome(outcome(lambda: a / -3), outcome(lambda: ra / -3))
+    assert_same_outcome(outcome(lambda: 5 * a), outcome(lambda: 5 * ra))
+    if off.denominator == 1:
+        assert_same_outcome(outcome(lambda: a + c), outcome(lambda: ra + c))
+        assert_same_outcome(outcome(lambda: c - a), outcome(lambda: c - ra))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_offsets, coeff_lists, grid_offsets, coeff_lists,
+       st.sampled_from((1, -1, 2, -3)), rationals)
+def test_random_division_matches_reference(off, cs, off2, ds, lead, c):
+    a, ra = pair(off, cs)
+    b, rb = pair(off2, [lead] + ds)
+    assert_same_outcome(outcome(lambda: a / b), outcome(lambda: ra / rb))
+    assert_same_outcome(outcome(lambda: c / b), outcome(lambda: c / rb))
+    assert_same_outcome(outcome(lambda: b ** -2), outcome(lambda: rb ** -2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_offsets, coeff_lists, st.sampled_from(POWERS), st.integers(0, 3))
+def test_random_powers_match_reference(off, cs, r, e):
+    a, ra = pair(off, [1] + cs)
+    assert_same_outcome(outcome(a.pow_fraction, r), outcome(ra.pow_fraction, r))
+    assert_same_outcome(outcome(lambda: a ** e), outcome(lambda: ra ** e))
+    # a leading coefficient other than 1 is refused by both
+    assert_same_outcome(outcome((a * 2).pow_fraction, r), outcome((ra * 2).pow_fraction, r))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_offsets, coeff_lists, st.integers(1, 3), st.integers(-2, 12),
+       st.integers(0, 4))
+def test_random_unary_ops_match_reference(off, cs, m, t, lead_zeros):
+    a, ra = pair(off, [0] * lead_zeros + cs)
+    assert_same_outcome(outcome(a.normalized), outcome(ra.normalized))
+    assert_same_outcome(a.q_derivative(), ra.q_derivative())
+    assert_same_outcome(a.shift(F(5, 24)), ra.shift(F(5, 24)))
+    assert_same_outcome(a.subs_q_power(m), ra.subs_q_power(m))
+    assert_same_outcome(outcome(a.truncate_abs, off + t), outcome(ra.truncate_abs, off + t))
+    if off.denominator == 1:
+        assert_same_outcome(a.subs_q_negated(), ra.subs_q_negated())
+    assert a.is_zero() == ra.is_zero()
+    for e in (off + len(cs) // 2, int(off) + 1):
+        assert outcome(a.coefficient, e) == outcome(ra.coefficient, e)

@@ -195,3 +195,40 @@ def test_qexp_equal_precision_guard():
 def test_phi_psi_expansions():
     assert phi_expand(5).coeffs == [1, 2, 0, 0, 2, 0]
     assert psi_expand(7).coeffs == [1, 1, 0, 1, 0, 0, 1, 0]
+
+
+def test_eisenstein_sieve_against_brute_force_divisor_sums():
+    order = 200
+
+    def brute(weight):
+        return [sum(weight(d) for d in range(1, n + 1) if n % d == 0)
+                for n in range(1, order + 1)]
+
+    for kind, mult, power in (("P", -24, 1), ("Q", 240, 3), ("R", -504, 5)):
+        assert eisenstein_expand(kind, order).coeffs == \
+            [1] + [mult * s for s in brute(lambda d: d ** power)], kind
+
+    def chi13(d):
+        r = d % 13
+        return 0 if r == 0 else 1 if r in (1, 3, 4, 9, 10, 12) else -1
+    assert eisenstein_expand("U13", order).coeffs == \
+        [1] + [-s for s in brute(lambda d: chi13(d) * d)]
+
+
+def test_orders_below_one_are_rejected():
+    row = catalog.LEVEL_ROWS["level11"]
+    for order in (0, -1):
+        with pytest.raises(QSeriesError):
+            verify_diff_formula(row, order)
+        with pytest.raises(QSeriesError):
+            verify_ode(row, order)
+        with pytest.raises(QSeriesError):
+            verify_weight_one(catalog.ZAGIER_ROWS["zagier5"], order)
+        with pytest.raises(QSeriesError):
+            verify_weight_two(catalog.WEIGHT2_ROWS["weight2-5"], order)
+    with pytest.raises(QSeriesError):
+        verify_identity_bank("phi-eta", -3)
+    a = QExpansion(0, [1, 2, 3])
+    assert qexp_equal(a, a, 0) == (True, None)
+    with pytest.raises(QSeriesError):
+        qexp_equal(a, a, -1)
