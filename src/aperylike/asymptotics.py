@@ -45,6 +45,8 @@ class PrecisionConfig:
     def __post_init__(self):
         if self.digits < 30:
             raise AsymptoticsError("working precision below 30 digits")
+        if self.diff_order < 1:
+            raise AsymptoticsError("diff_order must be >= 1, got %d" % self.diff_order)
         if self.terms <= 10 * self.diff_order:
             raise AsymptoticsError("need terms > 10 * diff_order")
 

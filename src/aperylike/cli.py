@@ -34,10 +34,6 @@ def _default_digits() -> int:
         return 60
 
 
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
-
-
 def _mpstr(x, digits: int) -> str:
     return mp.nstr(x, digits, strip_zeros=False)
 
@@ -285,7 +281,7 @@ def cmd_lucas(args) -> RunReport:
     if not args.primes and args.prime is None:
         raise ValueError("one of --prime or --primes is required")
     primes = args.primes or [args.prime]
-    reports = congruence.lucas_scan_many(args.seq, primes, args.nmax, args.jobs)
+    reports = congruence.lucas_scan_many(args.seq, primes, args.nmax)
     rows = [r.to_json() for r in reports]
     ok = all(r.ok for r in reports)
     return RunReport("lucas", {"seq": args.seq, "primes": primes, "nmax": args.nmax},
@@ -304,7 +300,7 @@ def cmd_supercong(args) -> RunReport:
 
 
 def cmd_scan(args) -> RunReport:
-    counts = congruence.scan_c_counts(args.seq, args.primes, args.nmax, args.jobs)
+    counts = congruence.scan_c_counts(args.seq, args.primes, args.nmax)
     payload = {"seq": args.seq, "n_max": args.nmax,
                "counts": {str(p): counts[p] for p in sorted(counts)}}
     return RunReport("scan", {"seq": args.seq, "primes": args.primes,
@@ -370,7 +366,7 @@ def _reproduce_weight_rows(table: Dict, verifier, n_check: int = 10) -> List[dic
 
 
 def reproduce(table_id: str, order: int = 30, nmax: int = 1000,
-              primes: Optional[Sequence[int]] = None, jobs: int = 1) -> RunReport:
+              primes: Optional[Sequence[int]] = None) -> RunReport:
     rows: List[dict] = []
     if table_id == "zagier-table":
         rows = _reproduce_weight_rows(catalog.ZAGIER_ROWS, qseries.verify_weight_one)
@@ -432,7 +428,7 @@ def reproduce(table_id: str, order: int = 30, nmax: int = 1000,
                          "C": _mpstr(pr.C, 10)})
     elif table_id == "cp-counts":
         ps = list(primes) if primes else [2, 3, 5, 7, 11, 13, 59]
-        counts = congruence.scan_c_counts("level11", ps, nmax, jobs)
+        counts = congruence.scan_c_counts("level11", ps, nmax)
         for p in sorted(counts):
             # the committed counts are for the n <= 1000 window only
             want = catalog.REFERENCE_CP_COUNTS.get(p) if nmax == 1000 else None
@@ -449,7 +445,7 @@ def reproduce(table_id: str, order: int = 30, nmax: int = 1000,
 
 def cmd_reproduce(args) -> RunReport:
     return reproduce(args.table, order=args.order, nmax=args.nmax,
-                     primes=args.primes, jobs=args.jobs)
+                     primes=args.primes)
 
 
 # ---------------------------------------------------------------------------
@@ -495,29 +491,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True)
     p.add_argument("--prime", type=_prime)
     p.add_argument("--primes", type=_primes, help='"2,3,5" or "2..97"')
-    p.add_argument("--nmax", type=int, default=2000)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--nmax", type=_positive_int, default=2000)
     p.set_defaults(func=cmd_lucas)
 
     p = sub.add_parser("supercong", help="T(pn) = T(n) mod p^e scan")
     p.add_argument("--seq", required=True)
     p.add_argument("--prime", type=_prime, required=True)
     p.add_argument("--exp", type=_positive_int, default=2)
-    p.add_argument("--nmax", type=int, default=1000)
+    p.add_argument("--nmax", type=_positive_int, default=1000)
     p.add_argument("--pattern", choices=sorted(congruence.PATTERNS))
     p.set_defaults(func=cmd_supercong)
 
     p = sub.add_parser("scan", help="c(p) counts over a prime range")
     p.add_argument("--seq", default="level11")
     p.add_argument("--primes", type=_primes, required=True)
-    p.add_argument("--nmax", type=int, default=1000)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--nmax", type=_positive_int, default=1000)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("asymptotics", help="R, b1 and the constant C")
     p.add_argument("--seq", required=True)
     p.add_argument("--terms", type=int, default=2000)
-    p.add_argument("--diffs", type=int, default=8)
+    p.add_argument("--diffs", type=_positive_int, default=8)
     p.add_argument("--digits", type=int, default=_default_digits())
     p.add_argument("--no-constant", action="store_true")
     p.set_defaults(func=cmd_asymptotics)
@@ -525,9 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="regenerate a committed table and diff")
     p.add_argument("table", choices=REPRODUCE_TABLES)
     p.add_argument("--order", type=_positive_int, default=30)
-    p.add_argument("--nmax", type=int, default=1000)
+    p.add_argument("--nmax", type=_positive_int, default=1000)
     p.add_argument("--primes", type=_primes)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
     p.set_defaults(func=cmd_reproduce)
 
     return ap

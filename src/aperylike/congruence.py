@@ -1,19 +1,31 @@
 """Lucas-congruence and supercongruence scanning.
 
-Residues always come from exact big-integer terms reduced componentwise,
-never from running the recurrence modulo p^e: the division by (n+1)^3 is
-not invertible at indices divisible by p, and exact streaming is cheap at
-the scales scanned here.  Scans over distinct primes are independent and
-can run as parallel jobs.
+Residues come from one of two paths, chosen per call with no option:
+
+* The T(pn)-shaped scans over Z (supercongruence_check, scan_c_counts, and
+  structured_congruence_check when the modulus is a power of p) run the
+  recurrence p-adically.  The division by the lead coefficient, (n+1)^3 for
+  the cubic family, is not invertible modulo p^e at the indices it
+  vanishes mod p, so the run starts with a precision budget of
+  e + sum_m v_p(lead(m)) p-adic digits, divides out p^v exactly at each
+  such step, and shrinks the modulus by the precision spent; the p-free
+  parts of the leads are folded into the back coefficients, so the run
+  takes no modular inverse of its big modulus.  It builds no exact term.
+  It certifies p-integrality only: a term that is not p-integral raises
+  InexactDivision, while a denominator prime to p goes unseen.  That is
+  sound for residues in Z_(p), which is all a congruence mod p^e reads.
+* Everything else (Lucas scans, the Z[sqrt(d)] and Q rings, moduli that
+  are not a power of p) reduces exact big-integer terms: one pass streams
+  the terms once and reduces each against every requested modulus.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
+from .recurrence import InexactDivision, RecurrenceSpec, _eval_int_poly, _integral_relation
 from .rings import reduce_pair
 
 Residue = Tuple[int, int]
@@ -76,22 +88,123 @@ class ResidueTable:
         return ((a * c + self.d * b * dd) % m, (a * dd + b * c) % m)
 
 
-def residue_table(seq_key: str, p: int, e: int = 1, n_max: int = 1000,
-                  keep: Optional[Callable[[int], bool]] = None) -> ResidueTable:
-    """Stream T(0..n_max) exactly and retain residues mod p^e.
+Keep = Optional[Callable[[int], bool]]  # which indices to retain; None keeps all
 
-    keep(n) selects which indices to retain (all by default); the exact
-    terms themselves are discarded beyond the recurrence window.
-    """
-    seq = catalog.sequence(seq_key)
-    m = p ** e
-    d = seq.ring.d if seq.ring.kind == "quad" else 0
-    residues: Dict[int, Residue] = {}
+
+def _exact_residues(seq: catalog.Sequence, n_max: int,
+                    targets: Sequence[Tuple[int, Keep]]) -> List[Dict[int, Residue]]:
+    """The exact pass: stream T(0..n_max) once and reduce each term against
+    every (modulus, keep) target, one residue dict per target.  The exact
+    terms are discarded beyond the recurrence window."""
+    tables: List[Dict[int, Residue]] = [{} for _ in targets]
+    reducers = list(zip(targets, tables))
     for n, (a, b) in enumerate(seq.iter_pairs()):
         if n > n_max:
             break
-        if keep is None or keep(n):
-            residues[n] = reduce_pair(a, b, m)
+        for (m, keep), table in reducers:
+            if keep is None or keep(n):
+                table[n] = reduce_pair(a, b, m)
+    return tables
+
+
+def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int,
+                    keep: Keep) -> Dict[int, Residue]:
+    """T(n) mod p^e for the kept n <= n_max of the Z-ring stream with T(0) = 1,
+    from a p-adic run of the recurrence; no exact term is built.
+
+    Write lead(m) = p^v_m * u_m with u_m prime to p, and D(n) = u_0...u_(n-1).
+    The run carries W(n) = T(n) D(n) modulo p^prec, where
+        lead(m) T(m+1) = sum_j b_j(m) T(m+1-j)
+    becomes
+        p^v_m W(m+1) = sum_j b_j(m) (u_(m-1)...u_(m-j+1)) W(m+1-j),
+    so no unit is ever inverted modulo p^prec.  The precision starts at
+    e + sum_m v_p(lead(m)) and each step with v_m > 0 spends v_m of it:
+    the sum must be divisible by p^v_m (else T(m+1) is not p-integral and
+    InexactDivision carries m+1), is divided exactly, and the modulus
+    shrinks to p^prec.  A kept index returns W(n) D(n)^-1 mod p^e, with D
+    tracked mod p^e.  The result certifies p-integrality only; a
+    denominator prime to p is not detected.
+    """
+    lead, backs = _integral_relation(spec)
+    prec = e
+    for m in range(n_max):
+        x = _eval_int_poly(lead, m)
+        if not x:
+            raise ZeroDivisionError("lead coefficient vanishes at index %d" % m)
+        while x % p == 0:
+            x //= p
+            prec += 1
+    pe = p ** e
+    M = p ** prec
+    window = [0] * len(backs)  # window[j-1] = W(m+1-j) while producing W(m+1)
+    window[0] = 1
+    folds = [1] * len(backs)   # folds[j-1] = u_(m-1)...u_(m-j+1)
+    D = 1                      # D(m+1) mod p^e once u_m is folded in
+    out: Dict[int, Residue] = {}
+    if keep is None or keep(0):
+        out[0] = (1, 0)
+    for m in range(n_max):
+        s = 0
+        for c, f, w in zip(backs, folds, window):
+            if w:
+                s += _eval_int_poly(c, m) * f * w
+        u = _eval_int_poly(lead, m)
+        if u % p == 0:
+            v = 0
+            while u % p == 0:
+                u //= p
+                v += 1
+            pv = p ** v
+            s, r = divmod(s, pv)
+            if r:
+                raise InexactDivision(m + 1)
+            prec -= v
+            if prec < e:
+                raise ArithmeticError("p-adic precision below e at index %d" % (m + 1))
+            M //= pv
+        w = s % M
+        D = D * u % pe
+        if keep is None or keep(m + 1):
+            out[m + 1] = (w * pow(D, -1, pe) % pe, 0)
+        window.insert(0, w)
+        window.pop()
+        folds = [1] + [u * f for f in folds[:-1]]
+    return out
+
+
+def _exponent_of(p: int, modulus: int) -> Optional[int]:
+    """The e >= 1 with p^e == modulus, or None."""
+    e, q = 0, modulus
+    while p > 1 and q % p == 0:
+        q //= p
+        e += 1
+    return e if e and q == 1 else None
+
+
+def _residues(seq: catalog.Sequence, p: int, modulus: int, n_max: int,
+              keep: Keep) -> Dict[int, Residue]:
+    """T(n) mod modulus for the kept n <= n_max: the p-adic kernel when the
+    ring is Z and the modulus is a power of p, the exact pass otherwise."""
+    e = _exponent_of(p, modulus)
+    if seq.ring.kind == "Z" and e is not None:
+        return _padic_residues(seq.spec, p, e, n_max, keep)
+    return _exact_residues(seq, n_max, [(modulus, keep)])[0]
+
+
+def _check_n_max(n_max: int) -> None:
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1, got %d" % n_max)
+
+
+def residue_table(seq_key: str, p: int, e: int = 1, n_max: int = 1000,
+                  keep: Keep = None) -> ResidueTable:
+    """Stream T(0..n_max) exactly and retain residues mod p^e.
+
+    keep(n) selects which indices to retain (all by default).
+    """
+    seq = catalog.sequence(seq_key)
+    d = seq.ring.d if seq.ring.kind == "quad" else 0
+    residues = _exact_residues(seq, n_max, [(p ** e, keep)])[0]
     return ResidueTable(seq.key, p, e, d, residues, n_max)
 
 
@@ -118,6 +231,7 @@ def lucas_check(table: ResidueTable, n_range: Tuple[int, int]) -> CongruenceRepo
 
 
 def lucas_scan(seq_key: str, p: int, n_max: int) -> CongruenceReport:
+    _check_n_max(n_max)
     table = residue_table(seq_key, p, 1, n_max)
     return lucas_check(table, (1, n_max))
 
@@ -188,14 +302,15 @@ def supercongruence_check(seq_key: str, p: int, e: int, n_max: int,
     Mismatches outside the pattern are violations; mismatches inside it are
     pattern_hits (expected); pattern members that nevertheless hold are
     pattern_passes, reported so that stated exceptions can be matched
-    exactly in both directions.
+    exactly in both directions.  Over Z the residues come from the p-adic
+    kernel (p-integrality certified, see the module docstring).
     """
-    table = residue_table(
-        seq_key, p, e, p * n_max,
-        keep=lambda n: n <= n_max or n % p == 0)
+    _check_n_max(n_max)
+    residues = _residues(catalog.sequence(seq_key), p, p ** e, p * n_max,
+                         lambda n: n <= n_max or n % p == 0)
     report = CongruenceReport(seq_key, p, e, n_max, 0, kind="supercongruence")
     for n in range(1, n_max + 1):
-        holds = table[p * n] == table[n]
+        holds = residues[p * n] == residues[n]
         in_pattern = bool(pattern and pattern(n))
         if holds:
             report.passes += 1
@@ -208,25 +323,13 @@ def supercongruence_check(seq_key: str, p: int, e: int, n_max: int,
     return report
 
 
-def scan_c_counts(seq_key: str, primes: Sequence[int], n_max: int = 1000,
-                  jobs: int = 1) -> Dict[int, int]:
+def scan_c_counts(seq_key: str, primes: Sequence[int], n_max: int = 1000) -> Dict[int, int]:
     """c(p) = #{1 <= n <= n_max : T(p n) == T(n) mod p^2} for each prime.
 
-    Each prime streams p*n_max exact terms once, retaining only residues.
+    Each prime runs p*n_max steps of the recurrence once (p-adically over Z),
+    retaining only residues.
     """
-    args = [(seq_key, p, n_max) for p in sorted(primes)]
-    if jobs > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
-            counts = list(pool.map(_count_one, args))
-    else:
-        counts = [_count_one(a) for a in args]
-    return dict(zip(sorted(primes), counts))
-
-
-def _count_one(arg: Tuple[str, int, int]) -> int:
-    seq_key, p, n_max = arg
-    report = supercongruence_check(seq_key, p, 2, n_max)
-    return report.passes
+    return {p: supercongruence_check(seq_key, p, 2, n_max).passes for p in sorted(primes)}
 
 
 def structured_congruence_check(seq_key: str, p: int, modulus: int,
@@ -237,15 +340,12 @@ def structured_congruence_check(seq_key: str, p: int, modulus: int,
 
     Offsets may be ints, component pairs, or callables n -> offset; classes
     missing from the map default to 0, so the zero map reduces to the plain
-    supercongruence check.
+    supercongruence check.  A modulus p^e over Z goes through the p-adic
+    kernel, any other through the exact pass.
     """
-    seq = catalog.sequence(seq_key)
-    residues: Dict[int, Residue] = {}
-    for n, (a, b) in enumerate(seq.iter_pairs()):
-        if n > p * n_max:
-            break
-        if n <= n_max or n % p == 0:
-            residues[n] = reduce_pair(a, b, modulus)
+    _check_n_max(n_max)
+    residues = _residues(catalog.sequence(seq_key), p, modulus, p * n_max,
+                         lambda n: n <= n_max or n % p == 0)
     report = CongruenceReport(seq_key, p, 0, n_max, 0, kind="structured")
     for n in range(1, n_max + 1):
         want = offsets.get(n % class_mod, 0)
@@ -261,36 +361,18 @@ def structured_congruence_check(seq_key: str, p: int, modulus: int,
     return report
 
 
-def lucas_scan_many(seq_key: str, primes: Sequence[int], n_max: int,
-                    jobs: int = 1) -> List[CongruenceReport]:
-    """Independent Lucas scans for several primes, ordered by prime.
-
-    Sequentially this streams the exact terms once and reduces against all
-    primes in one pass; with jobs > 1 each prime re-streams in its own
-    process.
-    """
+def lucas_scan_many(seq_key: str, primes: Sequence[int], n_max: int) -> List[CongruenceReport]:
+    """Lucas scans for several primes, ordered by prime, from one exact pass
+    that streams the terms once and reduces each against every prime."""
+    _check_n_max(n_max)
     primes = sorted(primes)
-    if jobs > 1 and len(primes) > 1:
-        args = [(seq_key, p, n_max) for p in primes]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(args))) as pool:
-            return list(pool.map(_lucas_one, args))
     seq = catalog.sequence(seq_key)
     d = seq.ring.d if seq.ring.kind == "quad" else 0
-    tables = {p: {} for p in primes}
-    for n, (a, b) in enumerate(seq.iter_pairs()):
-        if n > n_max:
-            break
-        for p in primes:
-            tables[p][n] = reduce_pair(a, b, p)
+    tables = _exact_residues(seq, n_max, [(p, None) for p in primes])
     return [
-        lucas_check(ResidueTable(seq.key, p, 1, d, tables[p], n_max), (1, n_max))
-        for p in primes
+        lucas_check(ResidueTable(seq.key, p, 1, d, table, n_max), (1, n_max))
+        for p, table in zip(primes, tables)
     ]
-
-
-def _lucas_one(arg: Tuple[str, int, int]) -> CongruenceReport:
-    seq_key, p, n_max = arg
-    return lucas_scan(seq_key, p, n_max)
 
 
 # The sieve holds one byte per candidate, so the largest candidate is capped.

@@ -186,6 +186,12 @@ def geometric_over(denom: Sequence[Scalar], order: int) -> FormalSeries:
 # ---------------------------------------------------------------------------
 
 
+def _check_order(order: int) -> None:
+    # order 0 would compare nothing and PASS
+    if order < 1:
+        raise ValueError("order must be >= 1, got %d" % order)
+
+
 def verify_asz(alpha: Scalar, beta: Scalar, gamma: Scalar, order: int = 30
                ) -> Tuple[bool, Optional[int]]:
     """x (sum t(n) x^n)^2 == sum s(n) (x/(1 - a x - c x^2))^(n+1) to x^order.
@@ -193,6 +199,7 @@ def verify_asz(alpha: Scalar, beta: Scalar, gamma: Scalar, order: int = 30
     t satisfies the weight-one relation, s its cubic companion.  Returns
     (ok, first mismatching exponent).
     """
+    _check_order(order)
     # arbitrary triples give rational terms (the division by (n+1)^2 need
     # not be exact), so both streams run in the fraction field
     t = generate_terms(recurrence_from_quadratic(alpha, beta, gamma), order, RING_Q)
@@ -213,6 +220,7 @@ def verify_ctyz(alpha: Scalar, beta: Scalar, gamma: Scalar, order: int = 30
                 ) -> Tuple[bool, Optional[int]]:
     """(sum t(n) x^n)^2 == (1+c x^2)^-1 sum binom(2n,n) t(n) v^n with
     v = x(1 - a x - c x^2)/(1 + c x^2)^2, to x^order."""
+    _check_order(order)
     t = generate_terms(recurrence_from_quadratic(alpha, beta, gamma), order, RING_Q)
     z = FormalSeries(t)
     lhs = (z * z).truncate(order)

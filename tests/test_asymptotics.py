@@ -158,3 +158,9 @@ def test_precision_config_guards():
         PrecisionConfig(digits=10)
     with pytest.raises(AsymptoticsError):
         PrecisionConfig(terms=50, diff_order=8)
+
+
+def test_diff_order_must_be_positive():
+    for k in (0, -1):
+        with pytest.raises(AsymptoticsError, match="diff_order"):
+            PrecisionConfig(diff_order=k)

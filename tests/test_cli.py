@@ -91,7 +91,7 @@ def test_supercong_cli_with_pattern(capsys):
 
 def test_scan_cli(capsys):
     code, doc = run_json(capsys, "scan", "--seq", "level11", "--primes", "2,3",
-                         "--nmax", "60", "--jobs", "1")
+                         "--nmax", "60")
     assert code == 0
     assert doc["payload"]["counts"] == {"2": 60, "3": 20}
 
@@ -218,3 +218,17 @@ def test_prime_range_cap_fires_before_the_sieve(monkeypatch, capsys):
         congruence.primes_below(cap + 2)
     with pytest.raises(ValueError):
         congruence.primes_below(10 ** 30)
+
+
+@pytest.mark.parametrize("argv", [
+    ["lucas", "--seq", "level11", "--prime", "5", "--nmax", "-3"],
+    ["supercong", "--seq", "level11", "--prime", "5", "--nmax", "0"],
+    ["scan", "--primes", "2,3", "--nmax", "-2"],
+    ["reproduce", "cp-counts", "--nmax", "0"],
+    ["asymptotics", "--seq", "level11", "--diffs", "0"],
+    ["asymptotics", "--seq", "level11", "--diffs", "-1", "--terms", "200"],
+])
+def test_empty_scans_and_diff_orders_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -162,3 +162,16 @@ def test_is_prime():
     assert is_prime(2 ** 61 - 1) and not is_prime(2 ** 61 + 1)
     with pytest.raises(ValueError):
         is_prime(10 ** 30)
+
+
+@pytest.mark.parametrize("scan", [
+    lambda n: lucas_scan("level11", 5, n),
+    lambda n: lucas_scan_many("level11", [2, 5], n),
+    lambda n: supercongruence_check("level11", 5, 2, n),
+    lambda n: scan_c_counts("level11", [2, 3], n),
+    lambda n: structured_congruence_check("level11", 3, 9, 3, {}, n),
+])
+def test_empty_scans_are_rejected(scan):
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n_max"):
+            scan(n)

@@ -106,3 +106,11 @@ def test_gf_independence_surd_parts_cancel():
         total = total + terms[n] * upow
     for c in total.coeffs:
         assert conj(c) == c  # rational
+
+
+def test_clausen_checks_reject_an_empty_order():
+    for fn in (verify_asz, verify_ctyz):
+        assert fn(7, -8, 0, order=1) == (True, None)
+        for order in (0, -4):
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                fn(7, -8, 0, order=order)
