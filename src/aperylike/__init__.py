@@ -5,7 +5,7 @@ Subpackages by concern:
 - rings        exact scalars over Z, Q, and Q(sqrt(d))
 - recurrence   (k+1)-term relations from (G, H) data and exact term streams
 - catalog      committed tables, binomial-sum oracles, reference values
-- series       formal power series and the Clausen-type identity checks
+- series       the Clausen-type and level-14/15 generating-function checks
 - qseries      q-expansions (eta, theta, Eisenstein) and modular verifiers
 - congruence   Lucas / supercongruence scanning
 - asymptotics  growth constants R, b1, and numeric estimation of C

@@ -277,6 +277,13 @@ def _positive_int(text: str) -> int:
     return k
 
 
+def _digits(text: str) -> int:
+    k = int(text)
+    if k < 30:
+        raise argparse.ArgumentTypeError("must be >= 30, got %d" % k)
+    return k
+
+
 def cmd_lucas(args) -> RunReport:
     if not args.primes and args.prime is None:
         raise ValueError("one of --prime or --primes is required")
@@ -510,9 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asymptotics", help="R, b1 and the constant C")
     p.add_argument("--seq", required=True)
-    p.add_argument("--terms", type=int, default=2000)
+    p.add_argument("--terms", type=_positive_int, default=2000)
     p.add_argument("--diffs", type=_positive_int, default=8)
-    p.add_argument("--digits", type=int, default=_default_digits())
+    p.add_argument("--digits", type=_digits, default=_default_digits())
     p.add_argument("--no-constant", action="store_true")
     p.set_defaults(func=cmd_asymptotics)
 
@@ -527,7 +534,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.cmd == "asymptotics" and args.terms <= 10 * args.diffs:
+        parser.error("asymptotics: --terms %d must be > 10 * --diffs %d"
+                     % (args.terms, args.diffs))
     t0 = time.time()
     try:
         report = args.func(args)

@@ -478,10 +478,6 @@ def poly_at_series(p: Poly, X: QExpansion) -> QExpansion:
     return acc
 
 
-def series_pow_rational(f: QExpansion, r) -> QExpansion:
-    return f.pow_fraction(r)
-
-
 # ---------------------------------------------------------------------------
 # (X, Z) construction and the coefficient extraction
 # ---------------------------------------------------------------------------
@@ -508,14 +504,7 @@ def build_x(row: LevelRow, order: int) -> QExpansion:
             return num / den
         raise QSeriesError("unknown X spec %r" % (kind,))
     w = build_w(row, order)
-    return w / _poly_in_w(row.x_denom, w)
-
-
-def _poly_in_w(coeffs: Sequence, w: QExpansion) -> QExpansion:
-    acc = _embed_scalar(coeffs[-1], w.prec)
-    for c in reversed(list(coeffs)[:-1]):
-        acc = acc * w + _embed_scalar(c, w.prec)
-    return acc
+    return w / poly_at_series(Poly(row.x_denom), w)
 
 
 def build_xz(row: LevelRow, order: int) -> Tuple[QExpansion, QExpansion]:
@@ -743,7 +732,7 @@ def _level13_w_u(order: int):
 def _bank_level13_eta1(order: int):
     w, U = _level13_w_u(order + 6)
     lhs = eta_quotient(((1, 24),), order + 6)
-    den = _poly_in_w((1, 5, 13), w) ** 4
+    den = poly_at_series(Poly([1, 5, 13]), w) ** 4
     rhs = U ** 6 * w / den
     return qexp_equal(lhs, rhs, order)
 
@@ -751,7 +740,7 @@ def _bank_level13_eta1(order: int):
 def _bank_level13_eta13(order: int):
     w, U = _level13_w_u(order + 16)
     lhs = eta_quotient(((13, 24),), order + 16)
-    den = _poly_in_w((1, 5, 13), w) ** 4
+    den = poly_at_series(Poly([1, 5, 13]), w) ** 4
     rhs = U ** 6 * w ** 13 / den
     return qexp_equal(lhs, rhs, order)
 
@@ -760,7 +749,7 @@ def _bank_level13_zsquared(order: int):
     w, U = _level13_w_u(order + 6)
     X, Z = build_xz(catalog.LEVEL_ROWS["level13"], order + 4)
     lhs = Z * Z
-    rhs = U * U * _poly_in_w((1, 5, 13), w)
+    rhs = U * U * poly_at_series(Poly([1, 5, 13]), w)
     return qexp_equal(lhs, rhs, order)
 
 

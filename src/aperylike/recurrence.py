@@ -541,10 +541,24 @@ class SequenceDef:
         missing = [k for k in ("name", "ring", "G", "H") if k not in doc]
         if missing:
             raise ValueError("sequence definition lacks %s" % ", ".join(missing))
+        if not isinstance(doc["name"], str):
+            raise ValueError("sequence definition field 'name' must be a string")
+        if not isinstance(doc["ring"], str):
+            raise ValueError("sequence definition field 'ring' must be a string")
         ring = RingTag.parse(doc["ring"])
-        G = Poly([scalar_from_str(s) for s in doc["G"]])
-        H = Poly([scalar_from_str(s) for s in doc["H"]])
-        return SequenceDef(doc["name"], ring, G, H, doc.get("level"))
+        polys = []
+        for key in ("G", "H"):
+            if not isinstance(doc[key], list) or not all(isinstance(c, str) for c in doc[key]):
+                raise ValueError("sequence definition field %r must be a list of "
+                                 "scalar strings" % key)
+            cs = [scalar_from_str(c) for c in doc[key]]
+            if ring.kind != "quad":
+                if any(isinstance(c, QuadElem) and c.b for c in cs):
+                    raise ValueError("sequence definition field %r has an irrational "
+                                     "coefficient in ring %s" % (key, ring.kind))
+                cs = [c.a if isinstance(c, QuadElem) else c for c in cs]
+            polys.append(Poly(cs))
+        return SequenceDef(doc["name"], ring, *polys, doc.get("level"))
 
     @staticmethod
     def load(path: str) -> "SequenceDef":

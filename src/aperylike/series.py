@@ -1,195 +1,42 @@
-"""Truncated formal power series over exact scalars, plus the Clausen-type
-identity checks that relate weight-one and weight-two sequences and the
-generating-function independence of the level-14/15 families.
+"""The Clausen-type identity checks that relate weight-one and weight-two
+sequences, and the generating-function independence of the level-14/15
+families.
 
-A FormalSeries holds coefficients c0..cN; operations never claim
-coefficients beyond what both operands determine.
+Every series is a QExpansion in x (or w) with integer exponents, so its
+precision is tracked exactly as for the q-series; each check compares
+through x^order and reports the first mismatching exponent as an int.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import islice
 from math import comb
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import catalog
-from .recurrence import generate_terms, recurrence_from_quadratic, cubic_from_quadratic_asz
-from .rings import QuadElem, RING_Q, Scalar
+from .qseries import QExpansion, qexp_equal
+from .recurrence import cubic_from_quadratic_asz, generate_terms, recurrence_from_quadratic, term_pairs
+from .rings import RING_Q, QuadElem, Scalar
 
-
-class SeriesError(ArithmeticError):
-    pass
-
-
-class FormalSeries:
-    """Coefficients c0..cN of a series known modulo x^(N+1)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[Scalar]):
-        if not coeffs:
-            raise SeriesError("a series needs at least the constant term")
-        object.__setattr__(self, "coeffs", list(coeffs))
-
-    def __setattr__(self, *args):
-        raise AttributeError("FormalSeries is immutable")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def valuation(self) -> Optional[int]:
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None  # zero within the known range
-
-    def __getitem__(self, i: int) -> Scalar:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def truncate(self, order: int) -> "FormalSeries":
-        return FormalSeries(self.coeffs[: order + 1])
-
-    def __eq__(self, other):
-        if isinstance(other, FormalSeries):
-            n = min(self.order, other.order)
-            return all(self.coeffs[i] == other.coeffs[i] for i in range(n + 1))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
-    def first_mismatch(self, other: "FormalSeries") -> Optional[int]:
-        """Index of the first differing known coefficient, None if equal."""
-        n = min(self.order, other.order)
-        for i in range(n + 1):
-            if self.coeffs[i] != other.coeffs[i]:
-                return i
-        return None
-
-    def __add__(self, other):
-        if not isinstance(other, FormalSeries):
-            other = FormalSeries([other] + [0] * self.order)
-        n = min(self.order, other.order)
-        return FormalSeries([self[i] + other[i] for i in range(n + 1)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FormalSeries([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, FormalSeries):
-            other = FormalSeries([other])
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, FormalSeries):
-            return FormalSeries([c * other for c in self.coeffs])
-        va, vb = self.valuation(), other.valuation()
-        va = self.order + 1 if va is None else va
-        vb = other.order + 1 if vb is None else vb
-        n = min(self.order + vb, other.order + va)
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a or i > n:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > n:
-                    break
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return FormalSeries(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, FormalSeries):
-            return FormalSeries([_exact_div(c, other) for c in self.coeffs])
-        if not other.coeffs[0]:
-            raise SeriesError("division by a series with zero constant term")
-        n = min(self.order, other.order)
-        inv_lead = other.coeffs[0]
-        out: List[Scalar] = []
-        for i in range(n + 1):
-            acc = self[i]
-            for j in range(1, i + 1):
-                acc = acc - other[j] * out[i - j]
-            out.append(_exact_div(acc, inv_lead))
-        return FormalSeries(out)
-
-    def __rtruediv__(self, other):
-        return FormalSeries([other] + [0] * self.order) / self
-
-    def __pow__(self, e: int):
-        out = FormalSeries([1] + [0] * self.order)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
-    def compose(self, inner: "FormalSeries") -> "FormalSeries":
-        """self(inner(x)) for inner with zero constant term."""
-        if inner.coeffs[0]:
-            raise SeriesError("composition needs an inner series with zero constant term")
-        n = min(self.order, inner.order)
-        out = FormalSeries([self.coeffs[0]] + [0] * n)
-        power = FormalSeries([1] + [0] * n)
-        for k in range(1, n + 1):
-            power = (power * inner).truncate(n)
-            if self[k]:
-                out = out + self[k] * power
-        return out.truncate(n)
-
-    def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:8])
-        return "FormalSeries([%s%s])" % (head, ", ..." if self.order >= 8 else "")
-
-
-def _exact_div(x: Scalar, y: Scalar) -> Scalar:
-    if isinstance(x, QuadElem) or isinstance(y, QuadElem):
-        num = x if isinstance(x, QuadElem) else QuadElem(y.d, x, 0)
-        return num / y
-    q = Fraction(x) / Fraction(y)
-    return int(q) if q.denominator == 1 else q
-
-
-def series_arith(a: FormalSeries, b: FormalSeries, op: str) -> FormalSeries:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError("op must be add, mul or div")
-
-
-def compose(outer: FormalSeries, inner: FormalSeries) -> FormalSeries:
-    return outer.compose(inner)
-
-
-def geometric_over(denom: Sequence[Scalar], order: int) -> FormalSeries:
-    """x / (denom polynomial in x) as a series to the given order."""
-    num = FormalSeries([0, 1] + [0] * (order - 1))
-    den = FormalSeries(list(denom) + [0] * (order + 1 - len(denom)))
-    return num / den
-
-
-# ---------------------------------------------------------------------------
-# Identity checks
-# ---------------------------------------------------------------------------
+# a series A + B sqrt(d); B is None when the series is rational
+Pair = Tuple[QExpansion, Optional[QExpansion]]
 
 
 def _check_order(order: int) -> None:
     # order 0 would compare nothing and PASS
     if order < 1:
         raise ValueError("order must be >= 1, got %d" % order)
+
+
+def _poly(coeffs: Sequence[Scalar], order: int) -> QExpansion:
+    """The polynomial sum coeffs[i] x^i, known through x^order at least."""
+    cs = list(coeffs)
+    return QExpansion(0, cs + [0] * (order + 1 - len(cs)))
+
+
+def _mismatch(a: QExpansion, b: QExpansion, through: int) -> Optional[int]:
+    ok, e = qexp_equal(a, b, through)
+    return None if ok else int(e)
 
 
 def verify_asz(alpha: Scalar, beta: Scalar, gamma: Scalar, order: int = 30
@@ -203,16 +50,16 @@ def verify_asz(alpha: Scalar, beta: Scalar, gamma: Scalar, order: int = 30
     # arbitrary triples give rational terms (the division by (n+1)^2 need
     # not be exact), so both streams run in the fraction field
     t = generate_terms(recurrence_from_quadratic(alpha, beta, gamma), order, RING_Q)
-    z = FormalSeries(t)
-    lhs = (FormalSeries([0, 1] + [0] * (order - 1)) * (z * z)).truncate(order)
+    z = QExpansion(0, t)
+    lhs = (z * z).shift(1).truncate_abs(order)
     s = generate_terms(cubic_from_quadratic_asz(alpha, beta, gamma), order, RING_Q)
-    u = geometric_over([1, -alpha, -gamma], order)
-    rhs = FormalSeries([0] * (order + 1))
-    upow = FormalSeries([1] + [0] * order)
+    u = _poly([0, 1], order) / _poly([1, -alpha, -gamma], order)
+    rhs = _poly([0], order)
+    upow = _poly([1], order)
     for n in range(order):
-        upow = (upow * u).truncate(order)
+        upow = (upow * u).truncate_abs(order)
         rhs = rhs + s[n] * upow
-    mism = lhs.first_mismatch(rhs)
+    mism = _mismatch(lhs, rhs, order)
     return mism is None, mism
 
 
@@ -222,25 +69,61 @@ def verify_ctyz(alpha: Scalar, beta: Scalar, gamma: Scalar, order: int = 30
     v = x(1 - a x - c x^2)/(1 + c x^2)^2, to x^order."""
     _check_order(order)
     t = generate_terms(recurrence_from_quadratic(alpha, beta, gamma), order, RING_Q)
-    z = FormalSeries(t)
-    lhs = (z * z).truncate(order)
-    one = FormalSeries([1] + [0] * order)
-    den = FormalSeries([1, 0, gamma] + [0] * (order - 2))
-    v = (FormalSeries([0, 1] + [0] * (order - 1))
-         * FormalSeries([1, -alpha, -gamma] + [0] * (order - 2))) / (den * den)
-    rhs = FormalSeries([0] * (order + 1))
-    vpow = one
+    z = QExpansion(0, t)
+    lhs = (z * z).truncate_abs(order)
+    den = _poly([1, 0, gamma], order)
+    v = _poly([0, 1], order) * _poly([1, -alpha, -gamma], order) / (den * den)
+    rhs = _poly([0], order)
+    vpow = _poly([1], order)
     for n in range(order + 1):
         if n:
-            vpow = (vpow * v).truncate(order)
+            vpow = (vpow * v).truncate_abs(order)
         rhs = rhs + (comb(2 * n, n) * t[n]) * vpow
     rhs = rhs / den
-    mism = lhs.first_mismatch(rhs)
+    mism = _mismatch(lhs, rhs, order)
     return mism is None, mism
 
 
-def _all_int(*xs) -> bool:
-    return all(isinstance(x, int) for x in xs)
+def _special_gf(family: catalog.EpsilonFamily, eps: Scalar, order: int) -> Pair:
+    """sum_n T_eps(n) u^(n+1) with u = w / (1 + eps w + sigma w^2), known
+    through w^order at least, as the pair (A, B) meaning A + B sqrt(d).
+
+    For eps = e0 + e1 sqrt(d) the denominator is re + e1 w sqrt(d) with
+    re = 1 + e0 w + sigma w^2, so u = w (re - e1 w sqrt(d)) / N over the
+    rational norm N = re^2 - d e1^2 w^2.  A rational eps gives B = None.
+    """
+    sdef = catalog.epsilon_specialize(family, eps)
+    terms = list(islice(term_pairs(sdef.spec(), sdef.ring), order))
+    if isinstance(eps, QuadElem) and eps.b:
+        d, e0, e1 = eps.d, eps.a, eps.b
+    else:
+        d, e0, e1 = 0, eps, 0
+    re = _poly([1, e0, family.sigma], order)
+    if e1:
+        r = _poly([0, 1], order) / (re * re - _poly([0, 0, d * e1 * e1], order))
+        u: Pair = (r * re, -e1 * r.shift(1))
+    else:
+        u = (_poly([0, 1], order) / re, None)
+    zero = _poly([0], order)
+    sum_a, sum_b = zero, None if u[1] is None else zero
+    upow = u
+    # QExpansion carries the precision of every power, so none is truncated
+    for n, (a, b) in enumerate(terms):
+        if n:
+            upow = _pair_mul(upow, u, d)
+        A, B = upow
+        sum_a = sum_a + a * A
+        if B is not None:
+            sum_a = sum_a + (d * b) * B
+            sum_b = sum_b + a * B + b * A
+    return sum_a, sum_b
+
+
+def _pair_mul(x: Pair, y: Pair, d: int) -> Pair:
+    (a, b), (c, e) = x, y
+    if b is None:
+        return a * c, None
+    return a * c + d * (b * e), a * e + b * c
 
 
 def verify_gf_independence(level: int, order: int = 6) -> Tuple[bool, Optional[str]]:
@@ -248,29 +131,24 @@ def verify_gf_independence(level: int, order: int = 6) -> Tuple[bool, Optional[s
 
         sum_n T_eps(n) (w / (1 + eps w + sigma w^2))^(n+1)
 
-    is one fixed series; it must also match the committed reference prefix.
-    Returns (ok, description of the first failure).
+    is one fixed series with no sqrt(d) part; it must also match the
+    committed reference prefix.  Returns (ok, description of the first
+    failure).
     """
+    _check_order(order)
     family = catalog.EPSILON_FAMILIES[level]
     reference = catalog.REFERENCE_GF_SERIES[level]
-    ref = FormalSeries(reference[: order + 1])
-    computed = []
-    for name, eps in family.specials:
-        sdef = catalog.epsilon_specialize(family, eps)
-        terms = generate_terms(sdef.spec(), order, sdef.ring)
-        u = geometric_over([1, eps, family.sigma], order)
-        total = FormalSeries([0] * (order + 1))
-        upow = FormalSeries([1] + [0] * order)
-        for n in range(order):
-            upow = (upow * u).truncate(order)
-            total = total + terms[n] * upow
-        computed.append((name, total))
-    base_name, base = computed[0]
-    for name, total in computed[1:]:
-        m = base.first_mismatch(total)
-        if m is not None:
-            return False, "%s vs %s differ at w^%d" % (base_name, name, m)
-    m = base.first_mismatch(ref)
+    ref = QExpansion(0, reference[: order + 1])
+    computed = [(name, _special_gf(family, eps, order)) for name, eps in family.specials]
+    base_name, (base, _) = computed[0]
+    for name, (A, B) in computed[1:]:
+        found = [m for m in (_mismatch(base, A, order),
+                             None if B is None else _mismatch(B, _poly([0], order), order))
+                 if m is not None]
+        if found:
+            return False, "%s vs %s differ at w^%d" % (base_name, name, min(found))
+    # the committed prefix may be shorter than order
+    m = _mismatch(base, ref, min(order, len(reference) - 1))
     if m is not None:
         return False, "%s vs reference series differ at w^%d" % (base_name, m)
     return True, None

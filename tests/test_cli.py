@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import aperylike
 from aperylike import catalog, cli
@@ -167,6 +171,52 @@ def test_def_file_errors_are_json(tmp_path, capsys):
     assert "lacks H" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"name": "x", "ring": "Z", "G": 5, "H": ["0"]}, "'G'"),
+    ({"name": "x", "ring": "Z", "G": [1, -64], "H": ["0"]}, "'G'"),
+    ({"name": "x", "ring": "Z", "G": ["1"], "H": "0"}, "'H'"),
+    ({"name": "x", "ring": 7, "G": ["1"], "H": ["0"]}, "'ring'"),
+    ({"name": ["x"], "ring": "Z", "G": ["1"], "H": ["0"]}, "'name'"),
+    ({"name": "x", "ring": "Q", "G": ["1", "sqrt(2)"], "H": ["0"]}, "'G'"),
+])
+def test_malformed_def_fields_are_named(doc, field, tmp_path, capsys):
+    path = tmp_path / "def.json"
+    path.write_text(json.dumps(doc))
+    assert main(["terms", "--def-file", str(path), "--nmax", "3"]) == 1
+    assert field in json.loads(capsys.readouterr().err)["error"]
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                              max_size=3),
+    max_leaves=8)
+_scalar_texts = st.sampled_from(
+    ["1", "0", "-3", "7/2", "1/0", "sqrt(2)", "1+sqrt(2)", "2-2*sqrt(-1)", "0*sqrt(2)",
+     "x", ""])
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=_json_values | st.text(max_size=8),
+       ring=_json_values | st.sampled_from(["Z", "Q", "quad:2", "quad:-1", "quad:4", "quad:x"]),
+       G=_json_values | st.lists(_scalar_texts | st.text(max_size=6), max_size=4),
+       H=_json_values | st.lists(_scalar_texts | st.text(max_size=6), max_size=4))
+def test_def_file_fuzz_never_raises(name, ring, G, H):
+    doc = {"name": name, "ring": ring, "G": G, "H": H}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "def.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["terms", "--def-file", path, "--nmax", "3"])
+    if code == 0:
+        assert json.loads(out.getvalue())["outcome"] == "DATA"
+    else:
+        assert code in (1, 2)
+        assert "error" in json.loads(err.getvalue())
+
+
 def test_internal_key_error_is_not_a_bad_key(monkeypatch):
     def broken(args):
         raise KeyError(7)
@@ -232,3 +282,18 @@ def test_empty_scans_and_diff_orders_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--digits", "0"], "--digits: must be >= 30"),
+    (["--digits", "29"], "--digits: must be >= 30"),
+    (["--terms", "0"], "--terms: must be >= 1"),
+    (["--terms", "-5"], "--terms: must be >= 1"),
+    (["--terms", "80"], "--terms 80 must be > 10 * --diffs 8"),
+    (["--terms", "30", "--diffs", "3"], "--terms 30 must be > 10 * --diffs 3"),
+])
+def test_asymptotics_precision_bounds_are_parse_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["asymptotics", "--seq", "level11"] + argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

@@ -17,7 +17,6 @@ from aperylike.qseries import (
     printed_x14_matches_reciprocal,
     psi_expand,
     qexp_equal,
-    series_pow_rational,
     theta_expand,
     verify_diff_formula,
     verify_identity_bank,
@@ -72,13 +71,13 @@ def test_eisenstein_examples():
 
 def test_pow_rational():
     f = QExpansion(0, [1, 1, 0, 0, 0])
-    h = series_pow_rational(f, F(1, 2))
+    h = f.pow_fraction(F(1, 2))
     assert h.coeffs[:3] == [1, F(1, 2), F(-1, 8)]
-    assert series_pow_rational(f, 0).coeffs[0] == 1
+    assert f.pow_fraction(0).coeffs[0] == 1
     X, _ = build_xz(catalog.LEVEL_ROWS["level4"], 10)
     assert X.pow_fraction(F(5, 12)).offset == F(5, 12)
     with pytest.raises(QSeriesError):
-        series_pow_rational(QExpansion(0, [2, 1]), F(1, 2))
+        QExpansion(0, [2, 1]).pow_fraction(F(1, 2))
 
 
 def test_build_xz_level4_and_10():

@@ -134,6 +134,21 @@ def test_serialization_round_trip():
         QuadElem(2, 18601926816, -12933544448)
 
 
+_rationals = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30),
+    st.fractions(max_denominator=10 ** 12),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    _rationals,
+    st.builds(QuadElem, st.sampled_from((2, -1)), _rationals, _rationals),
+))
+def test_scalar_string_round_trip_fuzz(x):
+    assert scalar_from_str(scalar_to_str(x)) == x
+
+
 def test_ring_tags():
     assert RingTag.parse("Z") is RING_Z
     assert RingTag.parse("quad:-1") == RingTag("quad", -1)
