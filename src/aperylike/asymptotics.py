@@ -24,7 +24,7 @@ import mpmath as mp
 
 from . import catalog
 from .recurrence import Poly
-from .rings import QuadElem, Scalar
+from .rings import QuadElem, Scalar, squarefree_split
 
 F = Fraction
 
@@ -38,9 +38,6 @@ class PrecisionConfig:
     digits: int = 60
     terms: int = 2000
     diff_order: int = 8
-    # relative margins for the minimal-root certificates
-    tie_tol: float = 1e-12
-    separation_tol: float = 1e-12
 
     def __post_init__(self):
         if self.digits < 30:
@@ -52,6 +49,10 @@ class PrecisionConfig:
 
 
 DEFAULT_CONFIG = PrecisionConfig()
+
+# relative margins for the minimal-root certificates
+TIE_TOL = 1e-12
+SEPARATION_TOL = 1e-12
 
 
 @dataclass
@@ -127,27 +128,13 @@ def smallest_root(G: Poly, cfg: PrecisionConfig = DEFAULT_CONFIG):
             sep = min(mp.fabs(r0 - r) for r in roots[1:])
             cert["modulus_gap"] = gap
             cert["separation"] = sep / m0
-            if cert["separation"] < cfg.separation_tol:
+            if cert["separation"] < SEPARATION_TOL:
                 raise AsymptoticsError("multiple root (separation %s)" % mp.nstr(sep, 5))
-            if gap < cfg.tie_tol:
+            if gap < TIE_TOL:
                 raise AsymptoticsError("non-unique minimal root (gap %s)" % mp.nstr(gap, 5))
         if mp.im(r0) == 0:
             r0 = mp.re(r0)
         return r0, cert
-
-
-def _squarefree_split(n: int) -> Tuple[int, int]:
-    """n = s^2 * m with m squarefree (n > 0)."""
-    s, m, p = 1, 1, 2
-    while p * p <= n:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        s *= p ** (e // 2)
-        m *= p ** (e % 2)
-        p += 1
-    return s, m * n
 
 
 def _sqrt_exact(x: Fraction) -> Optional[Scalar]:
@@ -157,7 +144,7 @@ def _sqrt_exact(x: Fraction) -> Optional[Scalar]:
     num, den = x.numerator, x.denominator
     neg = num < 0
     num = abs(num)
-    s, m = _squarefree_split(num * den)
+    s, m = squarefree_split(num * den)
     if neg:
         m = -m
     root = F(s, den)

@@ -24,16 +24,6 @@ from . import asymptotics, catalog, congruence, qseries, series
 from .recurrence import InexactDivision, SequenceDef, fourterm_params, generate_terms
 from .rings import conj, scalar_to_str
 
-DIGITS_ENV = "APERYLIKE_DIGITS"
-
-
-def _default_digits() -> int:
-    try:
-        return max(30, int(os.environ.get(DIGITS_ENV, "60")))
-    except ValueError:
-        return 60
-
-
 def _mpstr(x, digits: int) -> str:
     return mp.nstr(x, digits, strip_zeros=False)
 
@@ -161,6 +151,17 @@ def _qseries_rows(keys: Sequence[str], order: int) -> List[dict]:
     return rows
 
 
+def _clausen_and_gf(order: int):
+    """The Clausen-type identities on the sporadic set through x^order and
+    the level-14/15 generating-function independence through w^6, as
+    [(triple, asz ok, ctyz ok)] and [(level, ok)]; callers shape the rows."""
+    clausen = [(trip, series.verify_asz(*trip, order=order)[0],
+                series.verify_ctyz(*trip, order=order)[0])
+               for trip in catalog.SPORADIC_SET]
+    gf = [(level, series.verify_gf_independence(level, 6)[0]) for level in (14, 15)]
+    return clausen, gf
+
+
 def verify_all(order: int = 30) -> RunReport:
     """The full verification sweep: differentiation formula and ODE on every
     level row, the six weight-one rows, the identity bank, the Clausen-type
@@ -175,14 +176,12 @@ def verify_all(order: int = 30) -> RunReport:
         if not okk:
             row["mismatch_at"] = str(m)
         rows.append(row)
-    for trip in catalog.SPORADIC_SET:
-        ok_a, _ = series.verify_asz(*trip, order=min(order, 30))
-        ok_c, _ = series.verify_ctyz(*trip, order=min(order, 30))
+    clausen, gf = _clausen_and_gf(min(order, 30))
+    for trip, ok_a, ok_c in clausen:
         rows.append({"level": "clausen:%s" % (trip,),
                      "asz": "PASS" if ok_a else "FAIL",
                      "ctyz": "PASS" if ok_c else "FAIL"})
-    for level in (14, 15):
-        okk, why = series.verify_gf_independence(level, 6)
+    for level, okk in gf:
         rows.append({"level": "gf-independence:%d" % level,
                      "identity": "PASS" if okk else "FAIL"})
     ok = all(row.get(k, "PASS") == "PASS"
@@ -214,30 +213,24 @@ def cmd_verify_qseries(args) -> RunReport:
 def cmd_verify_identities(args) -> RunReport:
     order = args.order
     rows: List[dict] = []
-    ok = True
     names = [args.name] if args.name else sorted(qseries.IDENTITY_BANK)
     for name in names:
         okk, m = qseries.verify_identity_bank(name, order)
         row = {"identity": name, "status": "PASS" if okk else "FAIL"}
         if not okk:
             row["mismatch_at"] = str(m)
-        ok &= okk
         rows.append(row)
     if not args.name:
-        for trip in catalog.SPORADIC_SET:
-            okk, m = series.verify_asz(*trip, order=order)
-            ok &= okk
+        clausen, gf = _clausen_and_gf(order)
+        for trip, ok_a, ok_c in clausen:
             rows.append({"identity": "clausen-asz%s" % (trip,),
-                         "status": "PASS" if okk else "FAIL"})
-            okk, m = series.verify_ctyz(*trip, order=order)
-            ok &= okk
+                         "status": "PASS" if ok_a else "FAIL"})
             rows.append({"identity": "clausen-ctyz%s" % (trip,),
-                         "status": "PASS" if okk else "FAIL"})
-        for level in (14, 15):
-            okk, why = series.verify_gf_independence(level, 6)
-            ok &= okk
+                         "status": "PASS" if ok_c else "FAIL"})
+        for level, okk in gf:
             rows.append({"identity": "gf-independence-%d" % level,
                          "status": "PASS" if okk else "FAIL"})
+    ok = all(row["status"] == "PASS" for row in rows)
     payload = {"order": order, "rows": rows}
     return RunReport("verify-identities", {"order": order, "name": args.name},
                      "PASS" if ok else "FAIL", payload)
@@ -285,8 +278,6 @@ def _digits(text: str) -> int:
 
 
 def cmd_lucas(args) -> RunReport:
-    if not args.primes and args.prime is None:
-        raise ValueError("one of --prime or --primes is required")
     primes = args.primes or [args.prime]
     reports = congruence.lucas_scan_many(args.seq, primes, args.nmax)
     rows = [r.to_json() for r in reports]
@@ -470,8 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("terms", help="print T(0..n) exactly")
-    p.add_argument("--seq")
-    p.add_argument("--def-file", help="JSON sequence definition file")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--seq")
+    which.add_argument("--def-file", help="JSON sequence definition file")
     p.add_argument("--nmax", type=int, default=10)
     p.set_defaults(func=cmd_terms)
 
@@ -496,8 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lucas", help="Lucas congruence scan")
     p.add_argument("--seq", required=True)
-    p.add_argument("--prime", type=_prime)
-    p.add_argument("--primes", type=_primes, help='"2,3,5" or "2..97"')
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--prime", type=_prime)
+    which.add_argument("--primes", type=_primes, help='"2,3,5" or "2..97"')
     p.add_argument("--nmax", type=_positive_int, default=2000)
     p.set_defaults(func=cmd_lucas)
 
@@ -519,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True)
     p.add_argument("--terms", type=_positive_int, default=2000)
     p.add_argument("--diffs", type=_positive_int, default=8)
-    p.add_argument("--digits", type=_digits, default=_default_digits())
+    p.add_argument("--digits", type=_digits, default=60)
     p.add_argument("--no-constant", action="store_true")
     p.set_defaults(func=cmd_asymptotics)
 
@@ -552,7 +545,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     report.wall_time = time.time() - t0
-    return _emit(report, args.format)
+    try:
+        code = _emit(report, args.format)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout, so the report was not delivered; what is
+        # still buffered goes to devnull, so the final flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -196,15 +196,11 @@ def _check_n_max(n_max: int) -> None:
         raise ValueError("n_max must be >= 1, got %d" % n_max)
 
 
-def residue_table(seq_key: str, p: int, e: int = 1, n_max: int = 1000,
-                  keep: Keep = None) -> ResidueTable:
-    """Stream T(0..n_max) exactly and retain residues mod p^e.
-
-    keep(n) selects which indices to retain (all by default).
-    """
+def residue_table(seq_key: str, p: int, e: int = 1, n_max: int = 1000) -> ResidueTable:
+    """Stream T(0..n_max) exactly and retain residues mod p^e."""
     seq = catalog.sequence(seq_key)
     d = seq.ring.d if seq.ring.kind == "quad" else 0
-    residues = _exact_residues(seq, n_max, [(p ** e, keep)])[0]
+    residues = _exact_residues(seq, n_max, [(p ** e, None)])[0]
     return ResidueTable(seq.key, p, e, d, residues, n_max)
 
 
@@ -241,41 +237,26 @@ def lucas_scan(seq_key: str, p: int, n_max: int) -> CongruenceReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExceptionPattern:
-    """A named predicate over n with decidable membership by bounded search."""
-
-    name: str
-    member: Callable[[int], bool]
-
-    def __call__(self, n: int) -> bool:
-        return self.member(n)
-
-
 def _is_power_of_two(m: int) -> bool:
     return m > 0 and (m & (m - 1)) == 0
 
 
-PATTERNS: Dict[str, ExceptionPattern] = {
+# Named exception patterns: predicates over n, each decidable by bounded search.
+PATTERNS: Dict[str, Callable[[int], bool]] = {
     # n = 1, or n = 1 + 2^(j-1) (j >= 1), or n = 1 + 3*2^j (j >= 1)
-    "level11-2adic": ExceptionPattern(
-        "level11-2adic",
+    "level11-2adic":
         lambda n: n == 1 or _is_power_of_two(n - 1)
-        or ((n - 1) % 3 == 0 and (n - 1) // 3 >= 2 and _is_power_of_two((n - 1) // 3))),
+        or ((n - 1) % 3 == 0 and (n - 1) // 3 >= 2 and _is_power_of_two((n - 1) // 3)),
     # n in {1, 2, 3} or n = 3*2^j + 1 (j >= 0)
-    "level14C-2adic": ExceptionPattern(
-        "level14C-2adic",
+    "level14C-2adic":
         lambda n: n in (1, 2, 3)
-        or ((n - 1) % 3 == 0 and _is_power_of_two((n - 1) // 3))),
+        or ((n - 1) % 3 == 0 and _is_power_of_two((n - 1) // 3)),
     # n = 1 or n = 1 + 2^j (j >= 0)
-    "level15C-2adic": ExceptionPattern(
-        "level15C-2adic", lambda n: n == 1 or _is_power_of_two(n - 1)),
+    "level15C-2adic": lambda n: n == 1 or _is_power_of_two(n - 1),
     # n = 1 or n = 1 + 2^j (j >= 0): the level-24 mod-32 exceptions
-    "level24-2adic": ExceptionPattern(
-        "level24-2adic", lambda n: n == 1 or _is_power_of_two(n - 1)),
+    "level24-2adic": lambda n: n == 1 or _is_power_of_two(n - 1),
     # base-5 digits of n-1 all 0 or 1
-    "base5-zero-one": ExceptionPattern(
-        "base5-zero-one", lambda n: _digits_zero_one(n - 1, 5)),
+    "base5-zero-one": lambda n: _digits_zero_one(n - 1, 5),
 }
 
 
@@ -295,7 +276,7 @@ def _digits_zero_one(m: int, base: int) -> bool:
 
 
 def supercongruence_check(seq_key: str, p: int, e: int, n_max: int,
-                          pattern: Optional[ExceptionPattern] = None
+                          pattern: Optional[Callable[[int], bool]] = None
                           ) -> CongruenceReport:
     """T(p n) == T(n) mod p^e for n = 1..n_max, except where pattern says not.
 
@@ -334,14 +315,15 @@ def scan_c_counts(seq_key: str, primes: Sequence[int], n_max: int = 1000) -> Dic
 
 def structured_congruence_check(seq_key: str, p: int, modulus: int,
                                 class_mod: int,
-                                offsets: Dict[int, object],
+                                offsets: Dict[int, int],
                                 n_max: int) -> CongruenceReport:
     """T(p n) - T(n) == offsets[n mod class_mod] (mod modulus) for n <= n_max.
 
-    Offsets may be ints, component pairs, or callables n -> offset; classes
-    missing from the map default to 0, so the zero map reduces to the plain
-    supercongruence check.  A modulus p^e over Z goes through the p-adic
-    kernel, any other through the exact pass.
+    Offsets are ints and shift the rational component only (over Z[sqrt(d)]
+    the surd components must agree); classes missing from the map default
+    to 0, so the zero map reduces to the plain supercongruence check.  A
+    modulus p^e over Z goes through the p-adic kernel, any other through
+    the exact pass.
     """
     _check_n_max(n_max)
     residues = _residues(catalog.sequence(seq_key), p, modulus, p * n_max,
@@ -349,12 +331,9 @@ def structured_congruence_check(seq_key: str, p: int, modulus: int,
     report = CongruenceReport(seq_key, p, 0, n_max, 0, kind="structured")
     for n in range(1, n_max + 1):
         want = offsets.get(n % class_mod, 0)
-        if callable(want):
-            want = want(n)
-        wa, wb = want if isinstance(want, tuple) else (want, 0)
         a, b = residues[p * n]
         c, d = residues[n]
-        if (a - c - wa) % modulus == 0 and (b - d - wb) % modulus == 0:
+        if (a - c - want) % modulus == 0 and (b - d) % modulus == 0:
             report.passes += 1
         else:
             report.violations.append(n)

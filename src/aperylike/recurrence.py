@@ -67,9 +67,6 @@ class Poly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and not self.coeffs[0]
-
     def __call__(self, x: Scalar) -> Scalar:
         out = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
@@ -165,13 +162,6 @@ class RecurrenceSpec:
         """Number of back terms k; the relation has k+1 terms."""
         return len(self.coeff_polys) - 1
 
-    def trimmed(self) -> "RecurrenceSpec":
-        """Drop identically-zero trailing coefficient polynomials."""
-        polys = list(self.coeff_polys)
-        while len(polys) > 1 and polys[-1].is_zero():
-            polys.pop()
-        return RecurrenceSpec(tuple(polys))
-
     def solved_coeff(self, j: int) -> Poly:
         """Coefficient of T(n+1-j) with the relation solved for T(n+1)."""
         return -self.coeff_polys[j]
@@ -237,13 +227,6 @@ def asz_gh(alpha: Scalar, beta: Scalar, gamma: Scalar) -> Tuple[Poly, Poly]:
     disc = alpha * alpha + 4 * gamma
     G = Poly([1, 2 * alpha, disc])
     H = Poly([0, 2 * beta - alpha, -Fraction(1, 2) * disc])
-    return G, H
-
-
-def ctyz_gh(alpha: Scalar, beta: Scalar, gamma: Scalar) -> Tuple[Poly, Poly]:
-    """(G, H) whose generalT relation is the central-binomial companion."""
-    G = Poly([1, -4 * alpha, -16 * gamma])
-    H = Poly([0, 2 * beta, 6 * gamma])
     return G, H
 
 
@@ -519,9 +502,6 @@ class SequenceDef:
 
     def terms(self, n_max: int) -> List[Scalar]:
         return generate_terms(self.spec(), n_max, self.ring)
-
-    def iter_terms(self) -> Iterator[Scalar]:
-        return term_iterator(self.spec(), self.ring)
 
     def to_json(self) -> dict:
         doc = {

@@ -22,16 +22,28 @@ class RingError(ValueError):
     """Raised for ill-formed scalars or incompatible operands."""
 
 
-def _is_squarefree(d: int) -> bool:
-    if d == 0:
-        return False
-    d = abs(d)
-    p = 2
-    while p * p <= d:
-        if d % (p * p) == 0:
-            return False
+# Trial division runs to sqrt(n), so this cap bounds it at 10^6 divisors.
+SQUAREFREE_CAP = 10 ** 12
+
+
+def squarefree_split(n: int) -> Tuple[int, int]:
+    """n = s^2 * m with m squarefree, for 0 < n <= SQUAREFREE_CAP."""
+    if n > SQUAREFREE_CAP:
+        raise RingError("squarefree part of %d is not computed above %d" % (n, SQUAREFREE_CAP))
+    s, m, p = 1, 1, 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        s *= p ** (e // 2)
+        m *= p ** (e % 2)
         p += 1
-    return True
+    return s, m * n
+
+
+def _is_squarefree(d: int) -> bool:
+    return d != 0 and squarefree_split(abs(d))[0] == 1
 
 
 def _norm_rat(x: Rat) -> Rat:
@@ -159,13 +171,6 @@ class QuadElem:
         """N(a + b sqrt(d)) = a^2 - d b^2, a rational number."""
         return _norm_rat(Fraction(self.a * self.a - self.d * self.b * self.b))
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def is_integral(self) -> bool:
-        """True when both coordinates are rational integers."""
-        return Fraction(self.a).denominator == 1 and Fraction(self.b).denominator == 1
-
     # -- comparisons / hashing ----------------------------------------
 
     def __eq__(self, other):
@@ -246,17 +251,13 @@ class RingTag:
             raise RingError("unknown ring kind %r" % (self.kind,))
         if self.kind == "quad":
             if self.d is None or self.d in (0, 1) or not _is_squarefree(self.d):
-                raise RingError("quad ring needs squarefree d != 0, 1")
+                raise RingError("quad ring needs squarefree d != 0, 1: got %r" % (self.d,))
         elif self.d is not None:
             raise RingError("d only applies to quad rings")
 
     def zero(self) -> Scalar:
         return QuadElem(self.d, 0, 0) if self.kind == "quad" else (
             Fraction(0) if self.kind == "Q" else 0)
-
-    def one(self) -> Scalar:
-        return QuadElem(self.d, 1, 0) if self.kind == "quad" else (
-            Fraction(1) if self.kind == "Q" else 1)
 
     def coerce(self, x: Scalar) -> Scalar:
         if self.kind == "quad":
@@ -282,19 +283,22 @@ class RingTag:
 
     @staticmethod
     def parse(s: str) -> "RingTag":
+        """The tag in a definition's "ring" field: "Z", "Q" or "quad:d"."""
         if s == "Z":
             return RING_Z
         if s == "Q":
             return RING_Q
         if s.startswith("quad:"):
-            return RingTag("quad", int(s[5:]))
-        raise RingError("unknown ring tag %r" % (s,))
+            try:
+                d = int(s[5:])
+            except ValueError:
+                raise RingError("field 'ring': %r needs an integer d in quad:d" % (s,)) from None
+            return RingTag("quad", d)
+        raise RingError("field 'ring': unknown ring tag %r" % (s,))
 
 
 RING_Z = RingTag("Z")
 RING_Q = RingTag("Q")
-RING_ZI = RingTag("quad", -1)
-RING_ZSQRT2 = RingTag("quad", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +334,14 @@ def scalar_to_str(x: Scalar) -> str:
     return _rat_to_str(x)
 
 
-def scalar_from_str(s: str, ring: Optional[RingTag] = None) -> Scalar:
+def scalar_from_str(s: str) -> Scalar:
     """Parse a scalar string ("5", "-3/2", "-4+4*sqrt(2)", "2-2*sqrt(-1)")."""
     text = s.strip()
     if "sqrt" not in text:
         try:
-            val: Scalar = _norm_rat(Fraction(text))
+            return _norm_rat(Fraction(text))
         except ValueError:
             raise RingError("cannot parse scalar %r" % (s,)) from None
-        return ring.coerce(val) if ring else val
 
     a = Fraction(0)
     b = Fraction(0)
@@ -363,17 +366,7 @@ def scalar_from_str(s: str, ring: Optional[RingTag] = None) -> Scalar:
             a += sign * coef
         pos = m.end()
         seen = True
-    val = QuadElem(d, a, b)
-    return ring.coerce(val) if ring else val
-
-
-def as_fraction(x: Scalar) -> Fraction:
-    """View a rational-valued scalar as a Fraction; error if irrational."""
-    if isinstance(x, QuadElem):
-        if x.b != 0:
-            raise RingError("%s is irrational" % (x,))
-        return Fraction(x.a)
-    return Fraction(x)
+    return QuadElem(d, a, b)
 
 
 def scalar_denominator(x: Scalar) -> int:

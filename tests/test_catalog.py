@@ -77,7 +77,7 @@ def test_epsilon_specialize_rings():
 
 
 def test_specialized_matches_generic_five_term():
-    # the degree-trimmed four-term relation and the untrimmed five-term
+    # the degree-reduced four-term relation and the printed five-term
     # relation are independent code paths; their streams must agree
     for level, fam in EPSILON_FAMILIES.items():
         for name, eps in fam.specials:

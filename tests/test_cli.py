@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,6 +170,28 @@ def test_def_file_errors_are_json(tmp_path, capsys):
     path.write_text(json.dumps({"name": "x", "ring": "Z", "G": ["1"]}))
     assert main(["terms", "--def-file", str(path)]) == 1
     assert "lacks H" in json.loads(capsys.readouterr().err)["error"]
+    path.write_text(json.dumps({"name": "x", "ring": "quad:abc", "G": ["1"], "H": ["0"]}))
+    assert main(["terms", "--def-file", str(path)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert "'ring'" in error and "'quad:abc'" in error
+
+
+def test_huge_quad_radicand_fails_fast(tmp_path, capsys):
+    # a subprocess under a timeout first: trial division to sqrt(d) would not end
+    path = tmp_path / "def.json"
+    path.write_text(json.dumps({"name": "x", "ring": "quad:1000000000000000003",
+                                "G": ["1", "-64"], "H": ["0", "8"]}))
+    argv = ["terms", "--def-file", str(path), "--nmax", "1"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aperylike.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "aperylike.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "1000000000000" in json.loads(proc.stderr)["error"]
+    t0 = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - t0 < 1
+    assert "1000000000000" in json.loads(capsys.readouterr().err)["error"]
 
 
 @pytest.mark.parametrize("doc, field", [
@@ -240,6 +263,19 @@ def test_composite_primes_and_bad_exponents_are_rejected(argv, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["terms", "--nmax", "3"], "one of the arguments --seq --def-file is required"),
+    (["terms", "--seq", "level11", "--def-file", "seq.json"], "not allowed with"),
+    (["lucas", "--seq", "level11"], "one of the arguments --prime --primes is required"),
+    (["lucas", "--seq", "level11", "--prime", "3", "--primes", "5"], "not allowed with"),
+])
+def test_exclusive_argument_pairs_are_required(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-qseries", "--level", "level11", "--order", "-1"],
     ["verify-qseries", "--all", "--order", "0"],
@@ -297,3 +333,15 @@ def test_asymptotics_precision_bounds_are_parse_errors(argv, message, capsys):
         main(["asymptotics", "--seq", "level11"] + argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_quietly(monkeypatch, capsys):
+    # a pipe whose reader is gone: every write to it raises BrokenPipeError
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    with open(write_fd, "w") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        code = main(["supercong", "--seq", "level11", "--prime", "5", "--nmax", "200"])
+        monkeypatch.undo()
+    assert code == 1
+    assert capsys.readouterr().err == ""

@@ -12,8 +12,10 @@ from aperylike.rings import (
     conj,
     quad_mul,
     reduce_mod,
+    SQUAREFREE_CAP,
     scalar_from_str,
     scalar_to_str,
+    squarefree_split,
 )
 
 SQRT2 = QuadElem(2, 0, 1)
@@ -157,5 +159,23 @@ def test_ring_tags():
     assert RingTag("quad", 2).coerce(3) == QuadElem(2, 3, 0)
     with pytest.raises(RingError):
         RING_Z.coerce(F(1, 2))
-    with pytest.raises(RingError):
+    with pytest.raises(RingError, match="got 4"):
         RingTag("quad", 4)
+
+
+def test_squarefree_split_matches_brute_force():
+    for n in range(1, 2000):
+        s, m = squarefree_split(n)
+        assert s * s * m == n
+        assert all(m % (q * q) for q in range(2, m + 1) if q * q <= m)
+    assert squarefree_split(SQUAREFREE_CAP) == (10 ** 6, 1)
+
+
+def test_squarefree_cap_is_an_error_not_a_hang():
+    # trial division to sqrt(10^18) would not end; above the cap it is refused
+    with pytest.raises(RingError, match=str(SQUAREFREE_CAP)):
+        RingTag("quad", 10 ** 18 + 3)
+    with pytest.raises(RingError, match=str(SQUAREFREE_CAP)):
+        scalar_from_str("sqrt(-1000000000000000003)")
+    with pytest.raises(RingError, match="'quad:abc'"):
+        RingTag.parse("quad:abc")
