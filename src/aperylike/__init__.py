@@ -14,12 +14,12 @@ Subpackages by concern:
 
 __version__ = "1.0.0"
 
-from .rings import QuadElem, RingTag, RING_Q, RING_Z, conj, quad_mul, reduce_mod, reduce_pair
+from .rings import QuadElem, RingTag, RING_Q, RING_Z, conj, reduce_mod, reduce_pair
 from .recurrence import (
     InexactDivision,
     Poly,
     RecurrenceSpec,
-    SequenceDef,
+    Sequence,
     cubic_from_quadratic_asz,
     cubic_from_quadratic_ctyz,
     fourterm_params,
@@ -31,14 +31,14 @@ from .recurrence import (
     term_iterator,
     term_pairs,
 )
-from .catalog import binomial_oracle, epsilon_specialize, get_entry, sequence
+from .catalog import binomial_oracle, get_entry, sequence
 
 __all__ = [
-    "QuadElem", "RingTag", "RING_Q", "RING_Z", "conj", "quad_mul", "reduce_mod", "reduce_pair",
-    "InexactDivision", "Poly", "RecurrenceSpec", "SequenceDef",
+    "QuadElem", "RingTag", "RING_Q", "RING_Z", "conj", "reduce_mod", "reduce_pair",
+    "InexactDivision", "Poly", "RecurrenceSpec", "Sequence",
     "cubic_from_quadratic_asz", "cubic_from_quadratic_ctyz", "fourterm_params",
     "generate_terms", "is_self_starting", "recurrence_from_gh",
     "recurrence_from_quadratic", "scaled_integrality_check", "term_iterator",
     "term_pairs",
-    "binomial_oracle", "epsilon_specialize", "get_entry", "sequence",
+    "binomial_oracle", "get_entry", "sequence",
 ]

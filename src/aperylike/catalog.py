@@ -13,19 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .recurrence import (
     Poly,
     RecurrenceSpec,
-    SequenceDef,
+    Sequence,
     asz_gh,
-    generate_terms,
     poly_product,
-    recurrence_from_gh,
     recurrence_from_quadratic,
-    term_pairs,
 )
 from .rings import QuadElem, RingTag, RING_Q, RING_Z, Scalar
 
@@ -334,11 +332,6 @@ class LevelRow:
     def G(self) -> Poly:
         return poly_product(self.b2_factors)
 
-    def H(self) -> Poly:
-        if self.h_den != (1,):
-            raise ValueError("H of %s is rational, not polynomial" % self.key)
-        return Poly(self.h_num)
-
     def H_parts(self) -> Tuple[Poly, Poly]:
         return Poly(self.h_num), Poly(self.h_den)
 
@@ -562,15 +555,17 @@ class EpsilonFamily:
             ]
         return Poly([0] + inner)
 
-    def specialize(self, eps: Scalar, name: Optional[str] = None) -> SequenceDef:
+    def specialize(self, eps: Scalar) -> Sequence:
+        """The sequence at eps, keyed by the name of the special it matches."""
+        key = next((name for name, special in self.specials if special == eps),
+                   "level%d(eps=%s)" % (self.level, eps))
         ring = RING_Z
         if isinstance(eps, QuadElem) and eps.b != 0:
             ring = RingTag("quad", eps.d)
         elif isinstance(eps, Fraction) and eps.denominator != 1:
             ring = RING_Q
-        return SequenceDef(
-            name or "level%d(eps=%s)" % (self.level, eps),
-            ring, self.G(eps), self.H(eps), level=str(self.level))
+        return Sequence.from_gh(key, ring, self.G(eps), self.H(eps),
+                                level=str(self.level), G_factors=self.b2_factors(eps))
 
 
 EPSILON_FAMILIES: Dict[int, EpsilonFamily] = {
@@ -591,13 +586,6 @@ EPSILON_FAMILIES: Dict[int, EpsilonFamily] = {
             ("15Cbar", QuadElem(-1, 0, -2)),
         )),
 }
-
-
-def epsilon_specialize(family: EpsilonFamily, eps: Scalar) -> SequenceDef:
-    for name, special in family.specials:
-        if special == eps:
-            return family.specialize(eps, name)
-    return family.specialize(eps)
 
 
 def printed_five_term(level: int, eps: Scalar) -> RecurrenceSpec:
@@ -625,33 +613,6 @@ def printed_five_term(level: int, eps: Scalar) -> RecurrenceSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Sequence:
-    """A runnable sequence: recurrence, ring, and optional extras."""
-
-    key: str
-    ring: RingTag
-    spec: RecurrenceSpec
-    G: Optional[Poly] = None
-    H: Optional[Poly] = None
-    oracle: Optional[Callable[[int], Scalar]] = None
-    level: Optional[str] = None
-    kind: str = "levelXZ"  # levelXZ | weight1 | weight2 | epsilon | derived
-    G_factors: Optional[Tuple[tuple, ...]] = None  # factored B^2 when known
-
-    def terms(self, n_max: int) -> List[Scalar]:
-        return generate_terms(self.spec, n_max, self.ring)
-
-    def iter_pairs(self):
-        """The terms as exact pairs (a, b), T = a + b*sqrt(d); see term_pairs."""
-        return term_pairs(self.spec, self.ring)
-
-    def seq_def(self) -> Optional[SequenceDef]:
-        if self.G is None or self.H is None:
-            return None
-        return SequenceDef(self.key, self.ring, self.G, self.H, self.level)
-
-
 ALIASES: Dict[str, str] = {
     "apery": "weight2-6A",
     "franel": "zagier6C",
@@ -672,74 +633,51 @@ def _scale_factors(factors: Tuple[tuple, ...], c: int) -> Tuple[tuple, ...]:
     return tuple(tuple(coef * c ** j for j, coef in enumerate(f)) for f in factors)
 
 
+@cache
 def _build_sequences() -> Dict[str, Sequence]:
+    """The registry of catalog sequences by key, built once on first use."""
     seqs: Dict[str, Sequence] = {}
     for key, row in LEVEL_ROWS.items():
         if key == "level13star":
             continue
-        G, H = row.G(), Poly(row.h_num)
-        seqs[key] = Sequence(
-            key, row.ring, recurrence_from_gh(G, H), G, H,
-            ORACLES.get(row.oracle_id) if row.oracle_id else None,
-            row.level, "levelXZ", row.b2_factors)
+        seqs[key] = Sequence.from_gh(
+            key, row.ring, row.G(), Poly(row.h_num),
+            oracle=ORACLES.get(row.oracle_id),
+            level=row.level, G_factors=row.b2_factors)
     for key, row in ZAGIER_ROWS.items():
-        a, b, g = row.triple
-        seqs[key] = Sequence(
-            key, RING_Z, recurrence_from_quadratic(a, b, g),
-            None, None, ORACLES[row.oracle_id], row.level, "weight1")
+        seqs[key] = Sequence(key, RING_Z, recurrence_from_quadratic(*row.triple),
+                             oracle=ORACLES[row.oracle_id], level=row.level)
     for key, row in WEIGHT2_ROWS.items():
-        a, b, g = row.triple
-        G, H = asz_gh(a, b, g)
-        seqs[key] = Sequence(
-            key, RING_Z, recurrence_from_gh(G, H), G, H,
-            ORACLES[row.oracle_id], row.level, "weight2",
-            (tuple(G.coeffs),))
+        G, H = asz_gh(*row.triple)
+        seqs[key] = Sequence.from_gh(key, RING_Z, G, H, oracle=ORACLES[row.oracle_id],
+                                     level=row.level, G_factors=(tuple(G.coeffs),))
     for family in EPSILON_FAMILIES.values():
         for name, eps in family.specials:
-            if name in seqs:
-                continue
-            sdef = family.specialize(eps, name)
-            seqs[name] = Sequence(
-                name, sdef.ring, recurrence_from_gh(sdef.G, sdef.H),
-                sdef.G, sdef.H, None, str(family.level), "epsilon",
-                family.b2_factors(eps))
+            if name not in seqs:
+                seqs[name] = family.specialize(eps)
     G13, H13 = _scaled_13_gh()
-    seqs["13scaled"] = Sequence(
-        "13scaled", RING_Z, recurrence_from_gh(G13, H13), G13, H13,
-        None, "13", "derived",
-        _scale_factors(LEVEL_ROWS["level13"].b2_factors, 4))
+    seqs["13scaled"] = Sequence.from_gh(
+        "13scaled", RING_Z, G13, H13, level="13",
+        G_factors=_scale_factors(LEVEL_ROWS["level13"].b2_factors, 4))
     return seqs
 
 
-_SEQUENCES: Optional[Dict[str, Sequence]] = None
-
-
 def sequence(key: str) -> Sequence:
-    global _SEQUENCES
-    if _SEQUENCES is None:
-        _SEQUENCES = _build_sequences()
     key = ALIASES.get(key, key)
     try:
-        return _SEQUENCES[key]
+        return _build_sequences()[key]
     except KeyError:
         raise UnknownKeyError("unknown sequence key %r" % (key,)) from None
 
 
 def sequence_keys() -> List[str]:
-    global _SEQUENCES
-    if _SEQUENCES is None:
-        _SEQUENCES = _build_sequences()
-    return sorted(_SEQUENCES)
+    return sorted(_build_sequences())
 
 
 def export_definitions() -> List[dict]:
     """All catalog sequences with (G, H) data, in the JSON def schema."""
-    out = []
-    for key in sequence_keys():
-        sdef = sequence(key).seq_def()
-        if sdef is not None:
-            out.append(sdef.to_json())
-    return out
+    seqs = _build_sequences()
+    return [seqs[key].to_json() for key in sorted(seqs) if seqs[key].G is not None]
 
 
 # ---------------------------------------------------------------------------

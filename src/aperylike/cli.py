@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 import mpmath as mp
 
 from . import asymptotics, catalog, congruence, qseries, series
-from .recurrence import InexactDivision, SequenceDef, fourterm_params, generate_terms
+from .recurrence import InexactDivision, fourterm_params, generate_terms
 from .rings import conj, scalar_to_str
 
 def _mpstr(x, digits: int) -> str:
@@ -83,18 +83,14 @@ def _emit_csv(report: RunReport) -> None:
 def cmd_terms(args) -> RunReport:
     if args.def_file:
         try:
-            sdef = SequenceDef.load(args.def_file)
+            seq = catalog.Sequence.load(args.def_file)
         except OSError as exc:
             raise ValueError("cannot read --def-file: %s" % exc) from None
-        terms = sdef.terms(args.nmax)
-        name = sdef.name
     else:
         seq = catalog.sequence(args.seq)
-        terms = seq.terms(args.nmax)
-        name = seq.key
-    payload = {"seq": name, "n_max": args.nmax,
-               "terms": [scalar_to_str(t) for t in terms]}
-    return RunReport("terms", {"seq": name, "nmax": args.nmax}, "DATA", payload)
+    payload = {"seq": seq.key, "n_max": args.nmax,
+               "terms": [scalar_to_str(t) for t in seq.terms(args.nmax)]}
+    return RunReport("terms", {"seq": seq.key, "nmax": args.nmax}, "DATA", payload)
 
 
 def cmd_catalog(args) -> RunReport:

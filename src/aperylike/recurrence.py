@@ -17,9 +17,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from math import lcm
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .rings import (
     QuadElem,
@@ -27,6 +27,7 @@ from .rings import (
     RingTag,
     RING_Z,
     Scalar,
+    _norm_rat,
     conj,
     scalar_denominator,
     scalar_from_str,
@@ -132,7 +133,7 @@ class Poly:
         return "Poly(%r)" % (list(self.coeffs),)
 
 
-def poly_product(factors: Sequence[Sequence[Scalar]]) -> Poly:
+def poly_product(factors: Iterable[Iterable[Scalar]]) -> Poly:
     """Multiply out a factored polynomial given as coefficient lists."""
     out = Poly([1])
     for f in factors:
@@ -244,18 +245,12 @@ def fourterm_params(G: Poly, H: Poly) -> Tuple[Scalar, Scalar, Scalar, Scalar, S
         raise ValueError("not self-starting form: g3 != -h3")
     half = Fraction(1, 2)
     return (
-        _norm(-half * G[1]),
-        _norm(H[1]),
-        _norm(-G[2]),
-        _norm(G[2] + 2 * H[2]),
-        _norm(-half * G[3]),
+        _norm_rat(-half * G[1]),
+        _norm_rat(H[1]),
+        _norm_rat(-G[2]),
+        _norm_rat(G[2] + 2 * H[2]),
+        _norm_rat(-half * G[3]),
     )
-
-
-def _norm(x: Scalar) -> Scalar:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
 
 
 def is_self_starting(spec: RecurrenceSpec) -> Tuple[bool, Optional[Tuple[int, int]]]:
@@ -287,8 +282,8 @@ def _integral_relation(spec: RecurrenceSpec
     for p in spec.coeff_polys:
         for c in p.coeffs:
             L = lcm(L, scalar_denominator(c))
-    lead = tuple(_norm(c * L) for c in spec.coeff_polys[0].coeffs)
-    backs = [tuple(_norm(-c * L) for c in p.coeffs) for p in spec.coeff_polys[1:]]
+    lead = tuple(_norm_rat(c * L) for c in spec.coeff_polys[0].coeffs)
+    backs = [tuple(_norm_rat(-c * L) for c in p.coeffs) for p in spec.coeff_polys[1:]]
     return lead, backs
 
 
@@ -319,47 +314,30 @@ def _split_surd(coeffs: Tuple[Scalar, ...], ring: RingTag
     return tuple(x.a for x in xs), tuple(x.b for x in xs)
 
 
-def _stream_z(spec: RecurrenceSpec, ring: RingTag,
-              initial: Sequence[Scalar]) -> Iterator[int]:
+def _stream_z(spec: RecurrenceSpec) -> Iterator[int]:
     """Kernel for Z: every division by the lead must be exact."""
     lead, backs = _integral_relation(spec)
-    window = [0] * len(backs)  # window[j-1] = T(n+1-j) while producing T(n+1)
-    n = 0
-    for t in initial:
-        t = ring.coerce(t)
-        yield t
-        window.insert(0, t)
-        window.pop()
-        n += 1
-    while True:
-        m = n - 1  # relation index producing T(m+1) = T(n)
+    window = [1] + [0] * (len(backs) - 1)  # window[j-1] = T(m+1-j) while producing T(m+1)
+    yield 1
+    for m in count():
         s = 0
         for c, w in zip(backs, window):
             if w:
                 s += _eval_int_poly(c, m) * w
         t, r = divmod(s, _eval_int_poly(lead, m))
         if r:
-            raise InexactDivision(n)
+            raise InexactDivision(m + 1)
         yield t
         window.insert(0, t)
         window.pop()
-        n += 1
 
 
-def _stream_q(spec: RecurrenceSpec, ring: RingTag,
-              initial: Sequence[Scalar]) -> Iterator[Fraction]:
+def _stream_q(spec: RecurrenceSpec) -> Iterator[Fraction]:
     """Kernel for Q: Fraction terms, division in the field."""
     lead, backs = _integral_relation(spec)
-    window = [Fraction(0)] * len(backs)
-    n = 0
-    for t in initial:
-        t = ring.coerce(t)
-        yield t
-        window.insert(0, t)
-        window.pop()
-        n += 1
-    while True:
-        m = n - 1
+    window = [Fraction(1)] + [Fraction(0)] * (len(backs) - 1)
+    yield Fraction(1)
+    for m in count():
         s = 0
         for c, w in zip(backs, window):
             if w:
@@ -368,11 +346,9 @@ def _stream_q(spec: RecurrenceSpec, ring: RingTag,
         yield t
         window.insert(0, t)
         window.pop()
-        n += 1
 
 
-def _stream_quad(spec: RecurrenceSpec, ring: RingTag,
-                 initial: Sequence[Scalar]) -> Iterator[Tuple[Rat, Rat]]:
+def _stream_quad(spec: RecurrenceSpec, ring: RingTag) -> Iterator[Tuple[Rat, Rat]]:
     """Kernel for Q(sqrt(d)) on integer pairs: T = a + b*sqrt(d) as (a, b).
 
     Each back polynomial is split into the integer coefficient tuples of
@@ -383,17 +359,9 @@ def _stream_quad(spec: RecurrenceSpec, ring: RingTag,
     lead, backs = _integral_relation(_rational_lead(spec))
     lead, _ = _split_surd(lead, ring)  # the surd part is 0 after _rational_lead
     backs = [_split_surd(p, ring) for p in backs]
-    window = [(0, 0)] * len(backs)
-    n = 0
-    for t in initial:
-        t = ring.coerce(t)
-        t = (t.a, t.b)
-        yield t
-        window.insert(0, t)
-        window.pop()
-        n += 1
-    while True:
-        m = n - 1
+    window = [(1, 0)] + [(0, 0)] * (len(backs) - 1)
+    yield (1, 0)
+    for m in count():
         sa = sb = 0
         for (pa, pb), (wa, wb) in zip(backs, window):
             if wa or wb:
@@ -412,12 +380,10 @@ def _stream_quad(spec: RecurrenceSpec, ring: RingTag,
         yield t
         window.insert(0, t)
         window.pop()
-        n += 1
 
 
-def term_iterator(spec: RecurrenceSpec, ring: RingTag = RING_Z,
-                  initial: Sequence[Scalar] = (1,)) -> Iterator[Scalar]:
-    """Yield T(0), T(1), ... exactly, keeping only a k-term window.
+def term_iterator(spec: RecurrenceSpec, ring: RingTag = RING_Z) -> Iterator[Scalar]:
+    """Yield T(0) = 1, T(1), ... exactly, keeping only a k-term window.
 
     The kernel is chosen here, once per ring.  Under ring Z every division
     by the leading coefficient must be exact, otherwise InexactDivision
@@ -427,28 +393,26 @@ def term_iterator(spec: RecurrenceSpec, ring: RingTag = RING_Z,
     """
     if ring.kind == "quad":
         d = ring.d
-        return (QuadElem(d, a, b) for a, b in _stream_quad(spec, ring, initial))
+        return (QuadElem(d, a, b) for a, b in _stream_quad(spec, ring))
     if ring.kind == "Q":
-        return _stream_q(spec, ring, initial)
-    return _stream_z(spec, ring, initial)
+        return _stream_q(spec)
+    return _stream_z(spec)
 
 
-def term_pairs(spec: RecurrenceSpec, ring: RingTag = RING_Z,
-               initial: Sequence[Scalar] = (1,)) -> Iterator[Tuple[Rat, Rat]]:
+def term_pairs(spec: RecurrenceSpec, ring: RingTag = RING_Z) -> Iterator[Tuple[Rat, Rat]]:
     """Yield each T(n) = a + b*sqrt(d) as the exact pair (a, b), without
     building a QuadElem; b = 0 over Z and Q.  Same terms and errors as
     term_iterator."""
     if ring.kind == "quad":
-        return _stream_quad(spec, ring, initial)
-    return ((t, 0) for t in term_iterator(spec, ring, initial))
+        return _stream_quad(spec, ring)
+    return ((t, 0) for t in term_iterator(spec, ring))
 
 
-def generate_terms(spec: RecurrenceSpec, n_max: int, ring: RingTag = RING_Z,
-                   initial: Sequence[Scalar] = (1,)) -> List[Scalar]:
+def generate_terms(spec: RecurrenceSpec, n_max: int, ring: RingTag = RING_Z) -> List[Scalar]:
     """T(0..n_max) as a list."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0, got %d" % n_max)
-    return list(islice(term_iterator(spec, ring, initial), n_max + 1))
+    return list(islice(term_iterator(spec, ring), n_max + 1))
 
 
 @dataclass
@@ -460,7 +424,7 @@ class IntegralityReport:
     scaled_terms: List[Scalar] = field(default_factory=list)
 
 
-def scaled_integrality_check(terms: Sequence[Scalar], base: int,
+def scaled_integrality_check(terms: List[Scalar], base: int,
                              n_max: Optional[int] = None) -> IntegralityReport:
     """Check base^n * T(n) in Z for n <= n_max over a rational term list."""
     if n_max is None:
@@ -477,35 +441,47 @@ def scaled_integrality_check(terms: Sequence[Scalar], base: int,
 
 
 # ---------------------------------------------------------------------------
-# Sequence definitions and their JSON file format
+# Sequences and their JSON file format
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SequenceDef:
-    """A sequence given by (G, H) data over a tagged ring.
+class Sequence:
+    """The stream T(0) = 1, T(1), ... of a recurrence over a tagged ring,
+    with its (G, H) data, binomial-sum oracle, level and factored B^2 when
+    known.
 
-    The JSON schema is
+    Sequences with (G, H) data read and write the JSON schema
     {"name", "ring": "Z"|"Q"|"quad:d", "G": [...], "H": [...], "level"?}
-    with coefficients as scalar strings.
+    with coefficients as scalar strings; "name" is the key.
     """
 
-    name: str
+    key: str
     ring: RingTag
-    G: Poly
-    H: Poly
+    spec: RecurrenceSpec
+    G: Optional[Poly] = None
+    H: Optional[Poly] = None
+    oracle: Optional[Callable[[int], Scalar]] = None
     level: Optional[str] = None
-    oracle_id: Optional[str] = None
+    G_factors: Optional[Tuple[tuple, ...]] = None
 
-    def spec(self) -> RecurrenceSpec:
-        return recurrence_from_gh(self.G, self.H)
+    @classmethod
+    def from_gh(cls, key: str, ring: RingTag, G: Poly, H: Poly, **extras) -> "Sequence":
+        """The sequence of the relation recurrence_from_gh(G, H)."""
+        return cls(key, ring, recurrence_from_gh(G, H), G, H, **extras)
 
     def terms(self, n_max: int) -> List[Scalar]:
-        return generate_terms(self.spec(), n_max, self.ring)
+        return generate_terms(self.spec, n_max, self.ring)
+
+    def iter_pairs(self) -> Iterator[Tuple[Rat, Rat]]:
+        """The terms as exact pairs (a, b), T = a + b*sqrt(d); see term_pairs."""
+        return term_pairs(self.spec, self.ring)
 
     def to_json(self) -> dict:
+        if self.G is None or self.H is None:
+            raise ValueError("sequence %r has no (G, H) data to write" % self.key)
         doc = {
-            "name": self.name,
+            "name": self.key,
             "ring": self.ring.serialize(),
             "G": [scalar_to_str(c) for c in self.G.coeffs],
             "H": [scalar_to_str(c) for c in self.H.coeffs],
@@ -515,7 +491,7 @@ class SequenceDef:
         return doc
 
     @staticmethod
-    def from_json(doc: dict) -> "SequenceDef":
+    def from_json(doc: dict) -> "Sequence":
         if not isinstance(doc, dict):
             raise ValueError("a sequence definition is a JSON object")
         missing = [k for k in ("name", "ring", "G", "H") if k not in doc]
@@ -538,9 +514,9 @@ class SequenceDef:
                                      "coefficient in ring %s" % (key, ring.kind))
                 cs = [c.a if isinstance(c, QuadElem) else c for c in cs]
             polys.append(Poly(cs))
-        return SequenceDef(doc["name"], ring, *polys, doc.get("level"))
+        return Sequence.from_gh(doc["name"], ring, *polys, level=doc.get("level"))
 
     @staticmethod
-    def load(path: str) -> "SequenceDef":
+    def load(path: str) -> "Sequence":
         with open(path, "r", encoding="utf-8") as fh:
-            return SequenceDef.from_json(json.load(fh))
+            return Sequence.from_json(json.load(fh))

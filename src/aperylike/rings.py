@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Optional, Tuple, Union
 
@@ -42,6 +43,7 @@ def squarefree_split(n: int) -> Tuple[int, int]:
     return s, m * n
 
 
+@lru_cache(maxsize=64)  # QuadElem checks its d on every construction
 def _is_squarefree(d: int) -> bool:
     return d != 0 and squarefree_split(abs(d))[0] == 1
 
@@ -195,13 +197,6 @@ class QuadElem:
 
     def __str__(self):
         return scalar_to_str(self)
-
-
-def quad_mul(x: QuadElem, y: QuadElem) -> QuadElem:
-    """Product in Q(sqrt(d)); the radicands must agree."""
-    if x.d != y.d and x.b != 0 and y.b != 0:
-        raise RingError("mismatched radicands %d and %d" % (x.d, y.d))
-    return x * y
 
 
 def conj(x: Scalar) -> Scalar:

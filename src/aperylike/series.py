@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import catalog
 from .qseries import QExpansion, qexp_equal
-from .recurrence import cubic_from_quadratic_asz, generate_terms, recurrence_from_quadratic, term_pairs
+from .recurrence import cubic_from_quadratic_asz, generate_terms, recurrence_from_quadratic
 from .rings import RING_Q, QuadElem, Scalar
 
 # a series A + B sqrt(d); B is None when the series is rational
@@ -92,8 +92,7 @@ def _special_gf(family: catalog.EpsilonFamily, eps: Scalar, order: int) -> Pair:
     re = 1 + e0 w + sigma w^2, so u = w (re - e1 w sqrt(d)) / N over the
     rational norm N = re^2 - d e1^2 w^2.  A rational eps gives B = None.
     """
-    sdef = catalog.epsilon_specialize(family, eps)
-    terms = list(islice(term_pairs(sdef.spec(), sdef.ring), order))
+    terms = list(islice(family.specialize(eps).iter_pairs(), order))
     if isinstance(eps, QuadElem) and eps.b:
         d, e0, e1 = eps.d, eps.a, eps.b
     else:

@@ -9,12 +9,11 @@ from aperylike.catalog import (
     SPORADIC_SET,
     UnknownKeyError,
     binomial_oracle,
-    epsilon_specialize,
     get_entry,
     printed_five_term,
     sequence,
 )
-from aperylike.recurrence import Poly, SequenceDef, generate_terms, recurrence_from_gh
+from aperylike.recurrence import Poly, Sequence, generate_terms, recurrence_from_gh
 from aperylike.rings import QuadElem
 
 
@@ -60,7 +59,7 @@ def test_binomial_oracle_examples():
 
 def test_epsilon_specialize_14B():
     fam = EPSILON_FAMILIES[14]
-    sdef = epsilon_specialize(fam, 9)
+    sdef = fam.specialize(9)
     from aperylike.recurrence import fourterm_params
     assert tuple(fourterm_params(sdef.G, sdef.H)) == (11, 5, -121, -20, 98)
     assert sdef.G.degree == 3 and sdef.H.degree == 3
@@ -68,10 +67,10 @@ def test_epsilon_specialize_14B():
 
 def test_epsilon_specialize_rings():
     fam14 = EPSILON_FAMILIES[14]
-    c = epsilon_specialize(fam14, QuadElem(2, 0, 4))
+    c = fam14.specialize(QuadElem(2, 0, 4))
     assert c.ring.kind == "quad" and c.ring.d == 2
     fam15 = EPSILON_FAMILIES[15]
-    g = epsilon_specialize(fam15, QuadElem(-1, 0, 2))
+    g = fam15.specialize(QuadElem(-1, 0, 2))
     assert g.ring.kind == "quad" and g.ring.d == -1
     assert g.terms(2) == [QuadElem(-1, 1, 0), QuadElem(-1, 2, 2), QuadElem(-1, 6, 8)]
 
@@ -81,8 +80,9 @@ def test_specialized_matches_generic_five_term():
     # relation are independent code paths; their streams must agree
     for level, fam in EPSILON_FAMILIES.items():
         for name, eps in fam.specials:
-            sdef = fam.specialize(eps, name)
-            four = generate_terms(sdef.spec(), 100, sdef.ring)
+            sdef = fam.specialize(eps)
+            assert sdef.key == name
+            four = generate_terms(sdef.spec, 100, sdef.ring)
             five = generate_terms(printed_five_term(level, eps), 100, sdef.ring)
             assert four == five, (level, name)
 
@@ -130,7 +130,7 @@ def test_export_definitions_parse_back():
     docs = catalog.export_definitions()
     assert len(docs) >= 20
     for doc in docs:
-        sdef = SequenceDef.from_json(doc)
+        sdef = Sequence.from_json(doc)
         assert sdef.G[0] == 1 and sdef.H[0] == 0
 
 

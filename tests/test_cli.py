@@ -48,11 +48,24 @@ def test_terms_csv(capsys):
 
 
 def test_terms_def_file(tmp_path, capsys):
-    sdef = catalog.sequence("level24").seq_def()
+    sdef = catalog.sequence("level24")
     path = tmp_path / "seq.json"
     path.write_text(json.dumps(sdef.to_json()))
     code, doc = run_json(capsys, "terms", "--def-file", str(path), "--nmax", "4")
     assert doc["payload"]["terms"] == ["1", "2", "10", "44", "250"]
+
+
+def test_def_files_match_catalog_keys(tmp_path, capsys):
+    docs = catalog.export_definitions()
+    assert len(docs) == 38
+    path = tmp_path / "seq.json"
+    for d in docs:
+        path.write_text(json.dumps(d))
+        code, by_file = run_json(capsys, "terms", "--def-file", str(path), "--nmax", "8")
+        assert code == 0
+        code, by_key = run_json(capsys, "terms", "--seq", d["name"], "--nmax", "8")
+        assert code == 0
+        assert by_file["payload"] == by_key["payload"], d["name"]
 
 
 def test_unknown_key_exit_code(capsys):

@@ -6,7 +6,7 @@ from aperylike import catalog
 from aperylike.recurrence import (
     InexactDivision,
     Poly,
-    SequenceDef,
+    Sequence,
     asz_gh,
     cubic_from_quadratic_asz,
     cubic_from_quadratic_ctyz,
@@ -128,8 +128,8 @@ def test_is_self_starting():
     # generic five-term family members are self-starting too
     fam = catalog.EPSILON_FAMILIES[14]
     sdef = fam.specialize(7)
-    ok, _ = is_self_starting(sdef.spec())
-    assert ok and sdef.spec().order == 4
+    ok, _ = is_self_starting(sdef.spec)
+    assert ok and sdef.spec.order == 4
 
 
 def test_self_starting_means_padding_is_inert():
@@ -178,17 +178,21 @@ def test_conjugation_symmetry_to_500():
 
 
 def test_sequence_def_json_round_trip(tmp_path):
-    for key in ("level11", "level13", "14C", "15Cbar"):
-        sdef = catalog.sequence(key).seq_def()
-        doc = sdef.to_json()
-        back = SequenceDef.from_json(doc)
+    docs = catalog.export_definitions()
+    assert len(docs) == 38
+    for doc in docs:
+        sdef = catalog.sequence(doc["name"])
+        back = Sequence.from_json(sdef.to_json())
         assert back.G == sdef.G and back.H == sdef.H and back.ring == sdef.ring
-        assert back.terms(8) == sdef.terms(8)
+        assert back.terms(8) == sdef.terms(8), doc["name"]
     path = tmp_path / "def.json"
     import json
-    path.write_text(json.dumps(catalog.sequence("level24").seq_def().to_json()))
-    loaded = SequenceDef.load(str(path))
+    path.write_text(json.dumps(catalog.sequence("level24").to_json()))
+    loaded = Sequence.load(str(path))
+    assert type(loaded) is type(catalog.sequence("level24"))
     assert loaded.terms(6) == catalog.sequence("level24").terms(6)
+    with pytest.raises(ValueError, match="no \\(G, H\\) data"):
+        catalog.sequence("zagier5").to_json()
 
 
 def test_weight_one_streams_match_oracles():

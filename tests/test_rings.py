@@ -3,6 +3,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aperylike import rings
+from aperylike.recurrence import Sequence
 from aperylike.rings import (
     QuadElem,
     RingError,
@@ -10,7 +12,6 @@ from aperylike.rings import (
     RING_Q,
     RING_Z,
     conj,
-    quad_mul,
     reduce_mod,
     SQUAREFREE_CAP,
     scalar_from_str,
@@ -24,17 +25,17 @@ I = QuadElem(-1, 0, 1)
 
 def test_quad_mul_examples():
     # norm of the fundamental unit
-    assert quad_mul(QuadElem(2, 1, 1), QuadElem(2, 1, -1)) == -1
+    assert QuadElem(2, 1, 1) * QuadElem(2, 1, -1) == -1
     # (2+2i)^2 = 8i
-    assert quad_mul(QuadElem(-1, 2, 2), QuadElem(-1, 2, 2)) == QuadElem(-1, 0, 8)
+    assert QuadElem(-1, 2, 2) * QuadElem(-1, 2, 2) == QuadElem(-1, 0, 8)
     # (-4+4*sqrt2)^2 = 48 - 32*sqrt2
     v = QuadElem(2, -4, 4)
-    assert quad_mul(v, v) == QuadElem(2, 48, -32)
+    assert v * v == QuadElem(2, 48, -32)
 
 
 def test_quad_mul_mismatched_d():
     with pytest.raises(RingError):
-        quad_mul(QuadElem(2, 1, 1), QuadElem(3, 1, 1))
+        QuadElem(2, 1, 1) * QuadElem(3, 1, 1)
 
 
 def test_conj_examples():
@@ -179,3 +180,21 @@ def test_squarefree_cap_is_an_error_not_a_hang():
         scalar_from_str("sqrt(-1000000000000000003)")
     with pytest.raises(RingError, match="'quad:abc'"):
         RingTag.parse("quad:abc")
+
+
+def test_large_radicand_is_factored_once_per_stream(monkeypatch):
+    # QuadElem checks d on every construction; a prime d near the cap
+    # costs 10^6 trial divisions each time unless the answer is kept
+    calls = []
+    split = rings.squarefree_split
+
+    def counted(n):
+        calls.append(n)
+        assert len(calls) <= 1, "squarefree_split ran again on %d" % n
+        return split(n)
+    monkeypatch.setattr(rings, "squarefree_split", counted)
+    seq = Sequence.from_json({"name": "x", "ring": "quad:999999999989",
+                              "G": ["1", "-64"], "H": ["0", "8"]})
+    terms = seq.terms(200)
+    assert terms[3] == QuadElem(999999999989, 8000, 0)
+    assert len(calls) <= 1

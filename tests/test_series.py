@@ -241,8 +241,8 @@ def ref_verify_gf_independence(level: int, order: int = 6) -> Tuple[bool, Option
     ref = RefSeries(reference[: order + 1])
     computed = []
     for name, eps in family.specials:
-        sdef = catalog.epsilon_specialize(family, eps)
-        terms = series.generate_terms(sdef.spec(), order, sdef.ring)
+        sdef = family.specialize(eps)
+        terms = series.generate_terms(sdef.spec, order, sdef.ring)
         u = geometric_over([1, eps, family.sigma], order)
         total = RefSeries([0] * (order + 1))
         upow = RefSeries([1] + [0] * order)
