@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 import mpmath as mp
 
 from . import asymptotics, catalog, congruence, qseries, series
-from .recurrence import InexactDivision, fourterm_params, generate_terms
+from .recurrence import InexactDivision, fourterm_params
 from .rings import conj, scalar_to_str
 
 def _mpstr(x, digits: int) -> str:
@@ -340,6 +340,8 @@ REPRODUCE_TABLES = (
     "zagier-table", "apery-table", "levels-XZ", "levels-BH", "fourterm-params",
     "terms-14", "terms-15", "asymptotic-params", "cp-counts",
 )
+# the options a table reads; the others are parse errors for that table
+REPRODUCE_OPTIONS = {"levels-BH": ("order",), "cp-counts": ("nmax", "primes")}
 
 
 def _diff_cells(rows: List[dict]) -> List[dict]:
@@ -362,23 +364,23 @@ def _reproduce_weight_rows(table: Dict, verifier, n_check: int = 10) -> List[dic
 def reproduce(table_id: str, order: int = 30, nmax: int = 1000,
               primes: Optional[Sequence[int]] = None) -> RunReport:
     rows: List[dict] = []
+    parameters: dict = {"table": table_id}
     if table_id == "zagier-table":
         rows = _reproduce_weight_rows(catalog.ZAGIER_ROWS, qseries.verify_weight_one)
     elif table_id == "apery-table":
         rows = _reproduce_weight_rows(catalog.WEIGHT2_ROWS, qseries.verify_weight_two)
     elif table_id == "levels-XZ":
         for key in catalog.TABLE_LEVEL_KEYS:
-            row = catalog.LEVEL_ROWS[key]
-            X, Z = qseries.build_xz(row, 10)
+            X, Z = qseries.build_xz(catalog.LEVEL_ROWS[key], 10)
             got = qseries.expansion_coefficients(Z, X, 8)
-            want = generate_terms(catalog.sequence(key).spec, 8,
-                                  catalog.sequence(key).ring)
+            seq = catalog.sequence(key)
+            want = seq.terms(8)
             ok = all(Fraction(a) == Fraction(b) for a, b in zip(got, want))
-            if row.oracle_id:
-                orc = catalog.ORACLES[row.oracle_id]
-                ok &= all(Fraction(orc(n)) == Fraction(want[n]) for n in range(9))
+            if seq.oracle:
+                ok &= all(Fraction(seq.oracle(n)) == Fraction(want[n]) for n in range(9))
             rows.append({"row": key, "status": "PASS" if ok else "FAIL"})
     elif table_id == "levels-BH":
+        parameters["order"] = order
         for r in _qseries_rows(list(catalog.TABLE_LEVEL_KEYS) + ["level13star"], order):
             ok = r["diff_formula"] == "PASS" and r["ode"] == "PASS"
             rows.append({"row": r["level"], "status": "PASS" if ok else "FAIL"})
@@ -422,6 +424,7 @@ def reproduce(table_id: str, order: int = 30, nmax: int = 1000,
                          "C": _mpstr(pr.C, 10)})
     elif table_id == "cp-counts":
         ps = list(primes) if primes else [2, 3, 5, 7, 11, 13, 59]
+        parameters.update(nmax=nmax, primes=ps)
         counts = congruence.scan_c_counts("level11", ps, nmax)
         for p in sorted(counts):
             # the committed counts are for the n <= 1000 window only
@@ -433,13 +436,14 @@ def reproduce(table_id: str, order: int = 30, nmax: int = 1000,
         raise catalog.UnknownKeyError("unknown table id %r" % (table_id,))
     bad = _diff_cells(rows)
     outcome = "PASS" if not bad else "FAIL"
-    return RunReport("reproduce", {"table": table_id}, outcome,
+    return RunReport("reproduce", parameters, outcome,
                      {"rows": rows, "mismatches": bad})
 
 
 def cmd_reproduce(args) -> RunReport:
-    return reproduce(args.table, order=args.order, nmax=args.nmax,
-                     primes=args.primes)
+    options = {name: getattr(args, name) for name in REPRODUCE_OPTIONS.get(args.table, ())
+               if getattr(args, name) is not None}
+    return reproduce(args.table, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -464,14 +468,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_terms)
 
     p = sub.add_parser("catalog", help="list or export catalog entries")
-    p.add_argument("--key")
-    p.add_argument("--export", action="store_true")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--key")
+    which.add_argument("--export", action="store_true")
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("verify-qseries",
                        help="check the differentiation formula and ODE rows")
-    p.add_argument("--level", help="one catalog level key")
-    p.add_argument("--all", action="store_true", help="include weight-one rows")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--level", help="one catalog level key")
+    which.add_argument("--all", action="store_true", help="include weight-one rows")
     p.add_argument("--order", type=_positive_int, default=30)
     p.set_defaults(func=cmd_verify_qseries)
 
@@ -514,9 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="regenerate a committed table and diff")
     p.add_argument("table", choices=REPRODUCE_TABLES)
-    p.add_argument("--order", type=_positive_int, default=30)
-    p.add_argument("--nmax", type=_positive_int, default=1000)
-    p.add_argument("--primes", type=_primes)
+    p.add_argument("--order", type=_positive_int, help="levels-BH only (default 30)")
+    p.add_argument("--nmax", type=_positive_int, help="cp-counts only (default 1000)")
+    p.add_argument("--primes", type=_primes, help="cp-counts only")
     p.set_defaults(func=cmd_reproduce)
 
     return ap
@@ -528,6 +534,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.cmd == "asymptotics" and args.terms <= 10 * args.diffs:
         parser.error("asymptotics: --terms %d must be > 10 * --diffs %d"
                      % (args.terms, args.diffs))
+    if args.cmd == "reproduce":
+        reads = REPRODUCE_OPTIONS.get(args.table, ())
+        for name in ("order", "nmax", "primes"):
+            if getattr(args, name) is not None and name not in reads:
+                parser.error("reproduce %s does not read --%s" % (args.table, name))
     t0 = time.time()
     try:
         report = args.func(args)

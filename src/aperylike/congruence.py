@@ -1,6 +1,9 @@
 """Lucas-congruence and supercongruence scanning.
 
-Residues come from one of two paths, chosen per call with no option:
+A residue request is a target (modulus, stride): keep T(n) mod modulus for
+n <= n_max and for n = stride * k with k <= n_max.  Lucas scans use stride
+1; every T(pn) scan uses stride p.  Residues come from one of two paths,
+chosen per call with no option:
 
 * The T(pn)-shaped scans over Z (supercongruence_check, scan_c_counts, and
   structured_congruence_check when the modulus is a power of p) run the
@@ -16,7 +19,7 @@ Residues come from one of two paths, chosen per call with no option:
   sound for residues in Z_(p), which is all a congruence mod p^e reads.
 * Everything else (Lucas scans, the Z[sqrt(d)] and Q rings, moduli that
   are not a power of p) reduces exact big-integer terms: one pass streams
-  the terms once and reduces each against every requested modulus.
+  the terms once and reduces each against every target that keeps it.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .recurrence import InexactDivision, RecurrenceSpec, _eval_int_poly, _integr
 from .rings import reduce_pair
 
 Residue = Tuple[int, int]
+Target = Tuple[int, int]  # (modulus, stride)
 
 
 @dataclass
@@ -56,61 +60,32 @@ class CongruenceReport:
         }
 
 
-@dataclass
-class ResidueTable:
-    """Residues of T(0..n_max) modulo p^e as component pairs.
-
-    For sequences over Z the surd component is always 0; over Z[sqrt(d)]
-    congruence is componentwise, which is conjugation-stable and needs no
-    choice of a square root of d mod p."""
-
-    seq: str
-    p: int
-    e: int
-    d: int  # 0 for rational sequences
-    residues: Dict[int, Residue]
-    n_max: int
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.e
-
-    def __getitem__(self, n: int) -> Residue:
-        try:
-            return self.residues[n]
-        except KeyError:
-            raise IndexError("residue at n=%d not retained (n_max=%d)" % (n, self.n_max))
-
-    def mul(self, x: Residue, y: Residue) -> Residue:
-        m = self.modulus
-        a, b = x
-        c, dd = y
-        return ((a * c + self.d * b * dd) % m, (a * dd + b * c) % m)
-
-
-Keep = Optional[Callable[[int], bool]]  # which indices to retain; None keeps all
-
-
 def _exact_residues(seq: catalog.Sequence, n_max: int,
-                    targets: Sequence[Tuple[int, Keep]]) -> List[Dict[int, Residue]]:
-    """The exact pass: stream T(0..n_max) once and reduce each term against
-    every (modulus, keep) target, one residue dict per target.  The exact
-    terms are discarded beyond the recurrence window."""
+                    targets: Sequence[Target]) -> List[Dict[int, Residue]]:
+    """The exact pass: stream T(n) once, up to n_max times the largest
+    stride, and reduce each term against every (modulus, stride) target
+    that keeps it, one residue dict per target.  Every target keeps
+    n <= n_max; above n_max an index map names the targets that keep it.
+    The exact terms are discarded beyond the recurrence window."""
     tables: List[Dict[int, Residue]] = [{} for _ in targets]
-    reducers = list(zip(targets, tables))
+    every = [(m, table) for (m, _), table in zip(targets, tables)]
+    above: Dict[int, List[Tuple[int, Dict[int, Residue]]]] = {}
+    for (m, stride), table in zip(targets, tables):
+        for k in range(n_max // stride + 1, n_max + 1):
+            above.setdefault(stride * k, []).append((m, table))
+    end = max([n_max] + list(above))
     for n, (a, b) in enumerate(seq.iter_pairs()):
-        if n > n_max:
+        if n > end:
             break
-        for (m, keep), table in reducers:
-            if keep is None or keep(n):
-                table[n] = reduce_pair(a, b, m)
+        for m, table in every if n <= n_max else above.get(n, ()):
+            table[n] = reduce_pair(a, b, m)
     return tables
 
 
-def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int,
-                    keep: Keep) -> Dict[int, Residue]:
-    """T(n) mod p^e for the kept n <= n_max of the Z-ring stream with T(0) = 1,
-    from a p-adic run of the recurrence; no exact term is built.
+def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int) -> Dict[int, Residue]:
+    """T(n) mod p^e for n <= n_max and for n = p k with k <= n_max, of the
+    Z-ring stream with T(0) = 1, from a p-adic run of the recurrence to
+    p n_max; no exact term is built.
 
     Write lead(m) = p^v_m * u_m with u_m prime to p, and D(n) = u_0...u_(n-1).
     The run carries W(n) = T(n) D(n) modulo p^prec, where
@@ -126,8 +101,9 @@ def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int,
     denominator prime to p is not detected.
     """
     lead, backs = _integral_relation(spec)
+    end = p * n_max
     prec = e
-    for m in range(n_max):
+    for m in range(end):
         x = _eval_int_poly(lead, m)
         if not x:
             raise ZeroDivisionError("lead coefficient vanishes at index %d" % m)
@@ -136,14 +112,11 @@ def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int,
             prec += 1
     pe = p ** e
     M = p ** prec
-    window = [0] * len(backs)  # window[j-1] = W(m+1-j) while producing W(m+1)
-    window[0] = 1
+    window = [1] + [0] * (len(backs) - 1)  # window[j-1] = W(m+1-j) while producing W(m+1)
     folds = [1] * len(backs)   # folds[j-1] = u_(m-1)...u_(m-j+1)
     D = 1                      # D(m+1) mod p^e once u_m is folded in
-    out: Dict[int, Residue] = {}
-    if keep is None or keep(0):
-        out[0] = (1, 0)
-    for m in range(n_max):
+    out: Dict[int, Residue] = {0: (1, 0)}
+    for m in range(end):
         s = 0
         for c, f, w in zip(backs, folds, window):
             if w:
@@ -164,7 +137,7 @@ def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int,
             M //= pv
         w = s % M
         D = D * u % pe
-        if keep is None or keep(m + 1):
+        if m < n_max or (m + 1) % p == 0:
             out[m + 1] = (w * pow(D, -1, pe) % pe, 0)
         window.insert(0, w)
         window.pop()
@@ -181,55 +154,65 @@ def _exponent_of(p: int, modulus: int) -> Optional[int]:
     return e if e and q == 1 else None
 
 
-def _residues(seq: catalog.Sequence, p: int, modulus: int, n_max: int,
-              keep: Keep) -> Dict[int, Residue]:
-    """T(n) mod modulus for the kept n <= n_max: the p-adic kernel when the
-    ring is Z and the modulus is a power of p, the exact pass otherwise."""
-    e = _exponent_of(p, modulus)
-    if seq.ring.kind == "Z" and e is not None:
-        return _padic_residues(seq.spec, p, e, n_max, keep)
-    return _exact_residues(seq, n_max, [(modulus, keep)])[0]
+def _tpn_matches(seq_key: str, p: int, modulus: int, n_max: int,
+                 offsets: Dict[int, int], class_mod: int = 1) -> List[bool]:
+    """For n = 1..n_max, whether T(p n) - T(n) == offsets[n mod class_mod]
+    (mod modulus), componentwise with the offset on the rational part.
 
-
-def _check_n_max(n_max: int) -> None:
+    The residues come from the p-adic kernel when the ring is Z and the
+    modulus is a power of p, from the exact pass with target (modulus, p)
+    otherwise."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1, got %d" % n_max)
-
-
-def residue_table(seq_key: str, p: int, e: int = 1, n_max: int = 1000) -> ResidueTable:
-    """Stream T(0..n_max) exactly and retain residues mod p^e."""
     seq = catalog.sequence(seq_key)
-    d = seq.ring.d if seq.ring.kind == "quad" else 0
-    residues = _exact_residues(seq, n_max, [(p ** e, None)])[0]
-    return ResidueTable(seq.key, p, e, d, residues, n_max)
+    e = _exponent_of(p, modulus)
+    if seq.ring.kind == "Z" and e is not None:
+        res = _padic_residues(seq.spec, p, e, n_max)
+    else:
+        res = _exact_residues(seq, n_max, [(modulus, p)])[0]
+    out = []
+    for n in range(1, n_max + 1):
+        a, b = res[p * n]
+        c, d = res[n]
+        want = offsets.get(n % class_mod, 0)
+        out.append((a - c - want) % modulus == 0 and (b - d) % modulus == 0)
+    return out
 
 
-def lucas_check(table: ResidueTable, n_range: Tuple[int, int]) -> CongruenceReport:
-    """T(n) == prod T(n_i) mod p over the base-p digits n_i of n."""
-    if table.e != 1:
-        raise ValueError("Lucas check runs modulo p (e = 1)")
-    lo, hi = n_range
-    if hi > table.n_max:
-        raise IndexError("range exceeds table (%d > %d)" % (hi, table.n_max))
-    p = table.p
-    report = CongruenceReport(table.seq, p, 1, hi, 0, kind="lucas")
-    for n in range(lo, hi + 1):
-        acc = (1, 0)
-        m = n
+def _lucas_report(key: str, p: int, d: int, table: Dict[int, Residue],
+                  n_max: int) -> CongruenceReport:
+    """T(n) == prod T(n_i) mod p over the base-p digits n_i of n, for
+    n = 1..n_max.  Over Z[sqrt(d)] the product is taken mod p on component
+    pairs: componentwise congruence is conjugation-stable and needs no
+    choice of a square root of d mod p (d = 0 for rational sequences)."""
+    report = CongruenceReport(key, p, 1, n_max, 0, kind="lucas")
+    for n in range(1, n_max + 1):
+        a, b, m = 1, 0, n
         while m:
-            acc = table.mul(acc, table[m % p])
-            m //= p
-        if acc == table[n]:
+            m, digit = divmod(m, p)
+            c, f = table[digit]
+            a, b = (a * c + d * b * f) % p, (a * f + b * c) % p
+        if (a, b) == table[n]:
             report.passes += 1
         else:
             report.violations.append(n)
     return report
 
 
+def lucas_scan_many(seq_key: str, primes: Sequence[int], n_max: int) -> List[CongruenceReport]:
+    """Lucas scans for several primes, ordered by prime, from one exact pass
+    that streams the terms once and reduces each against every prime."""
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1, got %d" % n_max)
+    primes = sorted(primes)
+    seq = catalog.sequence(seq_key)
+    d = seq.ring.d if seq.ring.kind == "quad" else 0
+    tables = _exact_residues(seq, n_max, [(p, 1) for p in primes])
+    return [_lucas_report(seq.key, p, d, table, n_max) for p, table in zip(primes, tables)]
+
+
 def lucas_scan(seq_key: str, p: int, n_max: int) -> CongruenceReport:
-    _check_n_max(n_max)
-    table = residue_table(seq_key, p, 1, n_max)
-    return lucas_check(table, (1, n_max))
+    return lucas_scan_many(seq_key, [p], n_max)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +269,9 @@ def supercongruence_check(seq_key: str, p: int, e: int, n_max: int,
     exactly in both directions.  Over Z the residues come from the p-adic
     kernel (p-integrality certified, see the module docstring).
     """
-    _check_n_max(n_max)
-    residues = _residues(catalog.sequence(seq_key), p, p ** e, p * n_max,
-                         lambda n: n <= n_max or n % p == 0)
+    matches = _tpn_matches(seq_key, p, p ** e, n_max, {})
     report = CongruenceReport(seq_key, p, e, n_max, 0, kind="supercongruence")
-    for n in range(1, n_max + 1):
-        holds = residues[p * n] == residues[n]
+    for n, holds in enumerate(matches, 1):
         in_pattern = bool(pattern and pattern(n))
         if holds:
             report.passes += 1
@@ -325,33 +305,10 @@ def structured_congruence_check(seq_key: str, p: int, modulus: int,
     modulus p^e over Z goes through the p-adic kernel, any other through
     the exact pass.
     """
-    _check_n_max(n_max)
-    residues = _residues(catalog.sequence(seq_key), p, modulus, p * n_max,
-                         lambda n: n <= n_max or n % p == 0)
-    report = CongruenceReport(seq_key, p, 0, n_max, 0, kind="structured")
-    for n in range(1, n_max + 1):
-        want = offsets.get(n % class_mod, 0)
-        a, b = residues[p * n]
-        c, d = residues[n]
-        if (a - c - want) % modulus == 0 and (b - d) % modulus == 0:
-            report.passes += 1
-        else:
-            report.violations.append(n)
-    return report
-
-
-def lucas_scan_many(seq_key: str, primes: Sequence[int], n_max: int) -> List[CongruenceReport]:
-    """Lucas scans for several primes, ordered by prime, from one exact pass
-    that streams the terms once and reduces each against every prime."""
-    _check_n_max(n_max)
-    primes = sorted(primes)
-    seq = catalog.sequence(seq_key)
-    d = seq.ring.d if seq.ring.kind == "quad" else 0
-    tables = _exact_residues(seq, n_max, [(p, None) for p in primes])
-    return [
-        lucas_check(ResidueTable(seq.key, p, 1, d, table, n_max), (1, n_max))
-        for p, table in zip(primes, tables)
-    ]
+    matches = _tpn_matches(seq_key, p, modulus, n_max, offsets, class_mod)
+    violations = [n for n, holds in enumerate(matches, 1) if not holds]
+    return CongruenceReport(seq_key, p, 0, n_max, n_max - len(violations), violations,
+                            kind="structured")
 
 
 # The sieve holds one byte per candidate, so the largest candidate is capped.

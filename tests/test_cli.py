@@ -281,6 +281,8 @@ def test_composite_primes_and_bad_exponents_are_rejected(argv, capsys):
     (["terms", "--seq", "level11", "--def-file", "seq.json"], "not allowed with"),
     (["lucas", "--seq", "level11"], "one of the arguments --prime --primes is required"),
     (["lucas", "--seq", "level11", "--prime", "3", "--primes", "5"], "not allowed with"),
+    (["verify-qseries", "--level", "level5", "--all"], "not allowed with"),
+    (["catalog", "--key", "level5", "--export"], "not allowed with"),
 ])
 def test_exclusive_argument_pairs_are_required(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -300,6 +302,31 @@ def test_meaningless_orders_and_removed_jobs_flag_are_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "zagier-table", "--nmax", "3", "--primes", "5", "--order", "2"],
+    ["reproduce", "levels-XZ", "--primes", "5"],
+    ["reproduce", "levels-BH", "--nmax", "3"],
+    ["reproduce", "cp-counts", "--order", "3"],
+])
+def test_reproduce_rejects_options_its_table_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "does not read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, parameters", [
+    (["reproduce", "levels-BH", "--order", "4"], {"table": "levels-BH", "order": 4}),
+    (["reproduce", "cp-counts", "--nmax", "20", "--primes", "3,2"],
+     {"table": "cp-counts", "nmax": 20, "primes": [3, 2]}),
+    (["reproduce", "terms-14"], {"table": "terms-14"}),
+])
+def test_reproduce_reports_the_options_its_table_reads(argv, parameters, capsys):
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["parameters"] == parameters
 
 
 def test_prime_range_cap_fires_before_the_sieve(monkeypatch, capsys):

@@ -3,11 +3,9 @@ import pytest
 from aperylike import catalog
 from aperylike.congruence import (
     PATTERNS,
-    lucas_check,
     lucas_scan,
     lucas_scan_many,
     primes_below,
-    residue_table,
     scan_c_counts,
     structured_congruence_check,
     supercongruence_check,
@@ -55,14 +53,6 @@ def test_conjugate_sequences_violate_identically():
     assert a.violations == b.violations
 
 
-def test_range_exceeding_table_errors():
-    table = residue_table("level11", 5, 1, 50)
-    with pytest.raises(IndexError):
-        lucas_check(table, (1, 60))
-    with pytest.raises(ValueError):
-        lucas_check(residue_table("level11", 5, 2, 10), (1, 10))
-
-
 def test_residues_two_ways():
     # reduce exact integer terms, or run over Q and clear denominators
     # modulo p: identical residues (guards against rational leakage)
@@ -95,8 +85,7 @@ def test_supercongruence_examples():
 def test_digit_shift_implication():
     # Lucas mod p up to p^2 - 1 forces T(pn) = T(n) mod p for n < p
     p = 5
-    table = residue_table("level11", p, 1, p * p - 1 + p)
-    assert lucas_check(table, (1, p * p - 1)).ok
+    assert lucas_scan("level11", p, p * p - 1).ok
     rep = supercongruence_check("level11", p, 1, p - 1)
     assert rep.ok
 

@@ -3,9 +3,9 @@
 The kernel gives T(n) mod p^e for Z-ring sequences without building any
 exact term; the exact pass reduces the exact terms.  Both must agree
 residue for residue, and both must reject a term that is not p-integral at
-the same index."""
-
-from fractions import Fraction as F
+the same index.  The exact pass itself is checked against its form before
+targets became (modulus, stride) pairs, which took one keep(n) predicate per
+target."""
 
 import pytest
 
@@ -18,32 +18,77 @@ from aperylike.congruence import (
     lucas_scan_many,
     supercongruence_check,
 )
-from aperylike.recurrence import InexactDivision, Poly, RecurrenceSpec, generate_terms
-from aperylike.rings import RING_Q, RING_Z
+from aperylike.recurrence import (
+    InexactDivision,
+    Poly,
+    RecurrenceSpec,
+    recurrence_from_gh,
+)
+from aperylike.rings import RING_Z, RingError, reduce_pair
 
 PRIMES = (2, 3, 5, 7)
 EXPONENTS = (1, 2, 3)
-N_MAX = 90
+N_MAX = 30  # the kernel and the stride-p targets run to p * N_MAX
 
 Z_KEYS = [k for k in catalog.sequence_keys() if catalog.sequence(k).ring.kind == "Z"]
+
+
+def ref_exact_residues(seq, n_max, targets):
+    """The exact pass with (modulus, keep) targets, keep None keeping all."""
+    tables = [{} for _ in targets]
+    reducers = list(zip(targets, tables))
+    for n, (a, b) in enumerate(seq.iter_pairs()):
+        if n > n_max:
+            break
+        for (m, keep), table in reducers:
+            if keep is None or keep(n):
+                table[n] = reduce_pair(a, b, m)
+    return tables
+
+
+def _keep(n_max, stride):
+    return lambda n: n <= n_max or (n % stride == 0 and n // stride <= n_max)
+
+
+@pytest.mark.parametrize("key", catalog.sequence_keys())
+def test_exact_pass_matches_keep_predicates_on_the_catalog(key):
+    seq = catalog.sequence(key)
+    targets = [(p ** e, stride) for p in PRIMES for e in (1, 2) for stride in (1, p)]
+    closures = [(m, _keep(N_MAX, stride)) for m, stride in targets]
+    if key == "level13":
+        with pytest.raises(RingError) as want:
+            ref_exact_residues(seq, 7 * N_MAX, closures)
+        with pytest.raises(RingError) as got:
+            _exact_residues(seq, N_MAX, targets)
+        assert str(got.value) == str(want.value)
+        return
+    assert _exact_residues(seq, N_MAX, targets) == ref_exact_residues(seq, 7 * N_MAX, closures)
 
 
 @pytest.mark.parametrize("key", Z_KEYS)
 def test_kernel_matches_exact_pass_on_the_catalog(key):
     seq = catalog.sequence(key)
-    targets = [(p ** e, None) for p in PRIMES for e in EXPONENTS]
+    targets = [(p ** e, p) for p in PRIMES for e in EXPONENTS]
     exact = iter(_exact_residues(seq, N_MAX, targets))
     for p in PRIMES:
         for e in EXPONENTS:
-            assert _padic_residues(seq.spec, p, e, N_MAX, None) == next(exact), (p, e)
+            assert _padic_residues(seq.spec, p, e, N_MAX) == next(exact), (p, e)
 
 
 def test_kernel_keeps_only_the_kept_indices():
     seq = catalog.sequence("level11")
-    keep = lambda n: n <= 20 or n % 7 == 0  # noqa: E731
-    got = _padic_residues(seq.spec, 7, 2, 140, keep)
-    assert got == _exact_residues(seq, 140, [(49, keep)])[0]
-    assert sorted(got) == [n for n in range(141) if keep(n)]
+    got = _padic_residues(seq.spec, 7, 2, 20)
+    assert got == _exact_residues(seq, 20, [(49, 7)])[0]
+    assert sorted(got) == [n for n in range(141) if n <= 20 or n % 7 == 0]
+
+
+def test_kernel_runs_a_relation_of_order_zero():
+    # G = 1, H = 0: (n+1)^3 T(n+1) = 0, so the stream is 1, 0, 0, ...
+    spec = recurrence_from_gh(Poly([1]), Poly([0]))
+    seq = catalog.Sequence("hand-built", RING_Z, spec)
+    want = _exact_residues(seq, 5, [(3, 3)])[0]
+    assert want == {n: (1 if n == 0 else 0, 0) for n in (0, 1, 2, 3, 4, 5, 6, 9, 12, 15)}
+    assert _padic_residues(spec, 3, 1, 5) == want
 
 
 def _scaled(spec, factor):
@@ -60,9 +105,9 @@ def test_extra_powers_of_p_in_the_lead_are_budgeted(p):
     spec = _scaled(seq.spec, Poly([p ** 3, p ** 2]))
     scaled = catalog.Sequence("scaled", RING_Z, spec)
     for e in (1, 3):
-        want = _exact_residues(scaled, 150, [(p ** e, None)])[0]
-        assert want == _exact_residues(seq, 150, [(p ** e, None)])[0]
-        assert _padic_residues(spec, p, e, 150, None) == want
+        want = _exact_residues(scaled, 50, [(p ** e, p)])[0]
+        assert want == _exact_residues(seq, 50, [(p ** e, p)])[0]
+        assert _padic_residues(spec, p, e, 50) == want
 
 
 # (n+1) T(n+1) = 24 T(n): T(n) = 24^n / n!, integral up to n = 4; T(5) has
@@ -73,9 +118,9 @@ FACTORIAL_SPEC = RecurrenceSpec((Poly([1, 1]), Poly([-24])))
 def test_term_not_p_integral_raises_at_the_exact_index():
     seq = catalog.Sequence("hand-built", RING_Z, FACTORIAL_SPEC)
     with pytest.raises(InexactDivision) as exact:
-        _exact_residues(seq, 20, [(25, None)])
+        _exact_residues(seq, 20, [(25, 5)])
     with pytest.raises(InexactDivision) as padic:
-        _padic_residues(FACTORIAL_SPEC, 5, 2, 20, None)
+        _padic_residues(FACTORIAL_SPEC, 5, 2, 20)
     assert exact.value.index == padic.value.index == 5
 
 
@@ -89,17 +134,23 @@ def test_public_scans_reject_a_term_that_is_not_p_integral(monkeypatch):
         congruence.structured_congruence_check("hand-built", 5, 125, 1, {}, 4)
 
 
+# 5 T(n+1) = 24 T(n): T(n) = (24/5)^n, integral only at n = 0
+FIFTHS_SPEC = RecurrenceSpec((Poly([5]), Poly([-24])))
+
+
 def test_kernel_certifies_p_integrality_only():
-    # at p = 7 the denominator 5 of T(5) and T(6) is a unit: the kernel
-    # returns their residues in Z_(7), where the exact pass stops at n = 5
-    terms = [F(t) for t in generate_terms(FACTORIAL_SPEC, 6, RING_Q)]
-    assert [t.denominator for t in terms] == [1, 1, 1, 1, 1, 5, 5]
-    got = _padic_residues(FACTORIAL_SPEC, 7, 2, 6, None)
-    assert got == {n: (t.numerator * pow(t.denominator, -1, 49) % 49, 0)
-                   for n, t in enumerate(terms)}
+    # at p = 7 the denominator 5^n is a unit: the kernel returns the
+    # residues in Z_(7), where the exact pass stops at n = 1
+    seq = catalog.Sequence("hand-built", RING_Z, FIFTHS_SPEC)
     with pytest.raises(InexactDivision) as exc:
-        _padic_residues(FACTORIAL_SPEC, 7, 2, 10, None)
-    assert exc.value.index == 7
+        _exact_residues(seq, 6, [(49, 7)])
+    assert exc.value.index == 1
+    kept = [n for n in range(43) if n <= 6 or n % 7 == 0]
+    got = _padic_residues(FIFTHS_SPEC, 7, 2, 6)
+    assert got == {n: (24 ** n * pow(5, -n, 49) % 49, 0) for n in kept}
+    with pytest.raises(InexactDivision) as exc:
+        _padic_residues(FIFTHS_SPEC, 5, 2, 6)
+    assert exc.value.index == 1
 
 
 def test_vanishing_lead_raises_like_the_exact_pass():
@@ -107,9 +158,9 @@ def test_vanishing_lead_raises_like_the_exact_pass():
     spec = RecurrenceSpec((Poly([-3, 1]), Poly([-6])))
     seq = catalog.Sequence("hand-built", RING_Z, spec)
     with pytest.raises(ZeroDivisionError):
-        _exact_residues(seq, 10, [(2, None)])
+        _exact_residues(seq, 10, [(2, 2)])
     with pytest.raises(ZeroDivisionError):
-        _padic_residues(spec, 2, 1, 10, None)
+        _padic_residues(spec, 2, 1, 10)
 
 
 @pytest.mark.parametrize("key", ["level11", "level24", "apery", "14C", "15C"])

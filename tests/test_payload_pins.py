@@ -1,12 +1,15 @@
-"""Payload pins for the verification sweeps and the sequence definitions.
+"""Payload pins for the verification sweeps, the sequence definitions and
+the congruence scans.
 
 Each digest is the sha256 of a command's payload as canonical JSON (sorted
 keys, no spaces; the same text the benchmark gate hashes).  The two sweep
 pins were recorded at commit b8fc6e4, before the Clausen and
 generating-function rows of ``verify-identities`` and ``verify-qseries
 --all`` came from one builder; the ``catalog --export`` and ``terms`` pins
-at d6a63ac, before def files and catalog keys shared one sequence type.
-A refactor must leave every pinned payload byte-identical.
+at d6a63ac, before def files and catalog keys shared one sequence type;
+the ``lucas``, ``supercong`` and ``scan`` pins at b5d7cd0, before residue
+requests became (modulus, stride) targets.  A refactor must leave every
+pinned payload byte-identical.
 """
 
 import hashlib
@@ -29,6 +32,15 @@ PINS = {
     # a Z[i] epsilon special streamed by key; recorded at d6a63ac
     ("terms", "--seq", "15Cbar", "--nmax", "40"):
         "a88246207ab9ab095c42765d0f2b0e60f2cc98b645abe8057a54cd0ea84f279a",
+    # Lucas scans over Z[sqrt(2)] from one exact pass; recorded at b5d7cd0
+    ("lucas", "--seq", "14C", "--primes", "2,7,17,23", "--nmax", "300"):
+        "e405b116339f9bf0ca90aaf4c6b0d0c7c30dbc69cbf20362a590c691381dcc8c",
+    # the stride-p exact pass over Z[i]; recorded at b5d7cd0
+    ("supercong", "--seq", "15C", "--prime", "5", "--exp", "1", "--nmax", "60"):
+        "882f17ac8e22bc247c7b1a6682114703c77abfde32d9fa770843f61805ecf429",
+    # c(p) counts from the p-adic kernel; recorded at b5d7cd0
+    ("scan", "--primes", "2..31", "--nmax", "100"):
+        "df4fdd0dec77e7878986de461ea35b129123ca92257cf0423266eb774b58f851",
 }
 
 
@@ -41,5 +53,5 @@ def payload_digest(payload) -> str:
 def test_sweep_payload_matches_its_pin(argv, capsys):
     assert main(list(argv)) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["outcome"] == ("DATA" if argv[0] in ("catalog", "terms") else "PASS")
+    assert doc["outcome"] == ("DATA" if argv[0] in ("catalog", "terms", "scan") else "PASS")
     assert payload_digest(doc["payload"]) == PINS[argv]

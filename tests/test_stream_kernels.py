@@ -134,7 +134,7 @@ def test_residue_path_rejects_nonintegral_pairs(monkeypatch):
     seq = catalog.Sequence("hand-built", RING_SQRT2, nonintegral)
     monkeypatch.setattr(catalog, "sequence", lambda key: seq)
     with pytest.raises(RingError, match="not m-integral"):
-        congruence.residue_table("hand-built", 5, 1, 10)
+        congruence.lucas_scan("hand-built", 5, 10)
     with pytest.raises(RingError, match="not m-integral"):
         congruence.lucas_scan_many("hand-built", [2, 3], 10)
     with pytest.raises(RingError, match="not m-integral"):
