@@ -361,8 +361,24 @@ def _reproduce_weight_rows(table: Dict, verifier, n_check: int = 10) -> List[dic
     return rows
 
 
-def reproduce(table_id: str, order: int = 30, nmax: int = 1000,
+def _unread_options(table_id: str, order, nmax, primes) -> List[str]:
+    """The options given (not None) that the table does not read."""
+    given = {"order": order, "nmax": nmax, "primes": primes}
+    return [name for name, value in given.items()
+            if value is not None and name not in REPRODUCE_OPTIONS.get(table_id, ())]
+
+
+def reproduce(table_id: str, order: Optional[int] = None, nmax: Optional[int] = None,
               primes: Optional[Sequence[int]] = None) -> RunReport:
+    """Regenerate a committed table and diff it.  A table takes only the
+    options REPRODUCE_OPTIONS lists for it (levels-BH: order, default 30;
+    cp-counts: nmax, default 1000, and primes); any other raises
+    ValueError."""
+    if table_id not in REPRODUCE_TABLES:
+        raise catalog.UnknownKeyError("unknown table id %r" % (table_id,))
+    unread = _unread_options(table_id, order, nmax, primes)
+    if unread:
+        raise ValueError("reproduce %s does not read %s" % (table_id, ", ".join(unread)))
     rows: List[dict] = []
     parameters: dict = {"table": table_id}
     if table_id == "zagier-table":
@@ -380,6 +396,7 @@ def reproduce(table_id: str, order: int = 30, nmax: int = 1000,
                 ok &= all(Fraction(seq.oracle(n)) == Fraction(want[n]) for n in range(9))
             rows.append({"row": key, "status": "PASS" if ok else "FAIL"})
     elif table_id == "levels-BH":
+        order = 30 if order is None else order
         parameters["order"] = order
         for r in _qseries_rows(list(catalog.TABLE_LEVEL_KEYS) + ["level13star"], order):
             ok = r["diff_formula"] == "PASS" and r["ode"] == "PASS"
@@ -423,6 +440,7 @@ def reproduce(table_id: str, order: int = 30, nmax: int = 1000,
                          "cells": {k: "PASS" if v else "FAIL" for k, v in cells.items()},
                          "C": _mpstr(pr.C, 10)})
     elif table_id == "cp-counts":
+        nmax = 1000 if nmax is None else nmax
         ps = list(primes) if primes else [2, 3, 5, 7, 11, 13, 59]
         parameters.update(nmax=nmax, primes=ps)
         counts = congruence.scan_c_counts("level11", ps, nmax)
@@ -432,8 +450,6 @@ def reproduce(table_id: str, order: int = 30, nmax: int = 1000,
             ok = want is None or counts[p] == want
             rows.append({"row": "c(%d)" % p, "count": counts[p],
                          "expected": want, "status": "PASS" if ok else "FAIL"})
-    else:
-        raise catalog.UnknownKeyError("unknown table id %r" % (table_id,))
     bad = _diff_cells(rows)
     outcome = "PASS" if not bad else "FAIL"
     return RunReport("reproduce", parameters, outcome,
@@ -441,9 +457,7 @@ def reproduce(table_id: str, order: int = 30, nmax: int = 1000,
 
 
 def cmd_reproduce(args) -> RunReport:
-    options = {name: getattr(args, name) for name in REPRODUCE_OPTIONS.get(args.table, ())
-               if getattr(args, name) is not None}
-    return reproduce(args.table, **options)
+    return reproduce(args.table, args.order, args.nmax, args.primes)
 
 
 # ---------------------------------------------------------------------------
@@ -535,10 +549,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("asymptotics: --terms %d must be > 10 * --diffs %d"
                      % (args.terms, args.diffs))
     if args.cmd == "reproduce":
-        reads = REPRODUCE_OPTIONS.get(args.table, ())
-        for name in ("order", "nmax", "primes"):
-            if getattr(args, name) is not None and name not in reads:
-                parser.error("reproduce %s does not read --%s" % (args.table, name))
+        unread = _unread_options(args.table, args.order, args.nmax, args.primes)
+        if unread:
+            parser.error("reproduce %s does not read --%s" % (args.table, unread[0]))
     t0 = time.time()
     try:
         report = args.func(args)

@@ -19,17 +19,25 @@ chosen per call with no option:
   sound for residues in Z_(p), which is all a congruence mod p^e reads.
 * Everything else (Lucas scans, the Z[sqrt(d)] and Q rings, moduli that
   are not a power of p) reduces exact big-integer terms: one pass streams
-  the terms once and reduces each against every target that keeps it.
+  the terms once and reduces each kept term once, modulo the lcm of the
+  moduli of the targets that keep it; each target's residue is then read
+  from that one small remainder.
+
+A Lucas scan builds the digit product incrementally:
+prod(n) = prod(n // p) * T(n mod p) mod p, one ring product per index.
+Every modulus must be >= 2 and every p prime; both are checked before any
+term is streamed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
 from .recurrence import InexactDivision, RecurrenceSpec, _eval_int_poly, _integral_relation
-from .rings import reduce_pair
+from .rings import RingError, reduce_pair
 
 Residue = Tuple[int, int]
 Target = Tuple[int, int]  # (modulus, stride)
@@ -63,10 +71,14 @@ class CongruenceReport:
 def _exact_residues(seq: catalog.Sequence, n_max: int,
                     targets: Sequence[Target]) -> List[Dict[int, Residue]]:
     """The exact pass: stream T(n) once, up to n_max times the largest
-    stride, and reduce each term against every (modulus, stride) target
-    that keeps it, one residue dict per target.  Every target keeps
-    n <= n_max; above n_max an index map names the targets that keep it.
-    The exact terms are discarded beyond the recurrence window."""
+    stride, and reduce each kept term against its (modulus, stride)
+    targets, one residue dict per target.  Every target keeps n <= n_max;
+    above n_max an index map names the targets that keep it.  Each kept
+    term is reduced once, modulo the lcm P of its targets' moduli (that
+    reduction raises RingError on a term that is not P-integral), and each
+    target reads its residue from the small remainder mod P.  The exact
+    terms are discarded beyond the recurrence window."""
+    _check_moduli(m for m, _ in targets)
     tables: List[Dict[int, Residue]] = [{} for _ in targets]
     every = [(m, table) for (m, _), table in zip(targets, tables)]
     above: Dict[int, List[Tuple[int, Dict[int, Residue]]]] = {}
@@ -74,12 +86,30 @@ def _exact_residues(seq: catalog.Sequence, n_max: int,
         for k in range(n_max // stride + 1, n_max + 1):
             above.setdefault(stride * k, []).append((m, table))
     end = max([n_max] + list(above))
+    # index -> (lcm of the moduli that keep it, those targets)
+    plan = {n: (math.lcm(*(m for m, _ in group)), group) for n, group in above.items()}
+    if targets:
+        plan.update(dict.fromkeys(range(n_max + 1), (math.lcm(*(m for m, _ in targets)), every)))
     for n, (a, b) in enumerate(seq.iter_pairs()):
         if n > end:
             break
-        for m, table in every if n <= n_max else above.get(n, ()):
-            table[n] = reduce_pair(a, b, m)
+        kept = plan.get(n)
+        if kept:
+            P, group = kept
+            ra, rb = reduce_pair(a, b, P)
+            for m, table in group:
+                table[n] = (ra % m, rb % m)
     return tables
+
+
+def _check_moduli(moduli) -> None:
+    if any(m < 2 for m in moduli):
+        raise RingError("modulus must be >= 2")
+
+
+def _check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError("%d is not prime" % p)
 
 
 def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int) -> Dict[int, Residue]:
@@ -164,6 +194,8 @@ def _tpn_matches(seq_key: str, p: int, modulus: int, n_max: int,
     otherwise."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1, got %d" % n_max)
+    _check_prime(p)
+    _check_moduli([modulus])
     seq = catalog.sequence(seq_key)
     e = _exponent_of(p, modulus)
     if seq.ring.kind == "Z" and e is not None:
@@ -182,29 +214,31 @@ def _tpn_matches(seq_key: str, p: int, modulus: int, n_max: int,
 def _lucas_report(key: str, p: int, d: int, table: Dict[int, Residue],
                   n_max: int) -> CongruenceReport:
     """T(n) == prod T(n_i) mod p over the base-p digits n_i of n, for
-    n = 1..n_max.  Over Z[sqrt(d)] the product is taken mod p on component
-    pairs: componentwise congruence is conjugation-stable and needs no
-    choice of a square root of d mod p (d = 0 for rational sequences)."""
-    report = CongruenceReport(key, p, 1, n_max, 0, kind="lucas")
-    for n in range(1, n_max + 1):
-        a, b, m = 1, 0, n
-        while m:
-            m, digit = divmod(m, p)
-            c, f = table[digit]
-            a, b = (a * c + d * b * f) % p, (a * f + b * c) % p
-        if (a, b) == table[n]:
-            report.passes += 1
-        else:
-            report.violations.append(n)
-    return report
+    n = 1..n_max.  The product is built incrementally, prod(n) =
+    prod(n // p) * T(n mod p), so each index costs one ring product.  Over
+    Z[sqrt(d)] the product is taken mod p on component pairs: componentwise
+    congruence is conjugation-stable and needs no choice of a square root
+    of d mod p (d = 0 for rational sequences)."""
+    # prods[n] for n < p is T(n) itself; each later block of p indices
+    # shares its n // p, so prods[n // p] is read once per block
+    digits = [table[n] for n in range(min(p, n_max + 1))]
+    prods = list(digits)
+    for q in range(1, n_max // p + 1):
+        a, b = prods[q]
+        prods += [((a * c + d * b * f) % p, (a * f + b * c) % p) for c, f in digits]
+    violations = [n for n in range(1, n_max + 1) if prods[n] != table[n]]
+    return CongruenceReport(key, p, 1, n_max, n_max - len(violations), violations,
+                            kind="lucas")
 
 
 def lucas_scan_many(seq_key: str, primes: Sequence[int], n_max: int) -> List[CongruenceReport]:
     """Lucas scans for several primes, ordered by prime, from one exact pass
-    that streams the terms once and reduces each against every prime."""
+    that streams the terms once and reduces each once for all the primes."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1, got %d" % n_max)
     primes = sorted(primes)
+    for p in primes:
+        _check_prime(p)
     seq = catalog.sequence(seq_key)
     d = seq.ring.d if seq.ring.kind == "quad" else 0
     tables = _exact_residues(seq, n_max, [(p, 1) for p in primes])

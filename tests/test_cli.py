@@ -164,6 +164,28 @@ def test_reproduce_terms_tables():
     assert rep.outcome == "PASS"
 
 
+@pytest.mark.parametrize("table, options, unread", [
+    ("terms-14", {"order": 2, "nmax": 5, "primes": [4]}, "order, nmax, primes"),
+    ("levels-XZ", {"primes": [5]}, "primes"),
+    ("levels-BH", {"nmax": 3}, "nmax"),
+    ("cp-counts", {"order": 3}, "order"),
+])
+def test_library_reproduce_rejects_options_its_table_does_not_read(table, options, unread):
+    # the library reads the same option table as the CLI parser
+    with pytest.raises(ValueError, match="reproduce %s does not read %s$" % (table, unread)):
+        reproduce(table, **options)
+
+
+def test_library_reproduce_takes_the_options_its_table_reads():
+    rep = reproduce("cp-counts", nmax=20, primes=[3, 2])
+    assert rep.outcome == "PASS"
+    assert rep.parameters == {"table": "cp-counts", "nmax": 20, "primes": [3, 2]}
+    with pytest.raises(ValueError, match="4 is not prime"):
+        reproduce("cp-counts", primes=[4, 6])
+    with pytest.raises(catalog.UnknownKeyError):
+        reproduce("nope", order=3)
+
+
 def test_terms_negative_nmax_fails_fast(capsys):
     # a subprocess under a timeout: an unchecked negative n_max never ends the stream
     src = os.path.dirname(os.path.dirname(os.path.abspath(aperylike.__file__)))

@@ -1,8 +1,13 @@
+import itertools
+
 import pytest
 
 from aperylike import catalog
 from aperylike.congruence import (
     PATTERNS,
+    CongruenceReport,
+    _exact_residues,
+    _lucas_report,
     lucas_scan,
     lucas_scan_many,
     primes_below,
@@ -10,7 +15,7 @@ from aperylike.congruence import (
     structured_congruence_check,
     supercongruence_check,
 )
-from aperylike.rings import reduce_mod
+from aperylike.rings import RingError, reduce_mod, reduce_pair
 
 
 def test_primes_below():
@@ -164,3 +169,76 @@ def test_empty_scans_are_rejected(scan):
     for n in (0, -3):
         with pytest.raises(ValueError, match="n_max"):
             scan(n)
+
+
+def ref_lucas_report(key, p, d, table, n_max):
+    """The Lucas report with the digit product rebuilt from scratch for
+    every n, the form before it was built incrementally."""
+    report = CongruenceReport(key, p, 1, n_max, 0, kind="lucas")
+    for n in range(1, n_max + 1):
+        a, b, m = 1, 0, n
+        while m:
+            m, digit = divmod(m, p)
+            c, f = table[digit]
+            a, b = (a * c + d * b * f) % p, (a * f + b * c) % p
+        if (a, b) == table[n]:
+            report.passes += 1
+        else:
+            report.violations.append(n)
+    return report
+
+
+LUCAS_PRIMES = primes_below(48)
+LUCAS_N_MAX = 47 * 47 + 47  # n = p^2 + p has three base-p digits for every p <= 47
+
+
+@pytest.mark.parametrize("key", catalog.sequence_keys())
+def test_incremental_lucas_product_matches_the_digit_loop_on_the_catalog(key):
+    seq = catalog.sequence(key)
+    if key == "level13":
+        # not integral: the one lcm reduction fails with the per-prime text
+        with pytest.raises(RingError) as want:
+            for a, b in itertools.islice(seq.iter_pairs(), LUCAS_N_MAX + 1):
+                for p in LUCAS_PRIMES:
+                    reduce_pair(a, b, p)
+        with pytest.raises(RingError) as got:
+            lucas_scan_many(key, LUCAS_PRIMES, LUCAS_N_MAX)
+        assert str(got.value) == str(want.value)
+        return
+    d = seq.ring.d if seq.ring.kind == "quad" else 0
+    tables = _exact_residues(seq, LUCAS_N_MAX, [(p, 1) for p in LUCAS_PRIMES])
+    for p, table in zip(LUCAS_PRIMES, tables):
+        n_max = p * p + p
+        got = _lucas_report(key, p, d, table, n_max).to_json()
+        assert got == ref_lucas_report(key, p, d, table, n_max).to_json(), p
+
+
+@pytest.mark.parametrize("scan", [
+    lambda m: structured_congruence_check("level11", 3, m, 3, {}, 5),
+    lambda m: structured_congruence_check("14C", 3, m, 1, {}, 5),
+    lambda m: _exact_residues(catalog.sequence("level11"), 5, [(7, 1), (m, 3)]),
+])
+def test_moduli_below_two_are_rejected_before_the_stream(scan):
+    # modulus 0 used to hang: 0 % p == 0 for every power of p
+    for m in (0, 1, -9):
+        with pytest.raises(RingError, match="^modulus must be >= 2$"):
+            scan(m)
+
+
+@pytest.mark.parametrize("scan", [
+    lambda: lucas_scan_many("level11", [4, 9], 30),
+    lambda: lucas_scan("14C", 4, 30),
+    lambda: supercongruence_check("level11", 4, 1, 3),
+    lambda: scan_c_counts("level11", [2, 4], 3),
+    lambda: structured_congruence_check("level11", 4, 16, 1, {}, 3),
+    lambda: structured_congruence_check("15C", 4, 7, 1, {}, 3),
+])
+def test_composite_primes_are_rejected(scan):
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        scan()
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_non_primes_below_two_are_rejected(p):
+    with pytest.raises(ValueError, match="%d is not prime" % p):
+        lucas_scan_many("level11", [2, p], 10)

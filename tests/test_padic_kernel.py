@@ -54,6 +54,8 @@ def _keep(n_max, stride):
 def test_exact_pass_matches_keep_predicates_on_the_catalog(key):
     seq = catalog.sequence(key)
     targets = [(p ** e, stride) for p in PRIMES for e in (1, 2) for stride in (1, p)]
+    # a repeated modulus, and p next to p^2: the lcm is not the product
+    targets += [(5, 1), (5, 1), (3, 1), (9, 3)]
     closures = [(m, _keep(N_MAX, stride)) for m, stride in targets]
     if key == "level13":
         with pytest.raises(RingError) as want:
