@@ -193,6 +193,9 @@ def binomial_oracle(key: str, n: int) -> Scalar:
 #   ("theta", (a, b, c))                    theta_{a,b,c}
 #   ("eisenstein13",)                       (13 P(q^13) - P(q)) / 12
 #   ("level1w",)                            (Q^{3/2} - R) / (432 (Q^{3/2} + R))
+#   ("hauptmodul", w, D)                    w / D(w), w a product spec, D coefficients
+#   ("eta_theta_sq", eta, theta)            (eta product / theta)^2
+#   ("eta_over_theta_sum", eta, t1, t2, k)  k * eta product / (theta_t1 + theta_t2)
 
 
 @dataclass(frozen=True)
@@ -307,7 +310,7 @@ WEIGHT2_ROWS: Dict[str, Weight2Row] = {
 
 
 # ---------------------------------------------------------------------------
-# Level rows: (w, X, Z) with B^2 and H data
+# Level rows: (X, Z) with B^2 and H data
 # ---------------------------------------------------------------------------
 
 
@@ -317,11 +320,9 @@ class LevelRow:
 
     key: str
     level: str
-    w: Optional[tuple]            # product spec, or None when X is direct
-    x_denom: Optional[tuple]      # X = w / D(w), coefficients of D
-    x_special: Optional[tuple]    # ("eta_theta_sq", eta, theta) etc.
-    z_eta: tuple                  # eta factors of the Z numerator
-    z_xexp: Fraction              # Z = (eta product) / X^m
+    x: tuple                      # product spec of X
+    z: tuple                      # product spec of the Z numerator
+    z_xexp: Fraction              # Z = (z product) / X^m
     b2_factors: Tuple[tuple, ...]
     h_num: tuple
     h_den: tuple = (1,)
@@ -331,9 +332,6 @@ class LevelRow:
 
     def G(self) -> Poly:
         return poly_product(self.b2_factors)
-
-    def H_parts(self) -> Tuple[Poly, Poly]:
-        return Poly(self.h_num), Poly(self.h_den)
 
     def nterms(self) -> int:
         return 1 + max(self.G().degree, len(self.h_num) - 1)
@@ -346,149 +344,147 @@ def _eta(*pairs) -> tuple:
 LEVEL_ROWS: Dict[str, LevelRow] = {
     # level 1: w from the weight-4 Eisenstein pair, X = w/(1+432w)^2
     "level1": LevelRow(
-        "level1", "1", ("level1w",), (1, 864, 186624), None,
-        ((1, 4),), F(1, 6),
+        "level1", "1", ("hauptmodul", ("level1w",), (1, 864, 186624)),
+        _eta((1, 4)), F(1, 6),
         ((1, -1728),), (0, 120), oracle_id="level1"),
     # level 2
     "level2": LevelRow(
-        "level2", "2", _eta((2, 24), (1, -24)), (1, 128, 4096), None,
-        ((1, 2), (2, 2)), F(1, 4),
+        "level2", "2", ("hauptmodul", _eta((2, 24), (1, -24)), (1, 128, 4096)),
+        _eta((1, 2), (2, 2)), F(1, 4),
         ((1, -256),), (0, 24), oracle_id="level2"),
     # level 3
     "level3": LevelRow(
-        "level3", "3", _eta((3, 12), (1, -12)), (1, 54, 729), None,
-        ((1, 2), (3, 2)), F(1, 3),
+        "level3", "3", ("hauptmodul", _eta((3, 12), (1, -12)), (1, 54, 729)),
+        _eta((1, 2), (3, 2)), F(1, 3),
         ((1, -108),), (0, 12), oracle_id="level3"),
     # level 4
     "level4": LevelRow(
-        "level4", "4", _eta((4, 8), (1, -8)), (1, 32, 256), None,
-        ((1, 2), (4, 2)), F(5, 12),
+        "level4", "4", ("hauptmodul", _eta((4, 8), (1, -8)), (1, 32, 256)),
+        _eta((1, 2), (4, 2)), F(5, 12),
         ((1, -64),), (0, 8), oracle_id="level4"),
     # level 5
     "level5": LevelRow(
-        "level5", "5", _eta((5, 6), (1, -6)), (1, 22, 125), None,
-        ((1, 2), (5, 2)), F(1, 2),
+        "level5", "5", ("hauptmodul", _eta((5, 6), (1, -6)), (1, 22, 125)),
+        _eta((1, 2), (5, 2)), F(1, 2),
         ((1, -44, -16),), (0, 6, 6), oracle_id="level5"),
     # level 6 (A)
     "level6A": LevelRow(
-        "level6A", "6 (A)", _eta((1, 12), (6, 12), (2, -12), (3, -12)), (1, -34, 1), None,
-        ((1, 1), (2, 1), (3, 1), (6, 1)), F(1, 2),
+        "level6A", "6 (A)", ("hauptmodul", _eta((1, 12), (6, 12), (2, -12), (3, -12)), (1, -34, 1)),
+        _eta((1, 1), (2, 1), (3, 1), (6, 1)), F(1, 2),
         ((1, 32), (1, 36)), (0, -12, -432), oracle_id="level6A"),
     # level 6 (B)
     "level6B": LevelRow(
-        "level6B", "6 (B)", _eta((2, 6), (6, 6), (1, -6), (3, -6)), (1, 20, 64), None,
-        ((1, 1), (2, 1), (3, 1), (6, 1)), F(1, 2),
+        "level6B", "6 (B)", ("hauptmodul", _eta((2, 6), (6, 6), (1, -6), (3, -6)), (1, 20, 64)),
+        _eta((1, 1), (2, 1), (3, 1), (6, 1)), F(1, 2),
         ((1, -4), (1, -36)), (0, 6, -54), oracle_id="level6B"),
     # level 6 (C)
     "level6C": LevelRow(
-        "level6C", "6 (C)", _eta((3, 4), (6, 4), (1, -4), (2, -4)), (1, 14, 81), None,
-        ((1, 1), (2, 1), (3, 1), (6, 1)), F(1, 2),
+        "level6C", "6 (C)", ("hauptmodul", _eta((3, 4), (6, 4), (1, -4), (2, -4)), (1, 14, 81)),
+        _eta((1, 1), (2, 1), (3, 1), (6, 1)), F(1, 2),
         ((1, 4), (1, -32)), (0, 4, 48), oracle_id="level6C"),
     # level 7
     "level7": LevelRow(
-        "level7", "7", _eta((7, 4), (1, -4)), (1, 13, 49), None,
-        ((1, 2), (7, 2)), F(2, 3),
+        "level7", "7", ("hauptmodul", _eta((7, 4), (1, -4)), (1, 13, 49)),
+        _eta((1, 2), (7, 2)), F(2, 3),
         ((1, 1), (1, -27)), (0, 4, 12), oracle_id="level7"),
     # level 8: printed X lacks the w numerator; X = w/(1-24w+16w^2) restores
     # X = q + O(q^2) and matches the B^2, H row
     "level8": LevelRow(
-        "level8", "8", _eta((1, 8), (8, 8), (2, -8), (4, -8)), (1, -24, 16), None,
-        ((2, 2), (4, 2)), F(1, 2),
+        "level8", "8", ("hauptmodul", _eta((1, 8), (8, 8), (2, -8), (4, -8)), (1, -24, 16)),
+        _eta((2, 2), (4, 2)), F(1, 2),
         ((1, 16), (1, 32)), (0, -8, -192), oracle_id="level8",
         corrected="printed X(w) = 1/(1-24w+16w^2); the w numerator is restored"),
     # level 9
     "level9": LevelRow(
-        "level9", "9", _eta((1, 6), (9, 6), (3, -12)), (1, -18, -27), None,
-        ((3, 4),), F(1, 2),
+        "level9", "9", ("hauptmodul", _eta((1, 6), (9, 6), (3, -12)), (1, -18, -27)),
+        _eta((3, 4)), F(1, 2),
         ((1, 36, 432),), (0, -6, -162), oracle_id="level9"),
     # level 10
     "level10": LevelRow(
-        "level10", "10", _eta((2, 4), (10, 4), (1, -4), (5, -4)), (1, 8, 16), None,
-        ((1, 1), (2, 1), (5, 1), (10, 1)), F(3, 4),
+        "level10", "10", ("hauptmodul", _eta((2, 4), (10, 4), (1, -4), (5, -4)), (1, 8, 16)),
+        _eta((1, 1), (2, 1), (5, 1), (10, 1)), F(3, 4),
         ((1, 4), (1, -16)), (0, 2, 30), oracle_id="level10"),
     # level 11: X = (eta1 eta11 / theta_{1,1,3})^2
     "level11": LevelRow(
-        "level11", "11", None, None,
-        ("eta_theta_sq", ((1, 1), (11, 1)), (1, 1, 3)),
-        ((1, 2), (11, 2)), F(1),
+        "level11", "11", ("eta_theta_sq", ((1, 1), (11, 1)), (1, 1, 3)),
+        _eta((1, 2), (11, 2)), F(1),
         ((1, -20, 56, -44),), (0, 4, -32, 44)),
     # level 12
     "level12": LevelRow(
-        "level12", "12", _eta((1, 4), (12, 4), (3, -4), (4, -4)), (1, 2, 1), None,
-        ((1, 1), (3, 1), (4, 1), (12, 1)), F(5, 6),
+        "level12", "12", ("hauptmodul", _eta((1, 4), (12, 4), (3, -4), (4, -4)), (1, 2, 1)),
+        _eta((1, 1), (3, 1), (4, 1), (12, 1)), F(5, 6),
         ((1, -4), (1, -16)), (0, 4, -32), oracle_id="level12"),
     # level 13 (rational terms; 4^n T(n) integral)
     "level13": LevelRow(
-        "level13", "13", _eta((13, 2), (1, -2)), (1, 5, 13), None,
-        ((1, 2), (13, 2)), F(7, 6),
+        "level13", "13", ("hauptmodul", _eta((13, 2), (1, -2)), (1, 5, 13)),
+        _eta((1, 2), (13, 2)), F(7, 6),
         ((1, 1), (1, -10, -27)), (0, F(3, 2), F(175, 8), F(231, 8)),
         ring=RING_Q),
     # level 14 (A)
     "level14A": LevelRow(
-        "level14A", "14 (A)", _eta((1, 4), (14, 4), (2, -4), (7, -4)), (1, -2, 1), None,
-        ((1, 1), (2, 1), (7, 1), (14, 1)), F(1),
+        "level14A", "14 (A)", ("hauptmodul", _eta((1, 4), (14, 4), (2, -4), (7, -4)), (1, -2, 1)),
+        _eta((1, 1), (2, 1), (7, 1), (14, 1)), F(1),
         ((1, 4), (1, -10, -7)), (0, 1, F(51, 2), 28), oracle_id="level14A"),
     # level 14 (B)
     "level14B": LevelRow(
-        "level14B", "14 (B)", _eta((1, 4), (14, 4), (2, -4), (7, -4)), (1, 2, 1), None,
-        ((1, 1), (2, 1), (7, 1), (14, 1)), F(1),
+        "level14B", "14 (B)", ("hauptmodul", _eta((1, 4), (14, 4), (2, -4), (7, -4)), (1, 2, 1)),
+        _eta((1, 1), (2, 1), (7, 1), (14, 1)), F(1),
         ((1, -4), (1, -18, 49)), (0, 5, F(-141, 2), 196)),
     # level 15 (A)
     "level15A": LevelRow(
-        "level15A", "15 (A)", _eta((3, 2), (15, 2), (1, -2), (5, -2)), (1, 6, 9), None,
-        ((1, 1), (3, 1), (5, 1), (15, 1)), F(1),
+        "level15A", "15 (A)", ("hauptmodul", _eta((3, 2), (15, 2), (1, -2), (5, -2)), (1, 6, 9)),
+        _eta((1, 1), (3, 1), (5, 1), (15, 1)), F(1),
         ((1, -12), (1, -2, 5)), (0, 3, F(-33, 2), 60)),
     # level 15 (B)
     "level15B": LevelRow(
-        "level15B", "15 (B)", _eta((3, 2), (15, 2), (1, -2), (5, -2)), (1, -6, 9), None,
-        ((1, 1), (3, 1), (5, 1), (15, 1)), F(1),
+        "level15B", "15 (B)", ("hauptmodul", _eta((3, 2), (15, 2), (1, -2), (5, -2)), (1, -6, 9)),
+        _eta((1, 1), (3, 1), (5, 1), (15, 1)), F(1),
         ((1, 12), (1, 22, 125)), (0, -9, F(-465, 2), -1500)),
     # level 18
     "level18": LevelRow(
-        "level18", "18", _eta((1, 2), (2, 2), (9, 2), (18, 2), (3, -4), (6, -4)),
-        (1, 6, 9), None,
-        ((3, 2), (6, 2)), F(3, 4),
+        "level18", "18", ("hauptmodul", _eta((1, 2), (2, 2), (9, 2), (18, 2), (3, -4), (6, -4)),
+                          (1, 6, 9)),
+        _eta((3, 2), (6, 2)), F(3, 4),
         ((1, -12), (1, -16)), (0, 6, -90), oracle_id="level18"),
     # level 20
     "level20": LevelRow(
-        "level20", "20", _eta((1, 2), (20, 2), (4, -2), (5, -2)), (1, 2, 1), None,
-        ((2, 2), (10, 2)), F(1),
+        "level20", "20", ("hauptmodul", _eta((1, 2), (20, 2), (4, -2), (5, -2)), (1, 2, 1)),
+        _eta((2, 2), (10, 2)), F(1),
         ((1, -4), (1, -12, 16)), (0, 4, -40, 72)),
     # level 21
     "level21": LevelRow(
-        "level21", "21", _eta((1, 2), (21, 2), (3, -2), (7, -2)), (1, -2, 1), None,
-        ((1, 1), (3, 1), (7, 1), (21, 1)), F(4, 3),
+        "level21", "21", ("hauptmodul", _eta((1, 2), (21, 2), (3, -2), (7, -2)), (1, -2, 1)),
+        _eta((1, 1), (3, 1), (7, 1), (21, 1)), F(4, 3),
         ((1, 4), (1, -2, -27)), (0, -1, F(47, 2), 120)),
     # level 22 (5-term row)
     "level22": LevelRow(
-        "level22", "22", _eta((2, 2), (22, 2), (1, -2), (11, -2)), (1, 4, 4), None,
-        ((1, 1), (2, 1), (11, 1), (22, 1)), F(3, 2),
+        "level22", "22", ("hauptmodul", _eta((2, 2), (22, 2), (1, -2), (11, -2)), (1, 4, 4)),
+        _eta((1, 1), (2, 1), (11, 1), (22, 1)), F(3, 2),
         ((1, -8), (1, 0, -4, 4)), (0, 2, 2, -44, 60)),
     # level 23 (7-term row): X = 2 eta1 eta23 / (theta_{1,1,6} + theta_{2,1,3})
     "level23": LevelRow(
-        "level23", "23", None, None,
-        ("eta_over_theta_sum", ((1, 1), (23, 1)), (1, 1, 6), (2, 1, 3), 2),
-        ((1, 2), (23, 2)), F(2),
+        "level23", "23", ("eta_over_theta_sum", ((1, 1), (23, 1)), (1, 1, 6), (2, 1, 3), 2),
+        _eta((1, 2), (23, 2)), F(2),
         ((1, 0, -1, 1), (1, -8, 3, -7)), (0, 2, -2, -2, 24, -30, 28)),
     # level 24
     "level24": LevelRow(
-        "level24", "24", _eta((1, 2), (3, 2), (8, 2), (24, 2), (2, -2), (4, -2), (6, -2), (12, -2)),
-        (1, 0, 4), None,
-        ((2, 1), (4, 1), (6, 1), (12, 1)), F(1),
+        "level24", "24", ("hauptmodul", _eta((1, 2), (3, 2), (8, 2), (24, 2),
+                                             (2, -2), (4, -2), (6, -2), (12, -2)), (1, 0, 4)),
+        _eta((2, 1), (4, 1), (6, 1), (12, 1)), F(1),
         ((1, 4), (1, -4), (1, -8)), (0, 2, 10, -128), oracle_id="level24"),
     # level 33 (6-term row)
     "level33": LevelRow(
-        "level33", "33", _eta((3, 1), (33, 1), (1, -1), (11, -1)), (1, 1, 3), None,
-        ((1, 1), (3, 1), (11, 1), (33, 1)), F(2),
+        "level33", "33", ("hauptmodul", _eta((3, 1), (33, 1), (1, -1), (11, -1)), (1, 1, 3)),
+        _eta((1, 1), (3, 1), (11, 1), (33, 1)), F(2),
         ((1, -2, -11), (1, 4, 8, 4)), (0, -1, F(15, 2), 76, 202, 132)),
     # level 35 (6-term row)
     "level35": LevelRow(
-        "level35", "35", _eta((1, 1), (35, 1), (5, -1), (7, -1)), (1, 1, -1), None,
-        ((1, 1), (5, 1), (7, 1), (35, 1)), F(2),
+        "level35", "35", ("hauptmodul", _eta((1, 1), (35, 1), (5, -1), (7, -1)), (1, 1, -1)),
+        _eta((1, 1), (5, 1), (7, 1), (35, 1)), F(2),
         ((1, -2, 5), (1, -8, 16, -28)), (0, 3, F(-61, 2), 148, -290, 420)),
     # level 13 starred variant: Z* is Eisenstein, H* is a rational function
     "level13star": LevelRow(
-        "level13star", "13*", _eta((13, 2), (1, -2)), (1, 6, 13), None,
+        "level13star", "13*", ("hauptmodul", _eta((13, 2), (1, -2)), (1, 6, 13)),
         ("eisenstein13",), F(0),
         ((1, -12, -16),), (0, 2, 10, -6, 6), h_den=(1, -2, 1),
         ring=RING_Z),

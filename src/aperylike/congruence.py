@@ -25,8 +25,8 @@ chosen per call with no option:
 
 A Lucas scan builds the digit product incrementally:
 prod(n) = prod(n // p) * T(n mod p) mod p, one ring product per index.
-Every modulus must be >= 2 and every p prime; both are checked before any
-term is streamed.
+Every modulus must be >= 2, every p prime, every list of primes nonempty
+and every class modulus >= 1; all are checked before any term is streamed.
 """
 
 from __future__ import annotations
@@ -110,6 +110,13 @@ def _check_moduli(moduli) -> None:
 def _check_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError("%d is not prime" % p)
+
+
+def _check_primes(primes: Sequence[int]) -> None:
+    if not primes:
+        raise ValueError("no primes given")
+    for p in primes:
+        _check_prime(p)
 
 
 def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int) -> Dict[int, Residue]:
@@ -196,6 +203,11 @@ def _tpn_matches(seq_key: str, p: int, modulus: int, n_max: int,
         raise ValueError("n_max must be >= 1, got %d" % n_max)
     _check_prime(p)
     _check_moduli([modulus])
+    if class_mod < 1:
+        raise ValueError("class_mod must be >= 1, got %d" % class_mod)
+    for k in offsets:
+        if k not in range(class_mod):
+            raise ValueError("offset class %r is not in range(%d)" % (k, class_mod))
     seq = catalog.sequence(seq_key)
     e = _exponent_of(p, modulus)
     if seq.ring.kind == "Z" and e is not None:
@@ -237,8 +249,7 @@ def lucas_scan_many(seq_key: str, primes: Sequence[int], n_max: int) -> List[Con
     if n_max < 1:
         raise ValueError("n_max must be >= 1, got %d" % n_max)
     primes = sorted(primes)
-    for p in primes:
-        _check_prime(p)
+    _check_primes(primes)
     seq = catalog.sequence(seq_key)
     d = seq.ring.d if seq.ring.kind == "quad" else 0
     tables = _exact_residues(seq, n_max, [(p, 1) for p in primes])
@@ -324,6 +335,7 @@ def scan_c_counts(seq_key: str, primes: Sequence[int], n_max: int = 1000) -> Dic
     Each prime runs p*n_max steps of the recurrence once (p-adically over Z),
     retaining only residues.
     """
+    _check_primes(primes)
     return {p: supercongruence_check(seq_key, p, 2, n_max).passes for p in sorted(primes)}
 
 

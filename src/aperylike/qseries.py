@@ -463,6 +463,15 @@ def build_product(spec: tuple, order: int) -> QExpansion:
         Rs = eisenstein_expand("R", order)
         q32 = Qs.pow_fraction(F(3, 2))
         return (q32 - Rs) / ((q32 + Rs) * 432)
+    if kind == "hauptmodul":
+        w = build_product(spec[1], order)
+        return w / poly_at_series(Poly(spec[2]), w)
+    if kind == "eta_theta_sq":
+        return (eta_quotient(spec[1], order) / theta_expand(spec[2], order)) ** 2
+    if kind == "eta_over_theta_sum":
+        _, eta, th1, th2, scale = spec
+        num = eta_quotient(eta, order) * scale
+        return num / (theta_expand(th1, order) + theta_expand(th2, order))
     raise QSeriesError("unknown product spec %r" % (kind,))
 
 
@@ -483,42 +492,16 @@ def poly_at_series(p: Poly, X: QExpansion) -> QExpansion:
 # ---------------------------------------------------------------------------
 
 
-def build_w(row: LevelRow, order: int) -> QExpansion:
-    if row.w is None:
-        raise QSeriesError("level %s has no Hauptmodul w in the tables" % row.key)
-    return build_product(row.w, order)
-
-
-def build_x(row: LevelRow, order: int) -> QExpansion:
-    if row.x_special is not None:
-        kind = row.x_special[0]
-        if kind == "eta_theta_sq":
-            _, eta, theta = row.x_special
-            num = eta_quotient(eta, order)
-            den = theta_expand(theta, order)
-            return (num / den) ** 2
-        if kind == "eta_over_theta_sum":
-            _, eta, th1, th2, scale = row.x_special
-            num = eta_quotient(eta, order) * scale
-            den = theta_expand(th1, order) + theta_expand(th2, order)
-            return num / den
-        raise QSeriesError("unknown X spec %r" % (kind,))
-    w = build_w(row, order)
-    return w / poly_at_series(Poly(row.x_denom), w)
-
-
 def build_xz(row: LevelRow, order: int) -> Tuple[QExpansion, QExpansion]:
     """The pair (X, Z) for a catalog level, verified to have X = q + O(q^2)
     and Z = 1 + O(q); raises "definition inconsistent" otherwise."""
-    X = build_x(row, order + 4).normalized()
+    X = build_product(row.x, order + 4).normalized()
     if X.offset != 1 or X.coefficient(1) != 1:
         raise QSeriesError("definition inconsistent: X of %s starts %s q^%s"
                            % (row.key, X.coefficient(X.offset), X.offset))
-    if row.z_eta and row.z_eta[0] == "eisenstein13":
-        Z = build_product(("eisenstein13",), order + 4)
-    else:
-        num = eta_quotient(row.z_eta, order + 4)
-        Z = num / X.pow_fraction(row.z_xexp) if row.z_xexp else num
+    Z = build_product(row.z, order + 4)
+    if row.z_xexp:
+        Z = Z / X.pow_fraction(row.z_xexp)
     Z = Z.normalized()
     if Z.offset != 0 or Z.coefficient(0) != 1:
         raise QSeriesError("definition inconsistent: Z of %s starts %s q^%s"
@@ -558,29 +541,36 @@ def _check_order(order: int) -> None:
         raise QSeriesError("verification order must be >= 1, got %s" % (order,))
 
 
-def verify_diff_formula(row: LevelRow, order: int = 30) -> Tuple[bool, Optional[Fraction]]:
-    """(q dX/dq)^2 == Z^2 X^2 G(X) through q^order (squared form, no roots)."""
-    _check_order(order)
-    X, Z = build_xz(row, order + 2)
-    lhs = X.q_derivative()
-    lhs = lhs * lhs
-    G = poly_at_series(row.G(), X)
-    rhs = Z * Z * X * X * G
-    return qexp_equal(lhs, rhs, order)
+Check = Tuple[bool, Optional[Fraction]]
 
 
-def verify_ode(row: LevelRow, order: int = 30) -> Tuple[bool, Optional[Fraction]]:
-    """D^2 Z - (DZ)^2/(2Z) == H(X) Z with D = (1/Z) q d/dq, through q^order."""
+def verify_level_row(row: LevelRow, order: int = 30) -> Tuple[Check, Check]:
+    """The differentiation formula (q dX/dq)^2 == Z^2 X^2 G(X) (squared form,
+    no roots) and the ODE D^2 Z - (DZ)^2/(2Z) == H(X) Z with D = (1/Z) q d/dq,
+    each through q^order, from one build of (X, Z).  Returns
+    ((ok, first mismatch), (ok, first mismatch)) for the two in that order."""
     _check_order(order)
     X, Z = build_xz(row, order + 4)
+    dX = X.q_derivative()
+    diff = qexp_equal(dX * dX, Z * Z * X * X * poly_at_series(row.G(), X), order)
     DZ = Z.q_derivative() / Z
     D2Z = DZ.q_derivative() / Z
     lhs = D2Z - (DZ * DZ) / (2 * Z)
-    hnum, hden = row.H_parts()
-    rhs = poly_at_series(hnum, X) * Z
+    rhs = poly_at_series(Poly(row.h_num), X) * Z
+    hden = Poly(row.h_den)
     if hden.degree > 0 or hden[0] != 1:
         lhs = lhs * poly_at_series(hden, X)
-    return qexp_equal(lhs, rhs, order)
+    return diff, qexp_equal(lhs, rhs, order)
+
+
+def _expansion_matches(terms: Sequence, z: QExpansion, x: QExpansion,
+                       order: int) -> Check:
+    """Whether z == sum terms[n] x^n for n <= order; the first n that differs."""
+    got = expansion_coefficients(z, x, order)
+    for n, (u, v) in enumerate(zip(terms, got)):
+        if u != v:
+            return False, F(n)
+    return True, None
 
 
 def verify_weight_one(row: Weight1Row, order: int = 30) -> Tuple[bool, Optional[Fraction]]:
@@ -592,10 +582,9 @@ def verify_weight_one(row: Weight1Row, order: int = 30) -> Tuple[bool, Optional[
     if x.offset != 1 or x.coefficient(1) != 1:
         raise QSeriesError("x of %s is not q + O(q^2)" % row.key)
     t = generate_terms(recurrence_from_quadratic(a, b, g), order, RING_Z)
-    got = expansion_coefficients(z, x, order)
-    for n, (u, v) in enumerate(zip(t, got)):
-        if u != v:
-            return False, F(n)
+    ok, where = _expansion_matches(t, z, x, order)
+    if not ok:
+        return ok, where
     lhs = x.q_derivative()
     rhs = z * z * x * poly_at_series(Poly([1, -a, -g]), x)
     return qexp_equal(lhs, rhs, order)
@@ -609,11 +598,7 @@ def verify_weight_two(row, order: int = 20) -> Tuple[bool, Optional[Fraction]]:
     w = build_product(row.w, order + 4).normalized()
     y = build_product(row.y, order + 4).normalized()
     s = generate_terms(cubic_from_quadratic_asz(a, b, g), order, RING_Z)
-    got = expansion_coefficients(y, w, order)
-    for n, (u, v) in enumerate(zip(s, got)):
-        if u != v:
-            return False, F(n)
-    return True, None
+    return _expansion_matches(s, y, w, order)
 
 
 # -- the identity bank ------------------------------------------------------
@@ -624,11 +609,7 @@ def _bank_beukers_apery(order: int):
     w = build_product(row.w, order + 4).normalized()
     y = build_product(row.y, order + 4).normalized()
     apery = ORACLES["apery"]
-    got = expansion_coefficients(y, w, order)
-    for n, v in enumerate(got):
-        if v != apery(n):
-            return False, F(n)
-    return True, None
+    return _expansion_matches([apery(n) for n in range(order + 1)], y, w, order)
 
 
 def _bank_jacobi_phi4(order: int):

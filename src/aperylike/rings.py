@@ -2,8 +2,7 @@
 
 Three scalar kinds mix freely in arithmetic: plain ``int``,
 ``fractions.Fraction``, and :class:`QuadElem` (a + b*sqrt(d) with rational
-coordinates).  Every value is immutable, so scalars are safe to share
-between concurrent workers.
+coordinates).  Every value is immutable.
 """
 
 from __future__ import annotations

@@ -32,9 +32,8 @@ from aperylike.congruence import (
 )
 from aperylike.qseries import (
     IDENTITY_BANK,
-    verify_diff_formula,
     verify_identity_bank,
-    verify_ode,
+    verify_level_row,
     verify_weight_one,
 )
 from aperylike.recurrence import scaled_integrality_check
@@ -87,9 +86,8 @@ def test_criterion_3_qseries_sweep(acceptance_record):
     t0 = time.time()
     for key in catalog.TABLE_LEVEL_KEYS:
         row = catalog.LEVEL_ROWS[key]
-        assert verify_diff_formula(row, 30) == (True, None), key
-        assert verify_ode(row, 30) == (True, None), key
-    assert verify_ode(catalog.LEVEL_ROWS["level13star"], 30) == (True, None)
+        assert verify_level_row(row, 30) == ((True, None), (True, None)), key
+    assert verify_level_row(catalog.LEVEL_ROWS["level13star"], 30) == ((True, None), (True, None))
     for key, row in catalog.ZAGIER_ROWS.items():
         assert verify_weight_one(row, 30) == (True, None), key
     for name in sorted(IDENTITY_BANK):

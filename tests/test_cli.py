@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -178,12 +179,48 @@ def test_library_reproduce_rejects_options_its_table_does_not_read(table, option
 
 def test_library_reproduce_takes_the_options_its_table_reads():
     rep = reproduce("cp-counts", nmax=20, primes=[3, 2])
-    assert rep.outcome == "PASS"
+    assert rep.outcome == "DATA"  # no committed counts at n <= 20
     assert rep.parameters == {"table": "cp-counts", "nmax": 20, "primes": [3, 2]}
     with pytest.raises(ValueError, match="4 is not prime"):
         reproduce("cp-counts", primes=[4, 6])
     with pytest.raises(catalog.UnknownKeyError):
         reproduce("nope", order=3)
+
+
+def test_cp_counts_with_nothing_to_compare_is_data_not_pass(capsys):
+    code, doc = run_json(capsys, "reproduce", "cp-counts", "--nmax", "20", "--primes", "2,103")
+    assert code == 0 and doc["outcome"] == "DATA"
+    assert [r["status"] for r in doc["payload"]["rows"]] == ["DATA", "DATA"]
+    assert doc["payload"]["mismatches"] == []
+    # 103 has no committed count at n <= 1000 either, 2 does
+    rep = reproduce("cp-counts", nmax=1000, primes=[2, 103])
+    assert rep.outcome == "DATA"
+    assert [r["status"] for r in rep.payload["rows"]] == ["PASS", "DATA"]
+
+
+def test_reproduce_rejects_an_empty_prime_list():
+    # None selects the seven default primes; an empty list is not None
+    with pytest.raises(ValueError, match="^no primes given$"):
+        reproduce("cp-counts", nmax=5, primes=[])
+
+
+def _readme_command_lines():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split(" #", 1)[0].strip() for line in block.splitlines()
+            if line.startswith("aperylike ")]
+
+
+def test_readme_command_examples_parse():
+    lines = _readme_command_lines()
+    assert len(lines) == 11
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert callable(parser.parse_args(argv).func), line
 
 
 def test_terms_negative_nmax_fails_fast(capsys):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from aperylike import catalog
+from aperylike import catalog, congruence
 from aperylike.congruence import (
     PATTERNS,
     CongruenceReport,
@@ -235,6 +235,36 @@ def test_moduli_below_two_are_rejected_before_the_stream(scan):
 ])
 def test_composite_primes_are_rejected(scan):
     with pytest.raises(ValueError, match="^4 is not prime$"):
+        scan()
+
+
+def _no_stream(*args):
+    raise AssertionError("terms streamed before the arguments were checked")
+
+
+@pytest.mark.parametrize("class_mod, offsets, match", [
+    (0, {}, "^class_mod must be >= 1, got 0$"),
+    (-3, {}, "^class_mod must be >= 1, got -3$"),
+    (3, {5: 1}, r"^offset class 5 is not in range\(3\)$"),
+])
+@pytest.mark.parametrize("modulus", [9, 7])
+def test_class_mod_and_offset_classes_are_checked_before_the_stream(
+        class_mod, offsets, match, modulus, monkeypatch):
+    # class_mod 0 used to stream the terms and end in a ZeroDivisionError
+    monkeypatch.setattr(congruence, "_padic_residues", _no_stream)
+    monkeypatch.setattr(congruence, "_exact_residues", _no_stream)
+    with pytest.raises(ValueError, match=match):
+        structured_congruence_check("level11", 3, modulus, class_mod, offsets, 5)
+
+
+@pytest.mark.parametrize("scan", [
+    lambda: lucas_scan_many("level11", [], 5),
+    lambda: scan_c_counts("level11", [], 5),
+])
+def test_empty_prime_lists_are_rejected_before_the_stream(scan, monkeypatch):
+    monkeypatch.setattr(congruence, "_padic_residues", _no_stream)
+    monkeypatch.setattr(congruence, "_exact_residues", _no_stream)
+    with pytest.raises(ValueError, match="^no primes given$"):
         scan()
 
 

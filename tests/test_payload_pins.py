@@ -8,7 +8,9 @@ generating-function rows of ``verify-identities`` and ``verify-qseries
 --all`` came from one builder; the ``catalog --export`` and ``terms`` pins
 at d6a63ac, before def files and catalog keys shared one sequence type;
 the ``lucas``, ``supercong`` and ``scan`` pins at b5d7cd0, before residue
-requests became (modulus, stride) targets.  A refactor must leave every
+requests became (modulus, stride) targets; the ``reproduce levels-*`` and
+default and ``--level`` ``verify-qseries`` pins at 00595b9, before each
+level row's X and Z became product specs built once per row.  A refactor must leave every
 pinned payload byte-identical.
 """
 
@@ -41,6 +43,18 @@ PINS = {
     # c(p) counts from the p-adic kernel; recorded at b5d7cd0
     ("scan", "--primes", "2..31", "--nmax", "100"):
         "df4fdd0dec77e7878986de461ea35b129123ca92257cf0423266eb774b58f851",
+    # coefficients of every table row's (X, Z) against its terms; recorded at 00595b9
+    ("reproduce", "levels-XZ"):
+        "3077e7cd8b4419fb87ba9d89425d257228a3e3770375ced8620a003db079cead",
+    # diff formula and ODE per level row, reduced to one status; recorded at 00595b9
+    ("reproduce", "levels-BH", "--order", "10"):
+        "39d32bbb9019b256b03fab4a28c54dda85b956d7f6ce4cd6e22e915df988a162",
+    # the default level rows; recorded at 00595b9
+    ("verify-qseries", "--order", "10"):
+        "d723cad8345cee1e8abd5cacec365e59204b64e198eb44ed2101321d6223821b",
+    # one 7-term row, X from a theta sum; recorded at 00595b9
+    ("verify-qseries", "--level", "level23", "--order", "10"):
+        "88d8ed87acefedc8b3a4934f0ff4710c05757769ac0ccd509d2788fc16ef487c",
 }
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +9,7 @@ from aperylike.qseries import (
     IDENTITY_BANK,
     QExpansion,
     QSeriesError,
+    _check_order,
     build_xz,
     eisenstein_expand,
     epsilon_x_expansion,
@@ -17,14 +20,14 @@ from aperylike.qseries import (
     printed_x14_matches_reciprocal,
     psi_expand,
     qexp_equal,
+    poly_at_series,
     theta_expand,
-    verify_diff_formula,
     verify_identity_bank,
-    verify_ode,
+    verify_level_row,
     verify_weight_one,
     verify_weight_two,
 )
-from aperylike.recurrence import generate_terms
+from aperylike.recurrence import Poly, generate_terms
 
 
 def brute_theta(a, b, c, order, box=80):
@@ -127,25 +130,113 @@ def test_z_coefficient_denominators():
 
 
 def test_diff_formula_examples():
-    assert verify_diff_formula(catalog.LEVEL_ROWS["level4"], 30) == (True, None)
-    assert verify_diff_formula(catalog.LEVEL_ROWS["level10"], 30) == (True, None)
+    assert verify_level_row(catalog.LEVEL_ROWS["level4"], 30)[0] == (True, None)
+    assert verify_level_row(catalog.LEVEL_ROWS["level10"], 30)[0] == (True, None)
 
 
 def test_ode_examples():
-    assert verify_ode(catalog.LEVEL_ROWS["level4"], 30) == (True, None)
-    assert verify_ode(catalog.LEVEL_ROWS["level23"], 30) == (True, None)
-    assert verify_ode(catalog.LEVEL_ROWS["level13star"], 30) == (True, None)
+    assert verify_level_row(catalog.LEVEL_ROWS["level4"], 30)[1] == (True, None)
+    assert verify_level_row(catalog.LEVEL_ROWS["level23"], 30)[1] == (True, None)
+    assert verify_level_row(catalog.LEVEL_ROWS["level13star"], 30)[1] == (True, None)
 
 
 def test_corrupted_row_is_caught():
-    import dataclasses
     row = catalog.LEVEL_ROWS["level7"]
     wrong = dataclasses.replace(row, h_num=(0, 4, 13))
-    ok, where = verify_ode(wrong, 12)
+    ok, where = verify_level_row(wrong, 12)[1]
     assert not ok and where is not None
     wrong2 = dataclasses.replace(row, b2_factors=((1, 1), (1, -26)))
-    ok, where = verify_diff_formula(wrong2, 12)
+    ok, where = verify_level_row(wrong2, 12)[0]
     assert not ok
+
+
+# The two level-row verifiers that verify_level_row replaced, kept as the
+# differential reference: each builds its own (X, Z), the differentiation
+# formula at order + 2 and the ODE at order + 4.  (H_parts, a one-line
+# wrapper on the row, is spelled out.)
+def ref_diff(row, order=30):
+    """(q dX/dq)^2 == Z^2 X^2 G(X) through q^order (squared form, no roots)."""
+    _check_order(order)
+    X, Z = build_xz(row, order + 2)
+    lhs = X.q_derivative()
+    lhs = lhs * lhs
+    G = poly_at_series(row.G(), X)
+    rhs = Z * Z * X * X * G
+    return qexp_equal(lhs, rhs, order)
+
+
+def ref_ode(row, order=30):
+    """D^2 Z - (DZ)^2/(2Z) == H(X) Z with D = (1/Z) q d/dq, through q^order."""
+    _check_order(order)
+    X, Z = build_xz(row, order + 4)
+    DZ = Z.q_derivative() / Z
+    D2Z = DZ.q_derivative() / Z
+    lhs = D2Z - (DZ * DZ) / (2 * Z)
+    hnum, hden = Poly(row.h_num), Poly(row.h_den)
+    rhs = poly_at_series(hnum, X) * Z
+    if hden.degree > 0 or hden[0] != 1:
+        lhs = lhs * poly_at_series(hden, X)
+    return qexp_equal(lhs, rhs, order)
+
+
+def _bump_last(coeffs):
+    return tuple(coeffs[:-1]) + (coeffs[-1] + 1,)
+
+
+@pytest.mark.parametrize("key", sorted(catalog.LEVEL_ROWS))
+def test_verify_level_row_matches_the_two_verifiers_it_replaced(key):
+    row = catalog.LEVEL_ROWS[key]
+    wrong_b2 = dataclasses.replace(
+        row, b2_factors=(_bump_last(row.b2_factors[0]),) + row.b2_factors[1:])
+    wrong_h = dataclasses.replace(row, h_num=_bump_last(row.h_num))
+    for r in (row, wrong_b2, wrong_h):
+        assert verify_level_row(r, 12) == (ref_diff(r, 12), ref_ode(r, 12)), r
+    # the perturbations are caught, so the mismatch exponents are compared
+    assert verify_level_row(wrong_b2, 12)[0][0] is False
+    assert verify_level_row(wrong_h, 12)[1][0] is False
+
+
+# sha256 of repr([(str(offset), num, den) for X and Z of build_xz(row, 30)]),
+# recorded at 00595b9, when X and Z were read from the row fields w, x_denom,
+# x_special and z_eta
+XZ_DIGESTS = {
+    "level1": "b15c2753cc0c2f5b708a3ec4adc13315c8c150c2d5a625142715330bb432a760",
+    "level2": "3c3f422cdeacc778ceec1d2a3757856d68400631159a50ddad1145db84dcaf32",
+    "level3": "b30522a5fc75d86834d32ea83b5cf0a85a416f9fc54b6a90632afd07d8e36e85",
+    "level4": "40e924ece4d46424811e72fc2c79e75036ed04eeea14df54923001672bee69b4",
+    "level5": "4a5a91b3aebe8acf30d21c5fe55438cf6e2f25e0f2e21ac74966dccfd9b8fb14",
+    "level6A": "c16ec4bba55741e13765cf96c360d36739feb6b04962cb139a141ac7fb1a10e1",
+    "level6B": "e06c74c5d3f4fcff7537f4f6f0f01f98416571b78fbb390a8d3346b186dfa308",
+    "level6C": "7ec261b66909a42806649386866a48418c500e0f50867f7fe3a51642865080c9",
+    "level7": "e73db01303af41e70abcee882b44c7d7588fd421aa57535d7dd8ea55b581624b",
+    "level8": "0ff42b7658600d361bc33aee4be65c28ffeb49c31484f8641bcb45b4ab0805b1",
+    "level9": "34ddff663d86f8c4dec6a6c2e32010a0982d49a4e7c296db2c84a762b9005006",
+    "level10": "d5c777dde03ad5bb77666f893f3b3f7d17e95831feb1cc6dcce2a472be54442f",
+    "level11": "7211d130b2abfa317c1c3bdf1224a09afe883820884ab6489e28296f07392137",
+    "level12": "5c1fb8ea909707b6c55cb531a04614a7a9dd4bc066c586311a53519f4a3c70e7",
+    "level13": "b2e9862cd3a69ccddd71ca431c1707c16644b4713380d0b4ff442b65c7ecdff6",
+    "level14A": "290e2e566733b2f06e756caf1f9e513cdba78755385814c683fc7989917a92f2",
+    "level14B": "e37d6bba6602bf550dc1856b6b8e63a22e0a4b88ea5909da79125401650c85fb",
+    "level15A": "76a05e41822aabbd794a428d5496422b2d64f99881a3ec2faacdd63fdb2599b1",
+    "level15B": "305e0f3ef7909e1937f47f4157e17a8c75c83c389164e61cc56a40faa26a7e9d",
+    "level18": "92a981ed8a13d5bd679a85b1dac08e184332b2c8012584af6e4e6ff24231e0d1",
+    "level20": "6a50894a0400af101d70a385c02936995a41bd3f8517ab4dfb04389484fd0717",
+    "level21": "de0fe5269c4676ab143399053480ad61743cee52d8406d624e8b34aa559a8669",
+    "level22": "f959de0e73cb6337337a21895f6f4f97a1a466cef48c4d824ff1d159a0955314",
+    "level23": "6cf14613791264e15cf553c6c2c014447b3b7da4557d30b4d9bf0315711e234c",
+    "level24": "f9b37e60de5fd75145cb6dd3f42e85a8142817f1aa350085f5cfd20d54ea4ca1",
+    "level33": "24834d80ef0c6bfce792d3b8f5ce03578922f2c1721370b34b9f4374d8dc5534",
+    "level35": "caef8def45a43b8df6d13a595d36d63f9feda927d5550d4bedf986510b510d48",
+    "level13star": "9a2e5ea86b2a8ef210da0d00169ca00e311127c7db7380edcd55bf686fe7da35",
+}
+
+
+def test_every_level_row_builds_its_pinned_xz():
+    assert sorted(XZ_DIGESTS) == sorted(catalog.LEVEL_ROWS)
+    for key, row in catalog.LEVEL_ROWS.items():
+        X, Z = build_xz(row, 30)
+        text = repr([(str(f.offset), f.num, f.den) for f in (X, Z)])
+        assert hashlib.sha256(text.encode()).hexdigest() == XZ_DIGESTS[key], key
 
 
 def test_weight_one_rows():
@@ -218,9 +309,7 @@ def test_orders_below_one_are_rejected():
     row = catalog.LEVEL_ROWS["level11"]
     for order in (0, -1):
         with pytest.raises(QSeriesError):
-            verify_diff_formula(row, order)
-        with pytest.raises(QSeriesError):
-            verify_ode(row, order)
+            verify_level_row(row, order)
         with pytest.raises(QSeriesError):
             verify_weight_one(catalog.ZAGIER_ROWS["zagier5"], order)
         with pytest.raises(QSeriesError):
