@@ -550,6 +550,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         unread = _unread_options(args.table, args.order, args.nmax, args.primes)
         if unread:
             parser.error("reproduce %s does not read --%s" % (args.table, unread[0]))
+    # exact terms run past the 4,300-digit default of int -> str conversion
+    set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_int_max_str_digits is not None:
+        set_int_max_str_digits(0)
     t0 = time.time()
     try:
         report = args.func(args)

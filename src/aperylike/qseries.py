@@ -9,12 +9,17 @@ grid).  The coefficients are stored as Python ints over one common
 denominator, so every operation is plain-int arithmetic.  Every operation
 tracks how far the result is actually known, and comparisons refuse to
 answer beyond that point.
+
+Eta quotients and Pochhammer quotients, whatever their factors and
+exponents, are built in one exact integer pass from the logarithmic
+derivative of their unit part, a divisor sum read off the factors (see
+``_unit_product``), not by a series product or quotient per factor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd, isqrt, lcm
 from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -330,48 +335,60 @@ def qexp_equal(a: QExpansion, b: QExpansion, through: int) -> Tuple[bool, Option
 # ---------------------------------------------------------------------------
 
 
+def _unit_product(factors: Sequence[Tuple[int, int, int]], order: int) -> List[int]:
+    """Coefficients to q^order of u = prod over (a, m, e) of
+    prod_{j>=0} (1 - q^(a+j m))^e, in one integer pass.
+
+    The logarithmic derivative q u'/u = sum c_n q^n has c_n = -sum e d over
+    the divisors d of n with d >= a and d = a (mod m), so u_0 = 1 and
+    n u_n = sum_{k=1..n} c_k u_(n-k).
+    """
+    c = [0] * (order + 1)
+    for a, m, e in factors:
+        for d in range(a, order + 1, m):
+            w = e * d
+            for n in range(d, order + 1, d):
+                c[n] -= w
+    u = [1]
+    for n in range(1, order + 1):
+        un, r = divmod(sum(map(mul, c[1:n + 1], reversed(u))), n)
+        if r:
+            raise QSeriesError("unit product coefficient q^%d is not an integer" % n)
+        u.append(un)
+    return u
+
+
 def poch_unit(a: int, m: int, rel: int) -> List[int]:
     """Unit-part coefficients of prod_{j>=0} (1 - q^(a+j m)) to q^rel."""
-    if rel < 0:
-        raise QSeriesError("precision q^%d is negative" % rel)
-    out = [0] * (rel + 1)
-    out[0] = 1
-    e = a
-    while e <= rel:
-        # multiply by (1 - q^e) in place
-        for i in range(rel, e - 1, -1):
-            out[i] -= out[i - e]
-        e += m
-    return out
+    return poch_quotient(0, ((a, m, 1),), rel).num
 
 
 def eta_expand(N: int, order: int) -> QExpansion:
     """eta_N = q^(N/24) prod (1 - q^(jN)), known through q^(N/24 + order)."""
-    if N < 1:
-        raise QSeriesError("eta level must be >= 1")
-    return QExpansion(F(N, 24), poch_unit(N, N, order))
+    return eta_quotient(((N, 1),), order)
 
 
 def eta_quotient(factors: Sequence[Tuple[int, int]], order: int) -> QExpansion:
-    out = QExpansion(0, [1] + [0] * order)
-    for N, e in factors:
-        f = eta_expand(N, order)
-        if e > 0:
-            out = out * f ** e
-        elif e < 0:
-            out = out / f ** (-e)
-    return out
+    """prod eta_N^e over (N, e), known through q^(sum e N/24 + order)."""
+    for N, _ in factors:
+        if N < 1:
+            raise QSeriesError("eta level must be >= 1")
+        if order < 0:
+            raise QSeriesError("precision q^%d is negative" % order)
+    unit = _unit_product([(N, N, e) for N, e in factors], order)
+    return _raw(F(sum(e * N for N, e in factors), 24), unit, 1)
 
 
 def poch_quotient(offset, factors: Sequence[Tuple[int, int, int]], order: int) -> QExpansion:
-    out = QExpansion(offset, [1] + [0] * order)
-    for a, m, e in factors:
-        unit = QExpansion(0, poch_unit(a, m, order))
-        if e > 0:
-            out = out * unit ** e
-        else:
-            out = out / unit ** (-e)
-    return out
+    """q^offset prod (prod_{j>=0} (1 - q^(a+j m)))^e over (a, m, e), known
+    through q^(offset + order)."""
+    for a, m, _ in factors:
+        if order < 0:
+            raise QSeriesError("precision q^%d is negative" % order)
+        if a < 1 or m < 1:
+            raise QSeriesError("Pochhammer factor needs a >= 1 and m >= 1, got a=%d, m=%d"
+                               % (a, m))
+    return _raw(F(offset), _unit_product(factors, order), 1)
 
 
 def theta_expand(spec: Tuple[int, int, int], order: int) -> QExpansion:
@@ -379,10 +396,12 @@ def theta_expand(spec: Tuple[int, int, int], order: int) -> QExpansion:
     a, b, c = spec
     if a <= 0 or 4 * a * c - b * b <= 0:
         raise QSeriesError("form (%d,%d,%d) is not positive definite" % spec)
+    if order < 0:
+        raise QSeriesError("precision q^%d is negative" % order)
     disc = 4 * a * c - b * b
     out = [0] * (order + 1)
-    jmax = int((4 * c * order / disc) ** 0.5) + 2
-    kmax = int((4 * a * order / disc) ** 0.5) + 2
+    jmax = isqrt(4 * c * order // disc) + 2
+    kmax = isqrt(4 * a * order // disc) + 2
     for j in range(-jmax, jmax + 1):
         for k in range(-kmax, kmax + 1):
             v = a * j * j + b * j * k + c * k * k
@@ -519,14 +538,17 @@ def expansion_coefficients(Z: QExpansion, X: QExpansion, n_max: int) -> List[Sca
                            % (n_max, n_max + 1))
     out: List[Scalar] = []
     rem = Z
-    xpow = _embed_scalar(1, Z.prec)  # X^n, with leading coefficient lead^n
+    # X^n with leading coefficient lead^n, known only through q^n_max (so is
+    # rem after its first subtraction): nothing above q^n_max is ever read
+    xpow = _embed_scalar(1, n_max + 1)
     lead = Xn.coefficient(1)
     leadpow = F(1)
     for n in range(n_max + 1):
         c = rem.coefficient(n) / leadpow
         out.append(int(c) if c.denominator == 1 else c)
         rem = rem - xpow * c
-        xpow = xpow * X
+        if n < n_max:
+            xpow = (xpow * X).truncate_abs(n_max)
         leadpow *= lead
     return out
 

@@ -33,6 +33,14 @@ def test_terms_level11(capsys):
     assert doc["payload"]["terms"][-1] == "18200713168"
 
 
+def test_terms_beyond_the_int_string_digit_limit(capsys):
+    code, doc = run_json(capsys, "terms", "--seq", "level11", "--nmax", "3600")
+    assert code == 0
+    last = catalog.sequence("level11").terms(3600)[-1]
+    assert last > 10 ** 4300
+    assert int(doc["payload"]["terms"][-1]) == last
+
+
 def test_terms_13scaled_and_15C(capsys):
     code, doc = run_json(capsys, "terms", "--seq", "13scaled", "--nmax", "10")
     assert doc["payload"]["terms"][-1] == "657035290739412"

@@ -6,6 +6,12 @@ from its names.  ``reference_kernel`` swaps it into ``aperylike.qseries``,
 so the module's builders (eta and theta products, Eisenstein series, the
 (X, Z) pairs, the identity bank) run unchanged on either kernel and their
 outputs can be compared coefficient by coefficient.
+
+The eta and Pochhammer quotient builders are also kept as references: the
+previous ones multiplied and divided by repeated-squaring powers of each
+factor, where ``qseries`` now solves one logarithmic-derivative recurrence.
+They build through ``qseries.QExpansion``, so inside ``reference_kernel`` they
+run on the reference kernel and outside it on the integer kernel.
 """
 
 from contextlib import contextmanager
@@ -300,6 +306,35 @@ def ref_eisenstein_expand(kind: str, order: int) -> RefQExpansion:
     return RefQExpansion(0, out)
 
 
+def ref_eta_expand(N: int, order: int):
+    """eta_N = q^(N/24) prod (1 - q^(jN)), known through q^(N/24 + order)."""
+    if N < 1:
+        raise QSeriesError("eta level must be >= 1")
+    return qseries.QExpansion(F(N, 24), ref_poch_unit(N, N, order))
+
+
+def ref_eta_quotient(factors: Sequence[Tuple[int, int]], order: int):
+    out = qseries.QExpansion(0, [1] + [0] * order)
+    for N, e in factors:
+        f = ref_eta_expand(N, order)
+        if e > 0:
+            out = out * f ** e
+        elif e < 0:
+            out = out / f ** (-e)
+    return out
+
+
+def ref_poch_quotient(offset, factors: Sequence[Tuple[int, int, int]], order: int):
+    out = qseries.QExpansion(offset, [1] + [0] * order)
+    for a, m, e in factors:
+        unit = qseries.QExpansion(0, ref_poch_unit(a, m, order))
+        if e > 0:
+            out = out * unit ** e
+        else:
+            out = out / unit ** (-e)
+    return out
+
+
 @contextmanager
 def reference_kernel():
     """Run the qseries builders on the reference kernel inside the block;
@@ -309,7 +344,8 @@ def reference_kernel():
         mp.setattr(qseries, "_embed_scalar", ref_embed_scalar)
         mp.setattr(qseries, "_one_like", ref_one_like)
         mp.setattr(qseries, "qexp_equal", ref_qexp_equal)
-        mp.setattr(qseries, "poch_unit", ref_poch_unit)
+        mp.setattr(qseries, "eta_quotient", ref_eta_quotient)
+        mp.setattr(qseries, "poch_quotient", ref_poch_quotient)
         mp.setattr(qseries, "eisenstein_expand", ref_eisenstein_expand)
         yield mp
 
@@ -502,3 +538,92 @@ def test_random_unary_ops_match_reference(off, cs, m, t, lead_zeros):
     assert a.is_zero() == ra.is_zero()
     for e in (off + len(cs) // 2, int(off) + 1):
         assert outcome(a.coefficient, e) == outcome(ra.coefficient, e)
+
+
+# ---------------------------------------------------------------------------
+# The eta and Pochhammer quotient builders
+# ---------------------------------------------------------------------------
+
+QUOTIENT_ORDERS = (0, 1, 30, 64, 100)
+
+
+def reachable_quotient_specs():
+    """The factors of every eta_quotient call, and the (offset, factors) of
+    every poch_quotient call, that the catalog rows and the identity bank make."""
+    etas, pochs = set(), set()
+    eta_quotient, poch_quotient = qseries.eta_quotient, qseries.poch_quotient
+
+    def eta(factors, order):
+        etas.add(tuple(factors))
+        return eta_quotient(factors, order)
+
+    def poch(offset, factors, order):
+        pochs.add((offset, tuple(factors)))
+        return poch_quotient(offset, factors, order)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qseries, "eta_quotient", eta)
+        mp.setattr(qseries, "poch_quotient", poch)
+        for row in catalog.LEVEL_ROWS.values():
+            outcome(qseries.build_xz, row, 2)
+        for row in catalog.ZAGIER_ROWS.values():
+            qseries.build_product(row.x, 2)
+            qseries.build_product(row.z, 2)
+        for row in catalog.WEIGHT2_ROWS.values():
+            qseries.build_product(row.w, 2)
+            qseries.build_product(row.y, 2)
+        for name in qseries.IDENTITY_BANK:
+            qseries.verify_identity_bank(name, 2)
+    return sorted(etas), sorted(pochs)
+
+
+def assert_same_quotient(new, ref):
+    assert_canonical(new)
+    assert_canonical(ref)
+    assert (new.offset, new.num, new.den) == (ref.offset, ref.num, ref.den)
+
+
+def test_quotient_builders_match_reference_on_every_reachable_spec():
+    etas, pochs = reachable_quotient_specs()
+    assert len(etas) > 40 and len(pochs) == 2
+    for order in QUOTIENT_ORDERS:
+        for factors in etas:
+            assert_same_quotient(qseries.eta_quotient(factors, order),
+                                 ref_eta_quotient(factors, order))
+        for offset, factors in pochs:
+            assert_same_quotient(qseries.poch_quotient(offset, factors, order),
+                                 ref_poch_quotient(offset, factors, order))
+    # with no factor, a negative order is no error
+    assert_same_quotient(qseries.eta_quotient((), -3), ref_eta_quotient((), -3))
+    assert_same_quotient(qseries.poch_quotient(F(1, 2), (), -1),
+                         ref_poch_quotient(F(1, 2), (), -1))
+
+
+eta_factor_lists = st.lists(st.tuples(st.integers(1, 40), st.integers(-24, 24)),
+                            max_size=6)
+poch_factor_lists = st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12),
+                                       st.integers(-6, 6)), max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(eta_factor_lists, grid_offsets, poch_factor_lists, st.integers(0, 80))
+def test_random_quotients_match_reference(etas, offset, pochs, order):
+    assert_same_quotient(qseries.eta_quotient(etas, order), ref_eta_quotient(etas, order))
+    assert_same_quotient(qseries.poch_quotient(offset, pochs, order),
+                         ref_poch_quotient(offset, pochs, order))
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("eta_quotient", (((0, 0),), 5), "eta level must be >= 1"),
+    ("eta_quotient", (((2, 1), (-3, 1)), 5), "eta level must be >= 1"),
+    ("eta_quotient", (((0, 1), (2, 1)), -1), "eta level must be >= 1"),
+    ("eta_quotient", (((2, 1), (0, 1)), -2), "precision q^-2 is negative"),
+    ("eta_quotient", (((1, 0),), -1), "precision q^-1 is negative"),
+    ("eta_expand", (0, 4), "eta level must be >= 1"),
+    ("eta_expand", (5, -1), "precision q^-1 is negative"),
+    ("poch_quotient", (F(1), ((1, 5, 0),), -1), "precision q^-1 is negative"),
+    ("poch_unit", (1, 1, -3), "precision q^-3 is negative"),
+])
+def test_quotient_errors_are_unchanged(name, args, message):
+    with pytest.raises(QSeriesError) as info:
+        getattr(qseries, name)(*args)
+    assert str(info.value) == message

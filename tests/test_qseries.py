@@ -17,6 +17,8 @@ from aperylike.qseries import (
     eta_quotient,
     expansion_coefficients,
     phi_expand,
+    poch_quotient,
+    poch_unit,
     printed_x14_matches_reciprocal,
     psi_expand,
     qexp_equal,
@@ -61,6 +63,17 @@ def test_theta_examples_against_brute_force():
     assert theta_expand((5, 1, 7), 0).coeffs == [1]
     with pytest.raises(QSeriesError):
         theta_expand((1, 5, 1), 5)  # indefinite
+    with pytest.raises(QSeriesError, match=r"precision q\^-1 is negative"):
+        theta_expand((1, 1, 3), -1)
+
+
+@pytest.mark.parametrize("a, m", [(1, 0), (0, 5), (2, -1), (-3, 2)])
+def test_pochhammer_factors_need_positive_start_and_step(a, m):
+    # m = 0 used to loop forever in poch_unit
+    with pytest.raises(QSeriesError, match="needs a >= 1 and m >= 1"):
+        poch_unit(a, m, 5)
+    with pytest.raises(QSeriesError, match="needs a >= 1 and m >= 1"):
+        poch_quotient(0, ((1, 5, 1), (a, m, 0)), 5)
 
 
 def test_eisenstein_examples():
