@@ -23,6 +23,9 @@ chosen per call with no option:
   moduli of the targets that keep it; each target's residue is then read
   from that one small remainder.
 
+Both paths return each target's residues as flat lists (see Residues): one
+int per index over Z and Q, one list per component over Z[sqrt(d)].
+
 A Lucas scan builds the digit product incrementally:
 prod(n) = prod(n // p) * T(n mod p) mod p, one ring product per index.
 Every modulus must be >= 2, every p prime, every list of primes nonempty
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
@@ -41,6 +45,11 @@ from .rings import RingError, reduce_pair
 
 Residue = Tuple[int, int]
 Target = Tuple[int, int]  # (modulus, stride)
+# The residues of one target (m, stride): one (low, high) pair of lists per
+# component of T = a + b*sqrt(d), one component over Z and Q and two (a,
+# then b) over Z[sqrt(d)].  low[n] = T(n) mod m for n <= n_max and
+# high[k] = T(stride*k) mod m for k <= n_max; high is low when stride is 1.
+Residues = Tuple[Tuple[List[int], List[int]], ...]
 
 
 @dataclass
@@ -69,37 +78,51 @@ class CongruenceReport:
 
 
 def _exact_residues(seq: catalog.Sequence, n_max: int,
-                    targets: Sequence[Target]) -> List[Dict[int, Residue]]:
+                    targets: Sequence[Target]) -> List[Residues]:
     """The exact pass: stream T(n) once, up to n_max times the largest
     stride, and reduce each kept term against its (modulus, stride)
-    targets, one residue dict per target.  Every target keeps n <= n_max;
-    above n_max an index map names the targets that keep it.  Each kept
-    term is reduced once, modulo the lcm P of its targets' moduli (that
-    reduction raises RingError on a term that is not P-integral), and each
-    target reads its residue from the small remainder mod P.  The exact
-    terms are discarded beyond the recurrence window."""
+    targets, one Residues per target.  Every target keeps n <= n_max;
+    above n_max an index map names the lcm of the moduli that keep it.
+    Each kept term is reduced once, modulo the lcm P of its targets' moduli
+    (that reduction raises RingError on a term that is not P-integral),
+    and each target reads its residues from the small remainders mod P.
+    The ring is chosen once: over Z and Q a term is one int, over
+    Z[sqrt(d)] a pair.  The exact terms are discarded beyond the
+    recurrence window."""
     _check_moduli(m for m, _ in targets)
-    tables: List[Dict[int, Residue]] = [{} for _ in targets]
-    every = [(m, table) for (m, _), table in zip(targets, tables)]
-    above: Dict[int, List[Tuple[int, Dict[int, Residue]]]] = {}
-    for (m, stride), table in zip(targets, tables):
+    if not targets:
+        return []
+    P = math.lcm(*(m for m, _ in targets))
+    above: Dict[int, int] = {}  # index above n_max -> lcm of the moduli that keep it
+    for m, stride in targets:
         for k in range(n_max // stride + 1, n_max + 1):
-            above.setdefault(stride * k, []).append((m, table))
-    end = max([n_max] + list(above))
-    # index -> (lcm of the moduli that keep it, those targets)
-    plan = {n: (math.lcm(*(m for m, _ in group)), group) for n, group in above.items()}
-    if targets:
-        plan.update(dict.fromkeys(range(n_max + 1), (math.lcm(*(m for m, _ in targets)), every)))
-    for n, (a, b) in enumerate(seq.iter_pairs()):
-        if n > end:
-            break
-        kept = plan.get(n)
-        if kept:
-            P, group = kept
+            above[stride * k] = math.lcm(above.get(stride * k, 1), m)
+    stream = seq.iter_pairs()
+    if seq.ring.kind == "quad":
+        la: List[int] = []
+        lb: List[int] = []
+        for a, b in islice(stream, n_max + 1):
             ra, rb = reduce_pair(a, b, P)
-            for m, table in group:
-                table[n] = (ra % m, rb % m)
-    return tables
+            la.append(ra)
+            lb.append(rb)
+        lows = (la, lb)
+    else:
+        lows = ([t % P if type(t) is int else reduce_pair(t, 0, P)[0]
+                 for t, _ in islice(stream, n_max + 1)],)
+    highs: Dict[int, Residue] = {}
+    for n, (a, b) in enumerate(islice(stream, max(above, default=n_max) - n_max), n_max + 1):
+        if n in above:
+            highs[n] = reduce_pair(a, b, above[n])
+    out = []
+    for m, stride in targets:
+        res = []
+        for c, base in enumerate(lows):
+            low = [r % m for r in base]
+            high = low if stride == 1 else low[::stride] + [
+                highs[stride * k][c] % m for k in range(n_max // stride + 1, n_max + 1)]
+            res.append((low, high))
+        out.append(tuple(res))
+    return out
 
 
 def _check_moduli(moduli) -> None:
@@ -119,10 +142,11 @@ def _check_primes(primes: Sequence[int]) -> None:
         _check_prime(p)
 
 
-def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int) -> Dict[int, Residue]:
+def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int) -> Residues:
     """T(n) mod p^e for n <= n_max and for n = p k with k <= n_max, of the
     Z-ring stream with T(0) = 1, from a p-adic run of the recurrence to
-    p n_max; no exact term is built.
+    p n_max; no exact term is built.  The result has the shape of the
+    exact pass with target (p^e, p).
 
     Write lead(m) = p^v_m * u_m with u_m prime to p, and D(n) = u_0...u_(n-1).
     The run carries W(n) = T(n) D(n) modulo p^prec, where
@@ -152,7 +176,8 @@ def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int) -> Dict[in
     window = [1] + [0] * (len(backs) - 1)  # window[j-1] = W(m+1-j) while producing W(m+1)
     folds = [1] * len(backs)   # folds[j-1] = u_(m-1)...u_(m-j+1)
     D = 1                      # D(m+1) mod p^e once u_m is folded in
-    out: Dict[int, Residue] = {0: (1, 0)}
+    low = [1]   # T(n) mod p^e for n <= n_max
+    above = []  # T(p k) mod p^e for n_max < p k <= p n_max
     for m in range(end):
         s = 0
         for c, f, w in zip(backs, folds, window):
@@ -174,12 +199,14 @@ def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int) -> Dict[in
             M //= pv
         w = s % M
         D = D * u % pe
-        if m < n_max or (m + 1) % p == 0:
-            out[m + 1] = (w * pow(D, -1, pe) % pe, 0)
+        if m < n_max:
+            low.append(w * pow(D, -1, pe) % pe)
+        elif (m + 1) % p == 0:
+            above.append(w * pow(D, -1, pe) % pe)
         window.insert(0, w)
         window.pop()
         folds = [1] + [u * f for f in folds[:-1]]
-    return out
+    return ((low, low[::p] + above),)
 
 
 def _exponent_of(p: int, modulus: int) -> Optional[int]:
@@ -214,31 +241,42 @@ def _tpn_matches(seq_key: str, p: int, modulus: int, n_max: int,
         res = _padic_residues(seq.spec, p, e, n_max)
     else:
         res = _exact_residues(seq, n_max, [(modulus, p)])[0]
-    out = []
-    for n in range(1, n_max + 1):
-        a, b = res[p * n]
-        c, d = res[n]
-        want = offsets.get(n % class_mod, 0)
-        out.append((a - c - want) % modulus == 0 and (b - d) % modulus == 0)
+    (low, high), *surd = res
+    out = [(high[n] - low[n] - offsets.get(n % class_mod, 0)) % modulus == 0
+           for n in range(1, n_max + 1)]
+    for surd_low, surd_high in surd:
+        out = [held and (surd_high[n] - surd_low[n]) % modulus == 0
+               for n, held in enumerate(out, 1)]
     return out
 
 
-def _lucas_report(key: str, p: int, d: int, table: Dict[int, Residue],
+def _lucas_report(key: str, p: int, d: int, res: Residues,
                   n_max: int) -> CongruenceReport:
     """T(n) == prod T(n_i) mod p over the base-p digits n_i of n, for
-    n = 1..n_max.  The product is built incrementally, prod(n) =
-    prod(n // p) * T(n mod p), so each index costs one ring product.  Over
-    Z[sqrt(d)] the product is taken mod p on component pairs: componentwise
-    congruence is conjugation-stable and needs no choice of a square root
-    of d mod p (d = 0 for rational sequences)."""
+    n = 1..n_max, from the residues mod p of a stride-1 target.  The
+    product is built incrementally, prod(n) = prod(n // p) * T(n mod p), so
+    each index costs one product.  Over Z[sqrt(d)] the product is taken
+    mod p on component pairs: componentwise congruence is
+    conjugation-stable and needs no choice of a square root of d mod p.
+    Rational rows (one component) do no surd work and ignore d."""
     # prods[n] for n < p is T(n) itself; each later block of p indices
     # shares its n // p, so prods[n // p] is read once per block
-    digits = [table[n] for n in range(min(p, n_max + 1))]
-    prods = list(digits)
-    for q in range(1, n_max // p + 1):
-        a, b = prods[q]
-        prods += [((a * c + d * b * f) % p, (a * f + b * c) % p) for c, f in digits]
-    violations = [n for n in range(1, n_max + 1) if prods[n] != table[n]]
+    if len(res) == 1:
+        (low, _), = res
+        digits = low[:min(p, n_max + 1)]
+        prods = list(digits)
+        for q in range(1, n_max // p + 1):
+            a = prods[q]
+            prods += [a * c % p for c in digits]
+    else:
+        (la, _), (lb, _) = res
+        low = list(zip(la, lb))
+        digits = low[:min(p, n_max + 1)]
+        prods = list(digits)
+        for q in range(1, n_max // p + 1):
+            a, b = prods[q]
+            prods += [((a * c + d * b * f) % p, (a * f + b * c) % p) for c, f in digits]
+    violations = [n for n in range(1, n_max + 1) if prods[n] != low[n]]
     return CongruenceReport(key, p, 1, n_max, n_max - len(violations), violations,
                             kind="lucas")
 
@@ -253,7 +291,7 @@ def lucas_scan_many(seq_key: str, primes: Sequence[int], n_max: int) -> List[Con
     seq = catalog.sequence(seq_key)
     d = seq.ring.d if seq.ring.kind == "quad" else 0
     tables = _exact_residues(seq, n_max, [(p, 1) for p in primes])
-    return [_lucas_report(seq.key, p, d, table, n_max) for p, table in zip(primes, tables)]
+    return [_lucas_report(seq.key, p, d, res, n_max) for p, res in zip(primes, tables)]
 
 
 def lucas_scan(seq_key: str, p: int, n_max: int) -> CongruenceReport:

@@ -412,6 +412,8 @@ def theta_expand(spec: Tuple[int, int, int], order: int) -> QExpansion:
 
 def phi_expand(order: int) -> QExpansion:
     """phi(q) = sum_{j in Z} q^(j^2)."""
+    if order < 0:
+        raise QSeriesError("precision q^%d is negative" % order)
     out = [0] * (order + 1)
     out[0] = 1
     j = 1
@@ -423,6 +425,8 @@ def phi_expand(order: int) -> QExpansion:
 
 def psi_expand(order: int) -> QExpansion:
     """psi(q) = sum_{j >= 0} q^(j(j+1)/2)."""
+    if order < 0:
+        raise QSeriesError("precision q^%d is negative" % order)
     out = [0] * (order + 1)
     j = 0
     while j * (j + 1) // 2 <= order:

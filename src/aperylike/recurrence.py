@@ -333,18 +333,24 @@ def _stream_z(spec: RecurrenceSpec) -> Iterator[int]:
 
 
 def _stream_q(spec: RecurrenceSpec) -> Iterator[Fraction]:
-    """Kernel for Q: Fraction terms, division in the field."""
+    """Kernel for Q: Fraction terms, summed as plain ints.
+
+    The window holds each term as (numerator, denominator).  Each step
+    sums the back terms over L, the lcm of the nonzero window
+    denominators, and builds one Fraction(sum, lead * L): one
+    normalisation per term.  A vanishing lead raises ZeroDivisionError."""
     lead, backs = _integral_relation(spec)
-    window = [Fraction(1)] + [Fraction(0)] * (len(backs) - 1)
+    window = [(1, 1)] + [(0, 1)] * (len(backs) - 1)
     yield Fraction(1)
     for m in count():
+        L = lcm(*[den for num, den in window if num])
         s = 0
-        for c, w in zip(backs, window):
-            if w:
-                s += _eval_int_poly(c, m) * w
-        t = Fraction(s) / _eval_int_poly(lead, m)
+        for c, (num, den) in zip(backs, window):
+            if num:
+                s += _eval_int_poly(c, m) * num * (L // den)
+        t = Fraction(s, _eval_int_poly(lead, m) * L)
         yield t
-        window.insert(0, t)
+        window.insert(0, (t.numerator, t.denominator))
         window.pop()
 
 

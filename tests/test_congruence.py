@@ -15,7 +15,8 @@ from aperylike.congruence import (
     structured_congruence_check,
     supercongruence_check,
 )
-from aperylike.rings import RingError, reduce_mod, reduce_pair
+from aperylike.recurrence import Sequence
+from aperylike.rings import RingError, RingTag, reduce_mod, reduce_pair
 
 
 def test_primes_below():
@@ -171,9 +172,12 @@ def test_empty_scans_are_rejected(scan):
             scan(n)
 
 
-def ref_lucas_report(key, p, d, table, n_max):
+def ref_lucas_report(key, p, d, res, n_max):
     """The Lucas report with the digit product rebuilt from scratch for
-    every n, the form before it was built incrementally."""
+    every n, the form before it was built incrementally; the residues are
+    read as (a, b) pairs, b = 0 on a one-component (rational) result."""
+    lows = [low for low, _ in res]
+    table = list(zip(lows[0], lows[1] if len(lows) == 2 else [0] * len(lows[0])))
     report = CongruenceReport(key, p, 1, n_max, 0, kind="lucas")
     for n in range(1, n_max + 1):
         a, b, m = 1, 0, n
@@ -272,3 +276,43 @@ def test_empty_prime_lists_are_rejected_before_the_stream(scan, monkeypatch):
 def test_non_primes_below_two_are_rejected(p):
     with pytest.raises(ValueError, match="%d is not prime" % p):
         lucas_scan_many("level11", [2, p], 10)
+
+
+@pytest.mark.parametrize("key", ["level11", "apery"])
+def test_quad_path_agrees_with_the_rational_path_on_rational_rows(key, monkeypatch):
+    # the same (G, H) over Z[sqrt(2)]: every surd component is 0, and the
+    # quadratic path must read what the rational path reads
+    seq = catalog.sequence(key)
+    twin = Sequence.from_gh(seq.key, RingTag("quad", 2), seq.G, seq.H)
+    targets = [(p * p, p) for p in LUCAS_PRIMES]
+    rational = _exact_residues(seq, 20, targets)
+    lucas = [r.to_json() for r in lucas_scan_many(key, LUCAS_PRIMES, LUCAS_N_MAX)]
+    padic = [supercongruence_check(key, p, 2, 20).to_json() for p in LUCAS_PRIMES]
+    monkeypatch.setattr(catalog, "sequence", lambda k: twin)
+    for (a, b), (want,) in zip(_exact_residues(twin, 20, targets), rational):
+        assert a == want
+        assert b == ([0] * 21, [0] * 21)
+    assert [r.to_json() for r in lucas_scan_many(key, LUCAS_PRIMES, LUCAS_N_MAX)] == lucas
+    assert [supercongruence_check(key, p, 2, 20).to_json() for p in LUCAS_PRIMES] == padic
+
+
+def _count_streams(monkeypatch):
+    calls = []
+    iter_pairs = Sequence.iter_pairs
+    monkeypatch.setattr(Sequence, "iter_pairs",
+                        lambda self: calls.append(self.key) or iter_pairs(self))
+    return calls
+
+
+def test_a_lucas_scan_of_fifteen_primes_streams_once(monkeypatch):
+    calls = _count_streams(monkeypatch)
+    reports = lucas_scan_many("level11", LUCAS_PRIMES, 300)
+    assert len(reports) == len(LUCAS_PRIMES) == 15
+    assert calls == ["level11"]
+
+
+def test_a_quad_row_structured_check_streams_once(monkeypatch):
+    calls = _count_streams(monkeypatch)
+    report = structured_congruence_check("14C", 3, 9, 3, {}, 40)
+    assert report.n_max == 40
+    assert calls == ["14C"]

@@ -298,6 +298,19 @@ def test_qexp_equal_precision_guard():
 def test_phi_psi_expansions():
     assert phi_expand(5).coeffs == [1, 2, 0, 0, 2, 0]
     assert psi_expand(7).coeffs == [1, 1, 0, 1, 0, 0, 1, 0]
+    assert phi_expand(0).coeffs == psi_expand(0).coeffs == [1]
+
+
+def test_phi_rejects_a_negative_precision():
+    # used to end in a bare IndexError from out[0] = 1 on an empty list
+    with pytest.raises(QSeriesError, match=r"^precision q\^-1 is negative$"):
+        phi_expand(-1)
+
+
+def test_psi_rejects_a_negative_precision():
+    # used to end in "empty coefficient list"
+    with pytest.raises(QSeriesError, match=r"^precision q\^-1 is negative$"):
+        psi_expand(-1)
 
 
 def test_eisenstein_sieve_against_brute_force_divisor_sums():

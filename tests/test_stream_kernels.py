@@ -12,7 +12,15 @@ from aperylike import catalog, congruence
 from aperylike.catalog import EPSILON_FAMILIES
 from aperylike.congruence import primes_below
 from aperylike.recurrence import Poly, RecurrenceSpec, generate_terms, term_iterator, term_pairs
-from aperylike.rings import QuadElem, RingError, RingTag, reduce_mod, reduce_pair, scalar_denominator
+from aperylike.rings import (
+    RING_Q,
+    QuadElem,
+    RingError,
+    RingTag,
+    reduce_mod,
+    reduce_pair,
+    scalar_denominator,
+)
 
 N_MAX = 300
 SQRT2 = QuadElem(2, 0, 1)
@@ -139,6 +147,52 @@ def test_residue_path_rejects_nonintegral_pairs(monkeypatch):
         congruence.lucas_scan_many("hand-built", [2, 3], 10)
     with pytest.raises(RingError, match="not m-integral"):
         congruence.structured_congruence_check("hand-built", 3, 9, 3, {}, 5)
+
+
+# Q relations: each lists sum_j coeff_polys[j](n) T(n+1-j) = 0
+Q_SPECS = {
+    # coefficients with 1/3 and 1/5: the window denominators are not nested
+    "thirds-fifths": RecurrenceSpec((Poly([1, 1]) ** 2, -Poly([F(1, 3), 1]),
+                                     -Poly([0, 0, F(1, 5)]))),
+    # lead 2n - 5 is negative at n = 0, 1, 2 and never vanishes
+    "negative-lead": RecurrenceSpec((Poly([-5, 2]) * Poly([1, 1]), -Poly([F(1, 3), 1, 1]),
+                                     -Poly([0, F(2, 5)]))),
+    # no T(n) term: every odd-index term is 0
+    "zero-window": RecurrenceSpec((Poly([1, 1]) ** 2, Poly([0]), -Poly([F(1, 3), 0, 1]))),
+    # (n+1) T(n+1) = (n-2)/3 T(n): T(3) = 0, then the whole window is 0
+    "dies-out": RecurrenceSpec((Poly([1, 1]), -Poly([F(-2, 3), F(1, 3)]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(Q_SPECS))
+def test_q_kernel_matches_generic_loop_on_hand_built_specs(name):
+    spec = Q_SPECS[name]
+    want = reference_terms(spec, RING_Q, N_MAX)
+    got = generate_terms(spec, N_MAX, RING_Q)
+    assert got == want
+    assert all(type(t) is F for t in got)
+    dens = [t.denominator for t in want]
+    if name == "thirds-fifths":
+        # some step sums over a common denominator above the largest one
+        assert any(lcm(a, b) > max(a, b) for a, b in zip(dens, dens[1:]))
+    if name == "negative-lead":
+        assert any(t < 0 for t in want) and any(t > 0 for t in want)
+    if name == "zero-window":
+        assert want[1::2] == [0] * (N_MAX // 2) and all(want[0::2])
+    if name == "dies-out":
+        assert want[:4] == [1, F(-2, 3), F(1, 9), 0] and not any(want[3:])
+
+
+def test_q_kernel_raises_where_the_lead_vanishes():
+    # (n - 3) T(n+1) = (n + 1/3) T(n): T(1..3) exist, T(4) divides by 0
+    spec = RecurrenceSpec((Poly([-3, 1]), -Poly([F(1, 3), 1])))
+    stream = term_iterator(spec, RING_Q)
+    assert list(islice(stream, 4)) == [1, F(-1, 9), F(2, 27), F(-14, 81)]
+    with pytest.raises(ZeroDivisionError):
+        next(stream)
+    with pytest.raises(ZeroDivisionError):
+        reference_terms(spec, RING_Q, 4)
+    assert reference_terms(spec, RING_Q, 3) == generate_terms(spec, 3, RING_Q)
 
 
 def test_mixed_radicand_coefficient_is_rejected():
