@@ -107,8 +107,7 @@ def _exact_residues(seq: catalog.Sequence, n_max: int,
             lb.append(rb)
         lows = (la, lb)
     else:
-        lows = ([t % P if type(t) is int else reduce_pair(t, 0, P)[0]
-                 for t, _ in islice(stream, n_max + 1)],)
+        lows = ([reduce_pair(t, 0, P)[0] for t, _ in islice(stream, n_max + 1)],)
     highs: Dict[int, Residue] = {}
     for n, (a, b) in enumerate(islice(stream, max(above, default=n_max) - n_max), n_max + 1):
         if n in above:

@@ -49,7 +49,12 @@ def ref_exact_residues(seq, n_max, targets):
 def residue_dict(res, n_max, stride):
     """One target's flat residue lists as the dict {n: (a mod m, b mod m)}
     that the exact pass returned before, b = 0 on a one-component
-    (rational) result; an index that both lists hold must agree."""
+    (rational) result; an index that both lists hold must agree, and a
+    list that keeps more (or fewer) than n_max + 1 entries fails."""
+    assert len(res) in (1, 2)
+    for comp in res:
+        assert len(comp) == 2
+        assert len(comp[0]) == len(comp[1]) == n_max + 1
     out = {}
     for side, indices in ((0, range(n_max + 1)), (1, range(0, stride * n_max + 1, stride))):
         for i, n in enumerate(indices):
