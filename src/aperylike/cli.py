@@ -253,6 +253,9 @@ def _primes(text: str) -> List[int]:
         primes = [p for p in congruence.primes_below(hi + 1) if p >= lo]
     else:
         primes = [_prime(t) for t in text.split(",") if t]
+        for i, p in enumerate(primes):
+            if p in primes[:i]:
+                raise argparse.ArgumentTypeError("prime %d is listed twice" % p)
     if not primes:
         raise argparse.ArgumentTypeError("no primes in %r" % text)
     return primes

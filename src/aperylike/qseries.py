@@ -10,6 +10,12 @@ denominator, so every operation is plain-int arithmetic.  Every operation
 tracks how far the result is actually known, and comparisons refuse to
 answer beyond that point.
 
+Division carries the quotient as ints over one running denominator, the
+lcm of the reduced denominators of the coefficients solved so far, with
+one gcd per coefficient and no powers of the divisor's leading
+coefficient, so a divisor stored over a large common denominator does not
+blow up the intermediates.
+
 Eta quotients and Pochhammer quotients, whatever their factors and
 exponents, are built in one exact integer pass from the logarithmic
 derivative of their unit part, a divisor sum read off the factors (see
@@ -19,8 +25,8 @@ derivative of their unit part, a divisor sum read off the factors (see
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, isqrt, lcm
-from operator import mul
+from math import factorial, floor, gcd, isqrt, lcm
+from operator import add, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
@@ -41,7 +47,8 @@ class QExpansion:
     ``num`` is a list of ints and ``den`` a positive int, kept in lowest
     terms: gcd(den, *num) == 1 (so a series that is zero to working
     precision has den == 1).  ``coeffs`` gives the coefficients as
-    Fractions.
+    Fractions.  Division solves the quotient coefficient by coefficient
+    over one running integer denominator, one gcd per coefficient.
     """
 
     __slots__ = ("offset", "num", "den")
@@ -106,17 +113,18 @@ class QExpansion:
         if (other.offset - self.offset).denominator != 1:
             raise QSeriesError("offsets differ by a non-integer: %s vs %s"
                                % (self.offset, other.offset))
-        off = min(self.offset, other.offset)
-        n = int(min(self.prec, other.prec) - off)
-        if n <= 0:
-            raise QSeriesError("empty overlap in addition")
         den = lcm(self.den, other.den)
-        out = [0] * n
-        for f, scale in ((self, den // self.den), (other, sign * (den // other.den))):
-            base = int(f.offset - off)
-            for i, c in enumerate(f.num[: max(n - base, 0)], base):
-                out[i] += c * scale
-        return _make(off, out, den)
+        parts = [(self, den // self.den), (other, sign * (den // other.den))]
+        if other.offset < self.offset:
+            parts.reverse()
+        (lo, ls), (hi, hs) = parts
+        # the overlap starts at lo.offset and holds n >= 1 coefficients;
+        # hi's part of it starts k places in
+        n = int(min(self.prec, other.prec) - lo.offset)
+        k = int(hi.offset - lo.offset)
+        out = [c * ls for c in lo.num[:n]]
+        out[k:] = map(add, out[k:], [c * hs for c in hi.num[:max(n - k, 0)]])
+        return _make(lo.offset, out, den)
 
     def __add__(self, other):
         if isinstance(other, QExpansion):
@@ -139,8 +147,9 @@ class QExpansion:
             return _make(self.offset, [c * p for c in self.num], self.den * s)
         a, b = self.normalized(), other.normalized()
         n = min(len(a.num), len(b.num))
-        x, y = a.num, b.num
-        out = [sum(map(mul, x[: k + 1], y[k::-1])) for k in range(n)]
+        # ry[n-1-k:] is b.num[k], ..., b.num[0]; map stops at its end
+        x, ry = a.num, b.num[n - 1::-1]
+        out = [sum(map(mul, x, ry[n - 1 - k:])) for k in range(n)]
         return _make(a.offset + b.offset, out, a.den * b.den)
 
     __rmul__ = __mul__
@@ -156,23 +165,23 @@ class QExpansion:
         a, b = self.normalized(), other.normalized()
         n = min(len(a.num), len(b.num))
         x, y = a.num, b.num
-        lead = y[0]
-        # With out = x/y, carry the ints z_i = out_i lead^(i+1):
-        # z_i = x_i lead^i - sum_{j=1..i} (y_j lead^(j-1)) z_(i-j).
-        lp = [1] * (n + 1)
-        for k in range(1, n + 1):
-            lp[k] = lp[k - 1] * lead
-        ys = [y[j] * lp[j - 1] for j in range(1, n)]
-        z: List[int] = []
+        y0, y1 = y[0], y[1:n]
+        # With w = x/y, carry w_i = s_i / L over one running denominator
+        # L > 0, the lcm of the reduced denominators of w_0..w_i:
+        # w_i = t / (L y0) with t = x_i L - sum_{j=1..i} y_j s_(i-j).
+        # With g = gcd(t, y0), L grows by |y0|/g and s_i = +-t/g.
+        s: List[int] = []
+        L = 1
         for i in range(n):
-            z.append(x[i] * lp[i] - sum(map(mul, ys[:i], reversed(z))))
-        # a/b = (b.den / a.den) * out, over the common denominator a.den lead^n
-        bd = b.den
-        num = [bd * zi * lp[n - 1 - i] for i, zi in enumerate(z)]
-        den = a.den * lp[n]
-        if den < 0:
-            num, den = [-c for c in num], -den
-        return _make(a.offset - b.offset, num, den)
+            t = x[i] * L - sum(map(mul, y1, reversed(s)))
+            g = gcd(t, y0)
+            k = abs(y0) // g
+            if k != 1:
+                L *= k
+                s = [c * k for c in s]
+            s.append(t // g if y0 > 0 else -t // g)
+        # a/b = (b.den / a.den) * w
+        return _make(a.offset - b.offset, [b.den * c for c in s], a.den * L)
 
     def __rtruediv__(self, other):
         a = self.normalized()
@@ -249,7 +258,7 @@ class QExpansion:
 
     def truncate_abs(self, exponent) -> "QExpansion":
         """Drop knowledge above q^exponent (inclusive)."""
-        n = int(F(exponent) - self.offset) + 1
+        n = floor(F(exponent) - self.offset) + 1
         if n <= 0:
             raise QSeriesError("truncation removes every known coefficient")
         return _make(self.offset, self.num[:n], self.den)

@@ -343,6 +343,18 @@ def test_composite_primes_and_bad_exponents_are_rejected(argv, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, prime", [
+    (["lucas", "--seq", "level11", "--primes", "3,3,2", "--nmax", "20"], 3),
+    (["scan", "--primes", "2,5,7,5", "--nmax", "20"], 5),
+    (["reproduce", "cp-counts", "--nmax", "20", "--primes", "13,2,13"], 13),
+])
+def test_a_prime_listed_twice_is_rejected(argv, prime, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "prime %d is listed twice" % prime in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["terms", "--nmax", "3"], "one of the arguments --seq --def-file is required"),
     (["terms", "--seq", "level11", "--def-file", "seq.json"], "not allowed with"),

@@ -12,18 +12,24 @@ previous ones multiplied and divided by repeated-squaring powers of each
 factor, where ``qseries`` now solves one logarithmic-derivative recurrence.
 They build through ``qseries.QExpansion``, so inside ``reference_kernel`` they
 run on the reference kernel and outside it on the integer kernel.
+
+Series division is also kept as a reference: the previous integer
+``QExpansion.__truediv__`` (``ref_lead_power_div``) scaled by powers of the
+divisor's leading numerator, where ``qseries`` now carries the quotient over
+one running denominator.  Both must give the same (offset, num, den).
 """
 
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aperylike import catalog, qseries
-from aperylike.qseries import QSeriesError, _legendre13
+from aperylike.qseries import QSeriesError, _legendre13, _make, _ratio
 
 F = Fraction
 
@@ -214,7 +220,7 @@ class RefQExpansion:
 
     def truncate_abs(self, exponent) -> "RefQExpansion":
         """Drop knowledge above q^exponent (inclusive)."""
-        n = int(F(exponent) - self.offset) + 1
+        n = floor(F(exponent) - self.offset) + 1
         if n <= 0:
             raise QSeriesError("truncation removes every known coefficient")
         return RefQExpansion(self.offset, self.coeffs[: n])
@@ -533,11 +539,164 @@ def test_random_unary_ops_match_reference(off, cs, m, t, lead_zeros):
     assert_same_outcome(a.shift(F(5, 24)), ra.shift(F(5, 24)))
     assert_same_outcome(a.subs_q_power(m), ra.subs_q_power(m))
     assert_same_outcome(outcome(a.truncate_abs, off + t), outcome(ra.truncate_abs, off + t))
+    e = off + F(t, 24)
+    assert_same_outcome(outcome(a.truncate_abs, e), outcome(ra.truncate_abs, e))
     if off.denominator == 1:
         assert_same_outcome(a.subs_q_negated(), ra.subs_q_negated())
     assert a.is_zero() == ra.is_zero()
     for e in (off + len(cs) // 2, int(off) + 1):
         assert outcome(a.coefficient, e) == outcome(ra.coefficient, e)
+
+
+@pytest.mark.parametrize("offset, exponent, kept", [
+    (F(1, 2), 0, None),
+    (F(1, 2), F(-1, 2), None),
+    (F(1, 2), F(1, 2), [1]),
+    (F(1, 2), 1, [1]),
+    (F(1, 2), 3, [1, 2, 3]),
+    (F(-3, 2), -2, None),
+    (F(-3, 2), F(-5, 3), None),
+    (F(-3, 2), F(-3, 2), [1]),
+    (F(-3, 2), -1, [1]),
+    (F(-3, 2), F(-1, 2), [1, 2]),
+    (F(-3, 2), 0, [1, 2]),
+    (F(5, 24), F(-19, 24), None),
+    (F(5, 24), F(4, 24), None),
+    (F(5, 24), F(29, 24), [1, 2]),
+])
+def test_truncation_at_fractional_distances(offset, exponent, kept):
+    a, ra = pair(offset, [1, 2, 3])
+    if kept is None:
+        for f in (a, ra):
+            with pytest.raises(QSeriesError, match="^truncation removes every known coefficient$"):
+                f.truncate_abs(exponent)
+        return
+    t = a.truncate_abs(exponent)
+    assert (t.offset, t.num, t.den) == (offset, kept, 1)
+    assert_same(t, ra.truncate_abs(exponent))
+
+
+# Long series: eta and theta products at working order carry 40-70
+# coefficients, on the q^(1/24) grid or at integer offsets.
+long_coeff_lists = st.lists(rationals, min_size=40, max_size=70)
+long_offsets = st.one_of(grid_offsets, st.builds(F, st.integers(-3, 3)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(long_offsets, long_coeff_lists, st.integers(-75, 75), long_coeff_lists)
+def test_long_add_sub_match_reference(off, cs, k, ds):
+    a, ra = pair(off, cs)
+    b, rb = pair(off + k, ds)
+    assert_same_outcome(outcome(lambda: a + b), outcome(lambda: ra + rb))
+    assert_same_outcome(outcome(lambda: a - b), outcome(lambda: ra - rb))
+    assert_same_outcome(outcome(lambda: b - a), outcome(lambda: rb - ra))
+
+
+@settings(max_examples=15, deadline=None)
+@given(long_offsets, long_coeff_lists, long_offsets, long_coeff_lists, st.integers(0, 3))
+def test_long_mul_matches_reference(off, cs, off2, ds, lead_zeros):
+    a, ra = pair(off, [0] * lead_zeros + cs)
+    b, rb = pair(off2, ds)
+    assert_same_outcome(outcome(lambda: a * b), outcome(lambda: ra * rb))
+    assert_same_outcome(outcome(lambda: b * a), outcome(lambda: rb * ra))
+
+
+# ---------------------------------------------------------------------------
+# Series division against the lead-power path it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_lead_power_div(self, other):
+    """The previous ``QExpansion.__truediv__``, verbatim apart from its name."""
+    if not isinstance(other, qseries.QExpansion):
+        p, s = _ratio(other)
+        if p == 0:
+            raise ZeroDivisionError("q-expansion divided by zero")
+        if p < 0:
+            p, s = -p, -s
+        return _make(self.offset, [c * s for c in self.num], self.den * p)
+    a, b = self.normalized(), other.normalized()
+    n = min(len(a.num), len(b.num))
+    x, y = a.num, b.num
+    lead = y[0]
+    # With out = x/y, carry the ints z_i = out_i lead^(i+1):
+    # z_i = x_i lead^i - sum_{j=1..i} (y_j lead^(j-1)) z_(i-j).
+    lp = [1] * (n + 1)
+    for k in range(1, n + 1):
+        lp[k] = lp[k - 1] * lead
+    ys = [y[j] * lp[j - 1] for j in range(1, n)]
+    z: List[int] = []
+    for i in range(n):
+        z.append(x[i] * lp[i] - sum(map(mul, ys[:i], reversed(z))))
+    # a/b = (b.den / a.den) * out, over the common denominator a.den lead^n
+    bd = b.den
+    num = [bd * zi * lp[n - 1 - i] for i, zi in enumerate(z)]
+    den = a.den * lp[n]
+    if den < 0:
+        num, den = [-c for c in num], -den
+    return _make(a.offset - b.offset, num, den)
+
+
+def assert_division_matches_lead_power(a, b):
+    new = outcome(lambda: a / b)
+    ref = outcome(ref_lead_power_div, a, b)
+    if isinstance(new, type) or isinstance(ref, type):
+        assert new is ref
+        return
+    assert_canonical(new)
+    assert (new.offset, new.num, new.den) == (ref.offset, ref.num, ref.den)
+
+
+@pytest.mark.parametrize("key", sorted(catalog.LEVEL_ROWS))
+def test_level_row_divisions_match_lead_power(key):
+    row = catalog.LEVEL_ROWS[key]
+    X, Z = qseries.build_xz(row, 60)
+    cases = [(Z, Z), (qseries._embed_scalar(1, Z.prec), Z)]
+    if row.z_xexp:
+        cases.append((Z, X.pow_fraction(row.z_xexp)))
+    # and every division verify_level_row makes at order 60, build_xz's included
+    seen = []
+    div = qseries.QExpansion.__truediv__
+
+    def recorded(a, b):
+        seen.append((a, b))
+        return div(a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qseries.QExpansion, "__truediv__", recorded)
+        qseries.verify_level_row(row, 60)
+    assert len(seen) >= 3
+    for a, b in cases + seen:
+        assert_division_matches_lead_power(a, b)
+
+
+unit_lead_dens = st.integers(2 ** 100, 2 ** 160)
+wide_ints = st.lists(st.integers(-2 ** 170, 2 ** 170), min_size=38, max_size=68)
+
+
+@settings(max_examples=20, deadline=None)
+@given(long_offsets, long_coeff_lists, long_offsets, unit_lead_dens, wide_ints)
+def test_unit_lead_over_a_large_denominator_matches_lead_power(off, cs, off2, den, ns):
+    # the last coefficient 1/den keeps den as the common denominator
+    b = qseries.QExpansion(off2, [1] + [F(c, den) for c in ns] + [F(1, den)])
+    assert b.num[0] == b.den == den
+    a = qseries.QExpansion(off, cs)
+    assert_division_matches_lead_power(a, b)
+    assert_division_matches_lead_power(qseries._embed_scalar(1, b.prec - off2), b)
+    assert_division_matches_lead_power(b, b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_offsets, st.one_of(coeff_lists, long_coeff_lists), grid_offsets,
+       st.one_of(coeff_lists, long_coeff_lists), st.sampled_from((2, -3, F(7, 5))),
+       st.integers(0, 2))
+def test_non_unit_leads_match_lead_power(off, cs, off2, ds, lead, lead_zeros):
+    a = qseries.QExpansion(off, [0] * lead_zeros + cs)
+    b = qseries.QExpansion(off2, [0] * lead_zeros + [lead] + ds)
+    assert_division_matches_lead_power(a, b)
+    assert_division_matches_lead_power(b, b)
+    assert_division_matches_lead_power(a, 2 * b)
+    # a series that is zero to working precision is refused by both
+    assert_division_matches_lead_power(a, b - b)
 
 
 # ---------------------------------------------------------------------------
