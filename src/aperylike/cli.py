@@ -5,7 +5,7 @@ supercong, scan, asymptotics, reproduce.  Every command prints a run
 report whose payload is deterministic for fixed inputs and precision:
 exact scalars are decimal strings, floats are fixed-precision strings,
 and sweep results are emitted in sorted order regardless of scheduling.
-Exit status is 0 for PASS/DATA outcomes and 1 otherwise.
+Exit status is 0 for PASS/DATA, 2 for bad keys and usage errors, else 1.
 """
 
 from __future__ import annotations
@@ -338,127 +338,124 @@ def cmd_asymptotics(args) -> RunReport:
 # reproduce
 # ---------------------------------------------------------------------------
 
-REPRODUCE_TABLES = (
-    "zagier-table", "apery-table", "levels-XZ", "levels-BH", "fourterm-params",
-    "terms-14", "terms-15", "asymptotic-params", "cp-counts",
-)
-# the options a table reads; the others are parse errors for that table
-REPRODUCE_OPTIONS = {"levels-BH": ("order",), "cp-counts": ("nmax", "primes")}
+# the terms checked against each weight row's closed-form oracle
+ORACLE_TERMS = 10
 
 
-def _reproduce_weight_rows(table: Dict, verifier, n_check: int = 10) -> List[dict]:
-    rows = []
+def _weight_rows(table: Dict, verifier):
     for key, row in sorted(table.items()):
         seq = catalog.sequence(key)
-        terms = seq.terms(n_check)
-        oracle_ok = all(seq.oracle(n) == terms[n] for n in range(n_check + 1))
+        terms = seq.terms(ORACLE_TERMS)
+        oracle_ok = all(seq.oracle(n) == terms[n] for n in range(ORACLE_TERMS + 1))
         mod_ok, _ = verifier(row, 14)
-        rows.append({"row": key, "status": "PASS" if (oracle_ok and mod_ok) else "FAIL",
-                     "oracle": "PASS" if oracle_ok else "FAIL",
-                     "modular": "PASS" if mod_ok else "FAIL"})
-    return rows
+        yield ({"row": key, "oracle": "PASS" if oracle_ok else "FAIL",
+                "modular": "PASS" if mod_ok else "FAIL"}, oracle_ok and mod_ok)
 
 
-def _unread_options(table_id: str, order, nmax, primes) -> List[str]:
+def _levels_xz_rows():
+    for key in catalog.TABLE_LEVEL_KEYS:
+        X, Z = qseries.build_xz(catalog.LEVEL_ROWS[key], 10)
+        got = qseries.expansion_coefficients(Z, X, 8)
+        seq = catalog.sequence(key)
+        want = seq.terms(8)
+        ok = all(Fraction(a) == Fraction(b) for a, b in zip(got, want))
+        if seq.oracle:
+            ok &= all(Fraction(seq.oracle(n)) == Fraction(want[n]) for n in range(9))
+        yield {"row": key}, ok
+
+
+def _levels_bh_rows(order: int):
+    for r in _qseries_rows(list(catalog.TABLE_LEVEL_KEYS) + ["level13star"], order):
+        yield {"row": r["level"]}, r["diff_formula"] == "PASS" and r["ode"] == "PASS"
+
+
+def _fourterm_rows():
+    for key, want in sorted(catalog.REFERENCE_FOURTERM_PARAMS.items()):
+        seq = catalog.sequence(key)
+        got = fourterm_params(seq.G, seq.H)
+        yield {"row": key, "params": [scalar_to_str(x) for x in got]}, tuple(got) == tuple(want)
+
+
+def _level_terms_rows(level: int):
+    for key in ("level%dA" % level, "level%dB" % level, "%dC" % level):
+        yield {"row": key}, catalog.sequence(key).terms(10) == catalog.REFERENCE_TERMS[key]
+    bar = catalog.sequence("%dCbar" % level).terms(10)
+    yield ({"row": "%dCbar (conjugate)" % level},
+           all(conj(a) == b for a, b in zip(catalog.REFERENCE_TERMS["%dC" % level], bar)))
+
+
+def _asymptotic_rows():
+    cfg = asymptotics.PrecisionConfig()
+    for key, ref in sorted(catalog.REFERENCE_ASYMPTOTICS.items()):
+        pr = asymptotics.analyze(key, cfg)
+        if "R" in ref:
+            cells = {"R": pr.R_exact == ref["R"], "b1": pr.b1_exact == ref["b1"]}
+        else:  # the committed decimals are rounded at 7 significant digits
+            cells = {"R": _mpstr(pr.R, 7) == ref["R_decimal"],
+                     "b1": _mpstr(pr.b1, 7) == ref["b1_decimal"]}
+        want_C = asymptotics.conjectured_C(key)
+        cells["C"] = abs(pr.C - want_C) / abs(want_C) < mp.mpf("1e-5")
+        yield ({"row": key, "cells": {k: "PASS" if v else "FAIL" for k, v in cells.items()},
+                "C": _mpstr(pr.C, 10)}, all(cells.values()))
+
+
+def _cp_count_rows(nmax: int, primes: List[int]):
+    counts = congruence.scan_c_counts("level11", primes, nmax)
+    for p in sorted(counts):
+        # the committed counts are for the n <= 1000 window only
+        want = catalog.REFERENCE_CP_COUNTS.get(p) if nmax == 1000 else None
+        yield ({"row": "c(%d)" % p, "count": counts[p], "expected": want},
+               None if want is None else counts[p] == want)
+
+
+# table id -> (row builder, {option it reads: default}); a builder yields
+# (row, ok), with ok None for a row that has no committed value to compare
+REPRODUCE = {
+    "zagier-table": (lambda: _weight_rows(catalog.ZAGIER_ROWS, qseries.verify_weight_one), {}),
+    "apery-table": (lambda: _weight_rows(catalog.WEIGHT2_ROWS, qseries.verify_weight_two), {}),
+    "levels-XZ": (_levels_xz_rows, {}),
+    "levels-BH": (_levels_bh_rows, {"order": 30}),
+    "fourterm-params": (_fourterm_rows, {}),
+    "terms-14": (lambda: _level_terms_rows(14), {}),
+    "terms-15": (lambda: _level_terms_rows(15), {}),
+    "asymptotic-params": (_asymptotic_rows, {}),
+    "cp-counts": (_cp_count_rows, {"nmax": 1000, "primes": (2, 3, 5, 7, 11, 13, 59)}),
+}
+_CLI_OPTION_TYPES = {"order": _positive_int, "nmax": _positive_int, "primes": _primes}
+
+
+def _unread_options(table_id: str, options: dict) -> List[str]:
     """The options given (not None) that the table does not read."""
-    given = {"order": order, "nmax": nmax, "primes": primes}
-    return [name for name, value in given.items()
-            if value is not None and name not in REPRODUCE_OPTIONS.get(table_id, ())]
+    return [name for name, value in options.items()
+            if value is not None and name not in REPRODUCE[table_id][1]]
 
 
-def reproduce(table_id: str, order: Optional[int] = None, nmax: Optional[int] = None,
-              primes: Optional[Sequence[int]] = None) -> RunReport:
-    """Regenerate a committed table and diff it.  A table takes only the
-    options REPRODUCE_OPTIONS lists for it (levels-BH: order, default 30;
-    cp-counts: nmax, default 1000, and primes, default the seven committed
-    ones; an empty list raises ValueError); any other raises ValueError.
+def reproduce(table_id: str, **options) -> RunReport:
+    """Regenerate a committed table and diff it.  The table reads the
+    options its REPRODUCE entry lists (None means the default listed there)
+    and records them in the parameters; any other option raises ValueError.
     A row with no committed value to compare is DATA, and the outcome is
     FAIL if a row failed, else DATA if a row is DATA, else PASS."""
-    if table_id not in REPRODUCE_TABLES:
+    if table_id not in REPRODUCE:
         raise catalog.UnknownKeyError("unknown table id %r" % (table_id,))
-    unread = _unread_options(table_id, order, nmax, primes)
+    unread = _unread_options(table_id, options)
     if unread:
         raise ValueError("reproduce %s does not read %s" % (table_id, ", ".join(unread)))
-    rows: List[dict] = []
-    parameters: dict = {"table": table_id}
-    if table_id == "zagier-table":
-        rows = _reproduce_weight_rows(catalog.ZAGIER_ROWS, qseries.verify_weight_one)
-    elif table_id == "apery-table":
-        rows = _reproduce_weight_rows(catalog.WEIGHT2_ROWS, qseries.verify_weight_two)
-    elif table_id == "levels-XZ":
-        for key in catalog.TABLE_LEVEL_KEYS:
-            X, Z = qseries.build_xz(catalog.LEVEL_ROWS[key], 10)
-            got = qseries.expansion_coefficients(Z, X, 8)
-            seq = catalog.sequence(key)
-            want = seq.terms(8)
-            ok = all(Fraction(a) == Fraction(b) for a, b in zip(got, want))
-            if seq.oracle:
-                ok &= all(Fraction(seq.oracle(n)) == Fraction(want[n]) for n in range(9))
-            rows.append({"row": key, "status": "PASS" if ok else "FAIL"})
-    elif table_id == "levels-BH":
-        order = 30 if order is None else order
-        parameters["order"] = order
-        for r in _qseries_rows(list(catalog.TABLE_LEVEL_KEYS) + ["level13star"], order):
-            ok = r["diff_formula"] == "PASS" and r["ode"] == "PASS"
-            rows.append({"row": r["level"], "status": "PASS" if ok else "FAIL"})
-    elif table_id == "fourterm-params":
-        for key, want in sorted(catalog.REFERENCE_FOURTERM_PARAMS.items()):
-            seq = catalog.sequence(key)
-            got = fourterm_params(seq.G, seq.H)
-            ok = tuple(got) == tuple(want)
-            rows.append({"row": key, "status": "PASS" if ok else "FAIL",
-                         "params": [scalar_to_str(x) for x in got]})
-    elif table_id in ("terms-14", "terms-15"):
-        level = 14 if table_id == "terms-14" else 15
-        keys = {14: ("level14A", "level14B", "14C"), 15: ("level15A", "level15B", "15C")}
-        for key in keys[level]:
-            seq = catalog.sequence(key)
-            got = seq.terms(10)
-            ok = got == catalog.REFERENCE_TERMS[key]
-            rows.append({"row": key, "status": "PASS" if ok else "FAIL"})
-        barkey = "%dCbar" % level
-        bar = catalog.sequence(barkey).terms(10)
-        ok = all(conj(a) == b for a, b in
-                 zip(catalog.REFERENCE_TERMS["%dC" % level], bar))
-        rows.append({"row": barkey + " (conjugate)", "status": "PASS" if ok else "FAIL"})
-    elif table_id == "asymptotic-params":
-        cfg = asymptotics.PrecisionConfig()
-        for key, ref in sorted(catalog.REFERENCE_ASYMPTOTICS.items()):
-            pr = asymptotics.analyze(key, cfg)
-            cells = {}
-            if "R" in ref:
-                cells["R"] = pr.R_exact == ref["R"]
-                cells["b1"] = pr.b1_exact == ref["b1"]
-            else:
-                # the committed decimals are rounded at 7 significant digits
-                cells["R"] = mp.nstr(pr.R, 7, strip_zeros=False) == ref["R_decimal"]
-                cells["b1"] = mp.nstr(pr.b1, 7, strip_zeros=False) == ref["b1_decimal"]
-            want_C = asymptotics.conjectured_C(key)
-            cells["C"] = abs(pr.C - want_C) / abs(want_C) < mp.mpf("1e-5")
-            ok = all(cells.values())
-            rows.append({"row": key, "status": "PASS" if ok else "FAIL",
-                         "cells": {k: "PASS" if v else "FAIL" for k, v in cells.items()},
-                         "C": _mpstr(pr.C, 10)})
-    elif table_id == "cp-counts":
-        nmax = 1000 if nmax is None else nmax
-        ps = [2, 3, 5, 7, 11, 13, 59] if primes is None else list(primes)
-        parameters.update(nmax=nmax, primes=ps)
-        counts = congruence.scan_c_counts("level11", ps, nmax)
-        for p in sorted(counts):
-            # the committed counts are for the n <= 1000 window only
-            want = catalog.REFERENCE_CP_COUNTS.get(p) if nmax == 1000 else None
-            status = "DATA" if want is None else "PASS" if counts[p] == want else "FAIL"
-            rows.append({"row": "c(%d)" % p, "count": counts[p],
-                         "expected": want, "status": status})
-    # a row with nothing to compare against is DATA, never PASS
+    build, defaults = REPRODUCE[table_id]
+    read = {name: default if options.get(name) is None else options[name]
+            for name, default in defaults.items()}
+    # a sequence is recorded as a list of its own
+    read = {k: v if isinstance(v, (int, str)) else list(v) for k, v in read.items()}
+    rows = [dict(row, status="DATA" if ok is None else "PASS" if ok else "FAIL")
+            for row, ok in build(**read)]
     bad = [r for r in rows if r["status"] == "FAIL"]
     outcome = "FAIL" if bad else "DATA" if any(r["status"] == "DATA" for r in rows) else "PASS"
-    return RunReport("reproduce", parameters, outcome,
+    return RunReport("reproduce", dict(table=table_id, **read), outcome,
                      {"rows": rows, "mismatches": bad})
 
 
-def cmd_reproduce(args) -> RunReport:
-    return reproduce(args.table, args.order, args.nmax, args.primes)
+def _cli_options(args) -> dict:
+    return {name: getattr(args, name) for name in _CLI_OPTION_TYPES}
 
 
 # ---------------------------------------------------------------------------
@@ -534,11 +531,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_asymptotics)
 
     p = sub.add_parser("reproduce", help="regenerate a committed table and diff")
-    p.add_argument("table", choices=REPRODUCE_TABLES)
-    p.add_argument("--order", type=_positive_int, help="levels-BH only (default 30)")
-    p.add_argument("--nmax", type=_positive_int, help="cp-counts only (default 1000)")
-    p.add_argument("--primes", type=_primes, help="cp-counts only")
-    p.set_defaults(func=cmd_reproduce)
+    p.add_argument("table", choices=list(REPRODUCE))
+    for name, kind in _CLI_OPTION_TYPES.items():
+        p.add_argument("--" + name, type=kind, help="read by " + "; ".join(
+            "%s, default %s" % (table_id, defaults[name])
+            for table_id, (_, defaults) in REPRODUCE.items() if name in defaults))
+    p.set_defaults(func=lambda args: reproduce(args.table, **_cli_options(args)))
 
     return ap
 
@@ -550,7 +548,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("asymptotics: --terms %d must be > 10 * --diffs %d"
                      % (args.terms, args.diffs))
     if args.cmd == "reproduce":
-        unread = _unread_options(args.table, args.order, args.nmax, args.primes)
+        unread = _unread_options(args.table, _cli_options(args))
         if unread:
             parser.error("reproduce %s does not read --%s" % (args.table, unread[0]))
     # exact terms run past the 4,300-digit default of int -> str conversion

@@ -137,8 +137,11 @@ def _check_prime(p: int) -> None:
 def _check_primes(primes: Sequence[int]) -> None:
     if not primes:
         raise ValueError("no primes given")
+    seen = set()
     for p in primes:
         _check_prime(p)
+        if p in seen or seen.add(p):
+            raise ValueError("prime %d is listed twice" % p)
 
 
 def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int) -> Residues:

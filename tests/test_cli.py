@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -178,11 +179,17 @@ def test_reproduce_terms_tables():
     ("levels-XZ", {"primes": [5]}, "primes"),
     ("levels-BH", {"nmax": 3}, "nmax"),
     ("cp-counts", {"order": 3}, "order"),
+    ("cp-counts", {"bogus": 1}, "bogus"),
 ])
 def test_library_reproduce_rejects_options_its_table_does_not_read(table, options, unread):
     # the library reads the same option table as the CLI parser
     with pytest.raises(ValueError, match="reproduce %s does not read %s$" % (table, unread)):
         reproduce(table, **options)
+
+
+def test_the_command_line_parses_every_option_a_table_reads():
+    read = {name for _, defaults in cli.REPRODUCE.values() for name in defaults}
+    assert read == set(cli._CLI_OPTION_TYPES)
 
 
 def test_library_reproduce_takes_the_options_its_table_reads():
@@ -212,14 +219,26 @@ def test_reproduce_rejects_an_empty_prime_list():
         reproduce("cp-counts", nmax=5, primes=[])
 
 
-def _readme_command_lines():
+def _readme_text():
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "README.md")
     with open(readme, encoding="utf-8") as fh:
-        text = fh.read()
-    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        return fh.read()
+
+
+def _readme_command_lines():
+    block = _readme_text().split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     return [line.split(" #", 1)[0].strip() for line in block.splitlines()
             if line.startswith("aperylike ")]
+
+
+def test_readme_lists_every_reproduce_table_and_its_options():
+    block = _readme_text().split("| table | options it reads (default) |", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:3] for line in block.splitlines()[2:]]
+    tables = [re.fullmatch(r" `(.+)` ", table).group(1) for table, _ in rows]
+    assert tables == sorted(cli.REPRODUCE)
+    for table, (_, options) in zip(tables, rows):
+        assert re.findall(r"`--(\w+)`", options) == list(cli.REPRODUCE[table][1]), table
 
 
 def test_readme_command_examples_parse():

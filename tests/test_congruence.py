@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from aperylike import catalog, congruence
+from aperylike.cli import reproduce
 from aperylike.congruence import (
     PATTERNS,
     CongruenceReport,
@@ -269,6 +270,19 @@ def test_empty_prime_lists_are_rejected_before_the_stream(scan, monkeypatch):
     monkeypatch.setattr(congruence, "_padic_residues", _no_stream)
     monkeypatch.setattr(congruence, "_exact_residues", _no_stream)
     with pytest.raises(ValueError, match="^no primes given$"):
+        scan()
+
+
+@pytest.mark.parametrize("scan", [
+    lambda: lucas_scan_many("level11", [3, 3], 20),
+    lambda: scan_c_counts("level11", [3, 3], 20),
+    lambda: reproduce("cp-counts", nmax=20, primes=[3, 3]),
+])
+def test_a_prime_listed_twice_is_rejected_before_the_stream(scan, monkeypatch):
+    # a repeated prime used to come back as a duplicate report or one merged count
+    monkeypatch.setattr(congruence, "_padic_residues", _no_stream)
+    monkeypatch.setattr(congruence, "_exact_residues", _no_stream)
+    with pytest.raises(ValueError, match="^prime 3 is listed twice$"):
         scan()
 
 

@@ -1,5 +1,5 @@
-"""Payload pins for the verification sweeps, the sequence definitions and
-the congruence scans.
+"""Payload pins for the verification sweeps, the sequence definitions, the
+congruence scans and every ``reproduce`` table.
 
 Each digest is the sha256 of a command's payload as canonical JSON (sorted
 keys, no spaces; the same text the benchmark gate hashes).  The two sweep
@@ -10,8 +10,9 @@ at d6a63ac, before def files and catalog keys shared one sequence type;
 the ``lucas``, ``supercong`` and ``scan`` pins at b5d7cd0, before residue
 requests became (modulus, stride) targets; the ``reproduce levels-*`` and
 default and ``--level`` ``verify-qseries`` pins at 00595b9, before each
-level row's X and Z became product specs built once per row.  A refactor must leave every
-pinned payload byte-identical.
+level row's X and Z became product specs built once per row; the other
+``reproduce`` pins at 477e434, before every table came from one registry.
+A refactor must leave every pinned payload byte-identical.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ import json
 
 import pytest
 
+from aperylike import cli
 from aperylike.cli import main
 
 PINS = {
@@ -49,6 +51,27 @@ PINS = {
     # diff formula and ODE per level row, reduced to one status; recorded at 00595b9
     ("reproduce", "levels-BH", "--order", "10"):
         "39d32bbb9019b256b03fab4a28c54dda85b956d7f6ce4cd6e22e915df988a162",
+    # the oracle and the weight-one check per Zagier row; recorded at 477e434
+    ("reproduce", "zagier-table"):
+        "84d6dc6e166d0788500ab0863a9a73955a27d92d12344d5675d03bb2af57089f",
+    # the oracle and the weight-two check per Apery-like row; recorded at 477e434
+    ("reproduce", "apery-table"):
+        "eadcd1d9742d35d7242f814c2a17c128a4647cbc2879323e232be60addd551e2",
+    # the four-term parameters of every self-starting row; recorded at 477e434
+    ("reproduce", "fourterm-params"):
+        "25b91854ab3325e33c7ec60eefe949663c43a30528401f24afbab6149ac07f4b",
+    # the level-14 terms, and 14Cbar as the conjugate of 14C; recorded at 477e434
+    ("reproduce", "terms-14"):
+        "ac15f1f3b5da825e2a53e251729ea98f45acf4f3483ce5ea382a4acd2af4bf30",
+    # the level-15 terms, and 15Cbar as the conjugate of 15C; recorded at 477e434
+    ("reproduce", "terms-15"):
+        "accb160ade0b7314fb4eed2d4dc2461ad48656127833dccd2fc7b088dc980e0b",
+    # R, b1 and C per committed row; recorded at 477e434
+    ("reproduce", "asymptotic-params"):
+        "0e5378d01a08189371c229536a93776b8f40de8818c5f7395381e94a6a9e3a4c",
+    # c(p) counts outside the committed n <= 1000 window, so DATA; recorded at 477e434
+    ("reproduce", "cp-counts", "--nmax", "20", "--primes", "2,103"):
+        "91f27a8dd3bef73da462f7de7c94e2adc81fdf216684c50a893f9012381d80a2",
     # the default level rows; recorded at 00595b9
     ("verify-qseries", "--order", "10"):
         "d723cad8345cee1e8abd5cacec365e59204b64e198eb44ed2101321d6223821b",
@@ -67,5 +90,11 @@ def payload_digest(payload) -> str:
 def test_sweep_payload_matches_its_pin(argv, capsys):
     assert main(list(argv)) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["outcome"] == ("DATA" if argv[0] in ("catalog", "terms", "scan") else "PASS")
+    data = argv[0] in ("catalog", "terms", "scan") or argv[:2] == ("reproduce", "cp-counts")
+    assert doc["outcome"] == ("DATA" if data else "PASS")
     assert payload_digest(doc["payload"]) == PINS[argv]
+
+
+def test_every_reproduce_table_has_a_pin():
+    pinned = {argv[1] for argv in PINS if argv[0] == "reproduce"}
+    assert set(cli.REPRODUCE) - pinned == set()
