@@ -33,7 +33,7 @@ IMAG = QuadElem(-1, 0, 1)
 
 
 class UnknownKeyError(KeyError):
-    pass
+    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,10 @@ def binomial_oracle(key: str, n: int) -> Scalar:
 
 
 @dataclass(frozen=True)
-class Weight1Row:
+class WeightRow:
+    """A weight-one sporadic row or its weight-two companion: the triple and
+    the product specs of x and z, with z never divided by a power of x."""
+
     key: str
     level: str
     triple: Tuple[int, int, int]
@@ -208,41 +211,42 @@ class Weight1Row:
     oracle_id: str
     oeis: str
     corrected: Optional[str] = None
+    z_xexp = F(0)
 
 
-ZAGIER_ROWS: Dict[str, Weight1Row] = {
+ZAGIER_ROWS: Dict[str, WeightRow] = {
     # row 5
-    "zagier5": Weight1Row(
+    "zagier5": WeightRow(
         "zagier5", "5", (11, 3, 1),
         ("poch", F(1), ((1, 5, 5), (4, 5, 5), (2, 5, -5), (3, 5, -5))),
         ("poch", F(0), ((1, 1, 2), (1, 5, -5), (4, 5, -5))),
         "zagier5", "A005258"),
     # row 6 (A)
-    "zagier6A": Weight1Row(
+    "zagier6A": WeightRow(
         "zagier6A", "6 (A)", (-17, -6, -72),
         ("eta", ((2, 1), (6, 5), (1, -5), (3, -1))),
         ("eta", ((1, 6), (6, 1), (2, -3), (3, -2))),
         "zagier6A", "A093388"),
     # row 6 (B)
-    "zagier6B": Weight1Row(
+    "zagier6B": WeightRow(
         "zagier6B", "6 (B)", (10, 3, -9),
         ("eta", ((1, 4), (6, 8), (2, -8), (3, -4))),
         ("eta", ((2, 6), (3, 1), (1, -3), (6, -2))),
         "zagier6B", "A002893"),
     # row 6 (C)
-    "zagier6C": Weight1Row(
+    "zagier6C": WeightRow(
         "zagier6C", "6 (C)", (7, 2, 8),
         ("eta", ((1, 3), (6, 9), (2, -3), (3, -9))),
         ("eta", ((2, 1), (3, 6), (1, -2), (6, -3))),
         "franel", "A000172"),
     # row 8
-    "zagier8": Weight1Row(
+    "zagier8": WeightRow(
         "zagier8", "8", (-12, -4, -32),
         ("eta", ((2, 2), (8, 4), (1, -4), (4, -2))),
         ("eta", ((1, 4), (2, -2))),
         "zagier8", "A081085"),
     # row 9
-    "zagier9": Weight1Row(
+    "zagier9": WeightRow(
         "zagier9", "9", (-9, -3, -27),
         ("eta", ((9, 3), (1, -3))),
         ("eta", ((1, 3), (3, -1))),
@@ -257,51 +261,39 @@ SPORADIC_SET: Tuple[Tuple[int, int, int], ...] = (
 
 
 # ---------------------------------------------------------------------------
-# Weight-two rows (cubic companions with their w, y forms)
+# Weight-two rows (cubic companions; x, z are the printed w, y forms)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Weight2Row:
-    key: str
-    level: str
-    triple: Tuple[int, int, int]
-    w: tuple
-    y: tuple
-    oracle_id: str
-    oeis: str
-    corrected: Optional[str] = None
-
-
-WEIGHT2_ROWS: Dict[str, Weight2Row] = {
-    "weight2-5": Weight2Row(
+WEIGHT2_ROWS: Dict[str, WeightRow] = {
+    "weight2-5": WeightRow(
         "weight2-5", "5", (11, 3, 1),
         ("eta", ((5, 6), (1, -6))),
         ("eta", ((1, 5), (5, -1))),
         "w2-5", "A229111"),
-    "weight2-6A": Weight2Row(
+    "weight2-6A": WeightRow(
         "weight2-6A", "6 (A)", (-17, -6, -72),
         ("eta", ((1, 12), (6, 12), (2, -12), (3, -12))),
         ("eta", ((2, 7), (3, 7), (1, -5), (6, -5))),
         "apery", "A005259"),
-    "weight2-6B": Weight2Row(
+    "weight2-6B": WeightRow(
         "weight2-6B", "6 (B)", (10, 3, -9),
         ("eta", ((2, 6), (6, 6), (1, -6), (3, -6))),
         ("eta", ((1, 4), (3, 4), (2, -2), (6, -2))),
         "w2-6B", "A002895"),
-    "weight2-6C": Weight2Row(
+    "weight2-6C": WeightRow(
         "weight2-6C", "6 (C)", (7, 2, 8),
         ("eta", ((3, 4), (6, 4), (1, -4), (2, -4))),
         ("eta", ((1, 3), (2, 3), (3, -1), (6, -1))),
         "w2-6C", "A125143"),
-    "weight2-8": Weight2Row(
+    "weight2-8": WeightRow(
         "weight2-8", "8", (-12, -4, -32),
         ("eta", ((1, 8), (8, 8), (2, -8), (4, -8))),
         ("eta", ((2, 6), (4, 6), (1, -4), (8, -4))),
         "w2-8", "A290575",
         corrected="printed triple (12,4,-32) contradicts the printed w, y and "
                   "binomial sum; the q-expansion of y fixes (-12,-4,-32)"),
-    "weight2-9": Weight2Row(
+    "weight2-9": WeightRow(
         "weight2-9", "9", (-9, -3, -27),
         ("eta", ((1, 6), (9, 6), (3, -12))),
         ("eta", ((3, 10), (1, -3), (9, -3))),
@@ -495,7 +487,8 @@ TABLE_LEVEL_KEYS: Tuple[str, ...] = tuple(k for k in LEVEL_ROWS if k != "level13
 
 
 def get_entry(key: str):
-    """Look up a catalog row (level, weight-one, or weight-two) by key."""
+    """Look up a catalog row (level, weight-one, or weight-two) by key or alias."""
+    key = ALIASES.get(key, key)
     for table in (LEVEL_ROWS, ZAGIER_ROWS, WEIGHT2_ROWS):
         if key in table:
             return table[key]

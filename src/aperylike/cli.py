@@ -11,6 +11,7 @@ Exit status is 0 for PASS/DATA, 2 for bad keys and usage errors, else 1.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -62,15 +63,15 @@ def _emit(report: RunReport, fmt: str) -> int:
 def _emit_csv(report: RunReport) -> None:
     payload = report.payload
     rows = payload.get("rows") if isinstance(payload, dict) else None
+    # a cell with a comma (a list, say) is quoted, so each row keeps its width
+    out = csv.writer(sys.stdout, lineterminator="\n")
     if isinstance(payload, dict) and "terms" in payload:
-        print("n,value")
-        for n, v in enumerate(payload["terms"]):
-            print("%d,%s" % (n, v))
+        out.writerow(["n", "value"])
+        out.writerows(enumerate(payload["terms"]))
     elif rows:
         keys = sorted({k for r in rows for k in r})
-        print(",".join(keys))
-        for r in rows:
-            print(",".join(str(r.get(k, "")) for k in keys))
+        out.writerow(keys)
+        out.writerows([str(r.get(k, "")) for k in keys] for r in rows)
     else:
         print(json.dumps(report.to_json(), sort_keys=True))
 
@@ -99,7 +100,9 @@ def cmd_catalog(args) -> RunReport:
         return RunReport("catalog", {"export": True}, "DATA", payload)
     if args.key:
         entry = catalog.get_entry(args.key)
-        doc = {"key": entry.key, "kind": type(entry).__name__}
+        # the kind names the row's table; both weight tables share one class
+        doc = {"key": entry.key, "kind": "LevelRow" if entry.key in catalog.LEVEL_ROWS else
+               "Weight1Row" if entry.key in catalog.ZAGIER_ROWS else "Weight2Row"}
         if hasattr(entry, "triple"):
             doc["triple"] = list(entry.triple)
             doc["oeis"] = entry.oeis
@@ -123,27 +126,23 @@ def cmd_catalog(args) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _qseries_rows(keys: Sequence[str], order: int) -> List[dict]:
-    """One row per key: the differentiation formula and the ODE for a level
-    row, the weight-one check for a Zagier row."""
-    rows = []
+def _qseries_rows(keys: Sequence[str], order: int):
+    """(row, ok) per key: the differentiation formula and the ODE for a
+    level row, the weight-one check for a Zagier row."""
     for key in keys:
         if key in catalog.LEVEL_ROWS:
-            row = catalog.LEVEL_ROWS[key]
-            (ok_d, m_d), (ok_o, m_o) = qseries.verify_level_row(row, order)
+            (ok_d, m_d), (ok_o, m_o) = qseries.verify_level_row(catalog.LEVEL_ROWS[key], order)
             out = {"level": key, "diff_formula": "PASS" if ok_d else "FAIL",
                    "ode": "PASS" if ok_o else "FAIL"}
             if not ok_d:
                 out["diff_mismatch_at"] = str(m_d)
             if not ok_o:
                 out["ode_mismatch_at"] = str(m_o)
+            yield out, ok_d and ok_o
         else:
             okk, m = qseries.verify_weight_one(catalog.ZAGIER_ROWS[key], order)
             out = {"level": key, "weight_one": "PASS" if okk else "FAIL"}
-            if not okk:
-                out["mismatch_at"] = str(m)
-        rows.append(out)
-    return rows
+            yield (out if okk else dict(out, mismatch_at=str(m))), okk
 
 
 def _clausen_and_gf(order: int):
@@ -157,78 +156,61 @@ def _clausen_and_gf(order: int):
     return clausen, gf
 
 
+def _sweep_report(command: str, parameters: dict, order: int, pairs) -> RunReport:
+    """A sweep's report from its (row, ok) pairs: PASS only if every row is."""
+    pairs = list(pairs)
+    return RunReport(command, parameters, "PASS" if all(ok for _, ok in pairs) else "FAIL",
+                     {"order": order, "rows": [row for row, _ in pairs]})
+
+
 def verify_all(order: int = 30) -> RunReport:
     """The full verification sweep: differentiation formula and ODE on every
     level row, the six weight-one rows, the identity bank, the Clausen-type
     identities on the sporadic set, and the generating-function independence
     at levels 14 and 15.  Aggregate PASS only if every check passes."""
-    keys = list(catalog.TABLE_LEVEL_KEYS) + ["level13star"] + sorted(catalog.ZAGIER_ROWS)
-    rows = _qseries_rows(keys, order)
+    pairs = list(_qseries_rows(list(catalog.LEVEL_ROWS) + sorted(catalog.ZAGIER_ROWS), order))
     for name in sorted(qseries.IDENTITY_BANK):
         okk, m = qseries.verify_identity_bank(name, order)
-        row = {"level": "identity:" + name,
-               "identity": "PASS" if okk else "FAIL"}
-        if not okk:
-            row["mismatch_at"] = str(m)
-        rows.append(row)
+        row = {"level": "identity:" + name, "identity": "PASS" if okk else "FAIL"}
+        pairs.append((row if okk else dict(row, mismatch_at=str(m)), okk))
     clausen, gf = _clausen_and_gf(min(order, 30))
     for trip, ok_a, ok_c in clausen:
-        rows.append({"level": "clausen:%s" % (trip,),
-                     "asz": "PASS" if ok_a else "FAIL",
-                     "ctyz": "PASS" if ok_c else "FAIL"})
+        pairs.append(({"level": "clausen:%s" % (trip,), "asz": "PASS" if ok_a else "FAIL",
+                       "ctyz": "PASS" if ok_c else "FAIL"}, ok_a and ok_c))
     for level, okk in gf:
-        rows.append({"level": "gf-independence:%d" % level,
-                     "identity": "PASS" if okk else "FAIL"})
-    ok = all(row.get(k, "PASS") == "PASS"
-             for row in rows
-             for k in ("diff_formula", "ode", "weight_one", "identity", "asz", "ctyz"))
-    return RunReport("verify-qseries", {"order": order, "all": True},
-                     "PASS" if ok else "FAIL", {"order": order, "rows": rows})
+        pairs.append(({"level": "gf-independence:%d" % level,
+                       "identity": "PASS" if okk else "FAIL"}, okk))
+    return _sweep_report("verify-qseries", {"order": order, "all": True}, order, pairs)
 
 
 def cmd_verify_qseries(args) -> RunReport:
     order = args.order
     if args.all:
         return verify_all(order)
-    if args.level:
-        keys = [args.level]
-        if args.level not in catalog.LEVEL_ROWS and args.level not in catalog.ZAGIER_ROWS:
-            raise catalog.UnknownKeyError("unknown level key %r" % (args.level,))
-    else:
-        keys = list(catalog.TABLE_LEVEL_KEYS) + ["level13star"]
-    rows = _qseries_rows(keys, order)
-    ok = all(row.get(k, "PASS") == "PASS"
-             for row in rows for k in ("diff_formula", "ode", "weight_one"))
-    payload = {"order": order, "rows": rows}
-    return RunReport("verify-qseries",
-                     {"order": order, "level": args.level, "all": args.all},
-                     "PASS" if ok else "FAIL", payload)
+    keys = [args.level] if args.level else list(catalog.LEVEL_ROWS)
+    if args.level and args.level not in catalog.LEVEL_ROWS.keys() | catalog.ZAGIER_ROWS.keys():
+        raise catalog.UnknownKeyError("unknown level key %r" % (args.level,))
+    return _sweep_report("verify-qseries", {"order": order, "level": args.level, "all": args.all},
+                         order, _qseries_rows(keys, order))
 
 
 def cmd_verify_identities(args) -> RunReport:
     order = args.order
-    rows: List[dict] = []
-    names = [args.name] if args.name else sorted(qseries.IDENTITY_BANK)
-    for name in names:
+    pairs = []
+    for name in [args.name] if args.name else sorted(qseries.IDENTITY_BANK):
         okk, m = qseries.verify_identity_bank(name, order)
         row = {"identity": name, "status": "PASS" if okk else "FAIL"}
-        if not okk:
-            row["mismatch_at"] = str(m)
-        rows.append(row)
+        pairs.append((row if okk else dict(row, mismatch_at=str(m)), okk))
     if not args.name:
         clausen, gf = _clausen_and_gf(order)
         for trip, ok_a, ok_c in clausen:
-            rows.append({"identity": "clausen-asz%s" % (trip,),
-                         "status": "PASS" if ok_a else "FAIL"})
-            rows.append({"identity": "clausen-ctyz%s" % (trip,),
-                         "status": "PASS" if ok_c else "FAIL"})
-        for level, okk in gf:
-            rows.append({"identity": "gf-independence-%d" % level,
-                         "status": "PASS" if okk else "FAIL"})
-    ok = all(row["status"] == "PASS" for row in rows)
-    payload = {"order": order, "rows": rows}
-    return RunReport("verify-identities", {"order": order, "name": args.name},
-                     "PASS" if ok else "FAIL", payload)
+            pairs += [({"identity": "clausen-%s%s" % (kind, trip),
+                        "status": "PASS" if okk else "FAIL"}, okk)
+                      for kind, okk in (("asz", ok_a), ("ctyz", ok_c))]
+        pairs += [({"identity": "gf-independence-%d" % level,
+                    "status": "PASS" if okk else "FAIL"}, okk) for level, okk in gf]
+    return _sweep_report("verify-identities", {"order": order, "name": args.name},
+                         order, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +347,8 @@ def _levels_xz_rows():
 
 
 def _levels_bh_rows(order: int):
-    for r in _qseries_rows(list(catalog.TABLE_LEVEL_KEYS) + ["level13star"], order):
-        yield {"row": r["level"]}, r["diff_formula"] == "PASS" and r["ode"] == "PASS"
+    for r, ok in _qseries_rows(list(catalog.LEVEL_ROWS), order):
+        yield {"row": r["level"]}, ok
 
 
 def _fourterm_rows():

@@ -30,8 +30,9 @@ from operator import add, mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
-from .catalog import LevelRow, Weight1Row, ORACLES
-from .recurrence import Poly, generate_terms, recurrence_from_quadratic
+from .catalog import LevelRow, WeightRow, ORACLES
+from .recurrence import (Poly, cubic_from_quadratic_asz, generate_terms,
+                         recurrence_from_quadratic)
 from .rings import RING_Z, Scalar
 
 F = Fraction
@@ -524,9 +525,9 @@ def poly_at_series(p: Poly, X: QExpansion) -> QExpansion:
 # ---------------------------------------------------------------------------
 
 
-def build_xz(row: LevelRow, order: int) -> Tuple[QExpansion, QExpansion]:
-    """The pair (X, Z) for a catalog level, verified to have X = q + O(q^2)
-    and Z = 1 + O(q); raises "definition inconsistent" otherwise."""
+def build_xz(row: LevelRow | WeightRow, order: int) -> Tuple[QExpansion, QExpansion]:
+    """The pair (X, Z) for a catalog level or weight row, verified to have
+    X = q + O(q^2) and Z = 1 + O(q); raises "definition inconsistent" otherwise."""
     X = build_product(row.x, order + 4).normalized()
     if X.offset != 1 or X.coefficient(1) != 1:
         raise QSeriesError("definition inconsistent: X of %s starts %s q^%s"
@@ -608,14 +609,11 @@ def _expansion_matches(terms: Sequence, z: QExpansion, x: QExpansion,
     return True, None
 
 
-def verify_weight_one(row: Weight1Row, order: int = 30) -> Tuple[bool, Optional[Fraction]]:
+def verify_weight_one(row: WeightRow, order: int = 30) -> Tuple[bool, Optional[Fraction]]:
     """z == sum t(n) x^n and q dx/dq == z^2 x (1 - a x - c x^2), through q^order."""
     _check_order(order)
     a, b, g = row.triple
-    x = build_product(row.x, order + 4).normalized()
-    z = build_product(row.z, order + 4).normalized()
-    if x.offset != 1 or x.coefficient(1) != 1:
-        raise QSeriesError("x of %s is not q + O(q^2)" % row.key)
+    x, z = build_xz(row, order)
     t = generate_terms(recurrence_from_quadratic(a, b, g), order, RING_Z)
     ok, where = _expansion_matches(t, z, x, order)
     if not ok:
@@ -625,26 +623,21 @@ def verify_weight_one(row: Weight1Row, order: int = 30) -> Tuple[bool, Optional[
     return qexp_equal(lhs, rhs, order)
 
 
-def verify_weight_two(row, order: int = 20) -> Tuple[bool, Optional[Fraction]]:
-    """y == sum s(n) w^n for a cubic-companion table row, through q^order."""
+def verify_weight_two(row: WeightRow, order: int = 20) -> Tuple[bool, Optional[Fraction]]:
+    """z == sum s(n) x^n for a cubic-companion table row, through q^order."""
     _check_order(order)
-    from .recurrence import cubic_from_quadratic_asz
-    a, b, g = row.triple
-    w = build_product(row.w, order + 4).normalized()
-    y = build_product(row.y, order + 4).normalized()
-    s = generate_terms(cubic_from_quadratic_asz(a, b, g), order, RING_Z)
-    return _expansion_matches(s, y, w, order)
+    x, z = build_xz(row, order)
+    s = generate_terms(cubic_from_quadratic_asz(*row.triple), order, RING_Z)
+    return _expansion_matches(s, z, x, order)
 
 
 # -- the identity bank ------------------------------------------------------
 
 
 def _bank_beukers_apery(order: int):
-    row = catalog.WEIGHT2_ROWS["weight2-6A"]
-    w = build_product(row.w, order + 4).normalized()
-    y = build_product(row.y, order + 4).normalized()
+    x, z = build_xz(catalog.WEIGHT2_ROWS["weight2-6A"], order)
     apery = ORACLES["apery"]
-    return _expansion_matches([apery(n) for n in range(order + 1)], y, w, order)
+    return _expansion_matches([apery(n) for n in range(order + 1)], z, x, order)
 
 
 def _bank_jacobi_phi4(order: int):

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -8,12 +9,13 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import aperylike
-from aperylike import catalog, cli
+from aperylike import catalog, cli, qseries, series
 from aperylike.cli import build_parser, main, reproduce
 
 
@@ -83,11 +85,36 @@ def test_unknown_key_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["terms", "--seq", "bogus"], "unknown sequence key 'bogus'"),
+    (["verify-identities", "--name", "bogus"], "unknown identity 'bogus'"),
+    (["catalog", "--key", "bogus"], "unknown catalog key 'bogus'"),
+])
+def test_unknown_key_error_is_the_bare_message(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == json.dumps({"error": message}) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lucas", "--seq", "14C", "--primes", "3", "--nmax", "12"],
+    ["reproduce", "fourterm-params"],
+])
+def test_csv_rows_have_the_header_width(argv, capsys):
+    code, out = run_cli(capsys, "--format", "csv", *argv)
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert rows and all(len(row) == len(header) for row in rows)
+
+
 def test_catalog_show_and_export(capsys):
     code, doc = run_json(capsys, "catalog", "--key", "level8")
     assert "corrected" in doc["payload"]
     code, doc = run_json(capsys, "catalog", "--export")
     assert any(d["name"] == "level11" for d in doc["payload"]["definitions"])
+
+
+def test_catalog_key_resolves_aliases(capsys):
+    code, doc = run_json(capsys, "catalog", "--key", "apery")
+    assert code == 0 and doc["payload"]["key"] == "weight2-6A"
 
 
 def test_verify_qseries_single_level(capsys):
@@ -273,6 +300,15 @@ def test_def_file_errors_are_json(tmp_path, capsys):
     assert main(["terms", "--def-file", str(path)]) == 1
     error = json.loads(capsys.readouterr().err)["error"]
     assert "'ring'" in error and "'quad:abc'" in error
+
+
+def test_inexact_division_exits_1_with_its_index(tmp_path, capsys):
+    # G = 1, H = n: over Q the terms run 1, 1, 3/8, so T(2) is not in Z
+    path = tmp_path / "def.json"
+    path.write_text(json.dumps({"name": "x", "ring": "Z", "G": ["1"], "H": ["0", "1"]}))
+    assert main(["terms", "--def-file", str(path)]) == 1
+    assert capsys.readouterr().err == \
+        '{"error": "inexact division at index 2", "index": 2}\n'
 
 
 def test_huge_quad_radicand_fails_fast(tmp_path, capsys):
@@ -483,3 +519,94 @@ def test_closed_stdout_exits_quietly(monkeypatch, capsys):
         monkeypatch.undo()
     assert code == 1
     assert capsys.readouterr().err == ""
+
+
+# ---------------------------------------------------------------------------
+# FAIL paths of the q-series sweeps: one verifier made to fail on one row
+# ---------------------------------------------------------------------------
+
+
+def _fail_on(monkeypatch, module, name, which, result):
+    """Make module.name return result for the arguments which() accepts."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *a, **kw: result if which(*a) else real(*a, **kw))
+
+
+def _row(doc, field, key):
+    (row,) = [r for r in doc["payload"]["rows"] if r[field] == key]
+    return row
+
+
+@pytest.mark.parametrize("argv", [("--level", "level5"), ()])
+@pytest.mark.parametrize("result, cells", [
+    (((False, Fraction(7)), (True, None)),
+     {"diff_formula": "FAIL", "ode": "PASS", "diff_mismatch_at": "7"}),
+    (((True, None), (False, Fraction(3))),
+     {"diff_formula": "PASS", "ode": "FAIL", "ode_mismatch_at": "3"}),
+])
+def test_verify_qseries_reports_a_failing_level_row(argv, result, cells,
+                                                    monkeypatch, capsys):
+    _fail_on(monkeypatch, qseries, "verify_level_row",
+             lambda row, order: row.key == "level5", result)
+    code, doc = run_json(capsys, "verify-qseries", *argv, "--order", "10")
+    assert code == 1 and doc["outcome"] == "FAIL"
+    assert _row(doc, "level", "level5") == dict(level="level5", **cells)
+
+
+@pytest.mark.parametrize("argv", [("--level", "zagier5"), ("--all",)])
+def test_verify_qseries_reports_a_failing_weight_one_row(argv, monkeypatch, capsys):
+    _fail_on(monkeypatch, qseries, "verify_weight_one",
+             lambda row, order: row.key == "zagier5", (False, Fraction(4)))
+    code, doc = run_json(capsys, "verify-qseries", *argv, "--order", "10")
+    assert code == 1 and doc["outcome"] == "FAIL"
+    assert _row(doc, "level", "zagier5") == \
+        {"level": "zagier5", "weight_one": "FAIL", "mismatch_at": "4"}
+
+
+@pytest.mark.parametrize("argv, field, key, row", [
+    (("verify-identities",), "identity", "phi-eta",
+     {"identity": "phi-eta", "status": "FAIL", "mismatch_at": "5"}),
+    (("verify-identities", "--name", "phi-eta"), "identity", "phi-eta",
+     {"identity": "phi-eta", "status": "FAIL", "mismatch_at": "5"}),
+    (("verify-qseries", "--all"), "level", "identity:phi-eta",
+     {"level": "identity:phi-eta", "identity": "FAIL", "mismatch_at": "5"}),
+])
+def test_sweeps_report_a_failing_bank_identity(argv, field, key, row,
+                                               monkeypatch, capsys):
+    _fail_on(monkeypatch, qseries, "verify_identity_bank",
+             lambda name, order: name == "phi-eta", (False, Fraction(5)))
+    code, doc = run_json(capsys, *argv, "--order", "10")
+    assert code == 1 and doc["outcome"] == "FAIL"
+    assert _row(doc, field, key) == row
+
+
+@pytest.mark.parametrize("name, which, result, argv, field, row", [
+    ("verify_asz", lambda *trip: trip == (11, 3, 1), (False, 6),
+     ("verify-identities",), "identity",
+     {"identity": "clausen-asz(11, 3, 1)", "status": "FAIL"}),
+    ("verify_asz", lambda *trip: trip == (11, 3, 1), (False, 6),
+     ("verify-qseries", "--all"), "level",
+     {"level": "clausen:(11, 3, 1)", "asz": "FAIL", "ctyz": "PASS"}),
+    ("verify_gf_independence", lambda level, order: level == 14, (False, "w^3"),
+     ("verify-identities",), "identity",
+     {"identity": "gf-independence-14", "status": "FAIL"}),
+    ("verify_gf_independence", lambda level, order: level == 14, (False, "w^3"),
+     ("verify-qseries", "--all"), "level",
+     {"level": "gf-independence:14", "identity": "FAIL"}),
+])
+def test_sweeps_report_a_failing_clausen_or_gf_row(name, which, result, argv, field,
+                                                   row, monkeypatch, capsys):
+    _fail_on(monkeypatch, series, name, which, result)
+    code, doc = run_json(capsys, *argv, "--order", "10")
+    assert code == 1 and doc["outcome"] == "FAIL"
+    assert _row(doc, field, row[field]) == row
+
+
+def test_reproduce_levels_bh_reports_a_failing_level_row(monkeypatch, capsys):
+    _fail_on(monkeypatch, qseries, "verify_level_row",
+             lambda row, order: row.key == "level5", ((True, None), (False, Fraction(3))))
+    code, doc = run_json(capsys, "reproduce", "levels-BH", "--order", "10")
+    assert code == 1 and doc["outcome"] == "FAIL"
+    assert doc["payload"]["mismatches"] == [{"row": "level5", "status": "FAIL"}]
+    assert _row(doc, "row", "level5") == {"row": "level5", "status": "FAIL"}

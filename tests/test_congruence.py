@@ -82,6 +82,9 @@ def test_supercongruence_examples():
     assert rep.ok
     rep = supercongruence_check("level11", 2, 6, 40, PATTERNS["level11-2adic"])
     assert rep.ok and 1 in rep.pattern_hits and not rep.pattern_passes
+    # pattern members that hold anyway are reported, not counted as hits
+    rep = supercongruence_check("level11", 2, 2, 40, lambda n: n <= 3)
+    assert rep.ok and rep.pattern_passes == [1, 2, 3] and rep.pattern_hits == []
 
     a = catalog.sequence("apery").terms(5)
     assert (a[5] - a[1]) % 125 == 0      # 819000 divisible by 5^3

@@ -11,7 +11,9 @@ the ``lucas``, ``supercong`` and ``scan`` pins at b5d7cd0, before residue
 requests became (modulus, stride) targets; the ``reproduce levels-*`` and
 default and ``--level`` ``verify-qseries`` pins at 00595b9, before each
 level row's X and Z became product specs built once per row; the other
-``reproduce`` pins at 477e434, before every table came from one registry.
+``reproduce`` pins at 477e434, before every table came from one registry;
+the ``catalog`` listing and ``--key`` pins at b6fbb59, before the weight-one
+and weight-two rows became one row type.
 A refactor must leave every pinned payload byte-identical.
 """
 
@@ -78,6 +80,18 @@ PINS = {
     # one 7-term row, X from a theta sum; recorded at 00595b9
     ("verify-qseries", "--level", "level23", "--order", "10"):
         "88d8ed87acefedc8b3a4934f0ff4710c05757769ac0ccd509d2788fc16ef487c",
+    # every sequence, level, weight-one and weight-two key; recorded at b6fbb59
+    ("catalog",):
+        "560f5e99b7f9e29222a3b0fae47648f4d3c6b0a700b29b3a77e8c6f13f0ab07d",
+    # a weight-one row; recorded at b6fbb59
+    ("catalog", "--key", "zagier5"):
+        "64fdff2ad6267df7936380b32711c15632443d1fd65e9a0daa841cc07751982d",
+    # a corrected weight-two row; recorded at b6fbb59
+    ("catalog", "--key", "weight2-8"):
+        "f13c3cc530aeaf78cafb554242fa115eb1148babe4af63d95eff6f48054a06f9",
+    # a corrected level row with its B^2 and H data; recorded at b6fbb59
+    ("catalog", "--key", "level8"):
+        "5e88f89b6daec40fa0434453d946acf94029f1b5f4f1959a96802388e850bf25",
 }
 
 

@@ -728,8 +728,8 @@ def reachable_quotient_specs():
             qseries.build_product(row.x, 2)
             qseries.build_product(row.z, 2)
         for row in catalog.WEIGHT2_ROWS.values():
-            qseries.build_product(row.w, 2)
-            qseries.build_product(row.y, 2)
+            qseries.build_product(row.x, 2)
+            qseries.build_product(row.z, 2)
         for name in qseries.IDENTITY_BANK:
             qseries.verify_identity_bank(name, 2)
     return sorted(etas), sorted(pochs)
