@@ -220,7 +220,11 @@ def cmd_verify_identities(args) -> RunReport:
 
 def _prime(text: str) -> int:
     p = int(text)
-    if not congruence.is_prime(p):
+    try:
+        prime = congruence.is_prime(p)
+    except ValueError as exc:  # at or above the Miller-Rabin bound
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not prime:
         raise argparse.ArgumentTypeError("%d is not prime" % p)
     return p
 
@@ -247,6 +251,13 @@ def _positive_int(text: str) -> int:
     k = int(text)
     if k < 1:
         raise argparse.ArgumentTypeError("must be >= 1, got %d" % k)
+    return k
+
+
+def _nonnegative_int(text: str) -> int:
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % k)
     return k
 
 
@@ -458,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--seq")
     which.add_argument("--def-file", help="JSON sequence definition file")
-    p.add_argument("--nmax", type=int, default=10)
+    p.add_argument("--nmax", type=_nonnegative_int, default=10)
     p.set_defaults(func=cmd_terms)
 
     p = sub.add_parser("catalog", help="list or export catalog entries")

@@ -13,7 +13,11 @@ chosen per call with no option:
   e + sum_m v_p(lead(m)) p-adic digits, divides out p^v exactly at each
   such step, and shrinks the modulus by the precision spent; the p-free
   parts of the leads are folded into the back coefficients, so the run
-  takes no modular inverse of its big modulus.  It builds no exact term.
+  takes no modular inverse of its big modulus.  The coefficients are
+  evaluated a block of indices at a time: each block strips the p-part
+  from its leads once and builds the unit-folded weights
+  b_j(m) u_(m-1)...u_(m-j+1), so a step is one sum of k products over a
+  window of the last k values and one reduction.  It builds no exact term.
   It certifies p-integrality only: a term that is not p-integral raises
   InexactDivision, while a denominator prime to p goes unseen.  That is
   sound for residues in Z_(p), which is all a congruence mod p^e reads.
@@ -35,12 +39,20 @@ and every class modulus >= 1; all are checked before any term is streamed.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import mul
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import catalog
-from .recurrence import InexactDivision, RecurrenceSpec, _eval_int_poly, _integral_relation
+from .recurrence import (
+    InexactDivision,
+    RecurrenceSpec,
+    _coeff_blocks,
+    _integral_relation,
+    _rows,
+)
 from .rings import RingError, reduce_pair
 
 Residue = Tuple[int, int]
@@ -144,6 +156,26 @@ def _check_primes(primes: Sequence[int]) -> None:
             raise ValueError("prime %d is listed twice" % p)
 
 
+def _unit_parts(leads: List[int], p: int, start: int) -> Tuple[List[int], Dict[int, int]]:
+    """Strip the p-part from a block of leads, lead(m) for m = start, ...:
+    the units u_m (lead(m) = p^v_m u_m, u_m prime to p) and the map m ->
+    v_m over the indices with v_m > 0.  A vanishing lead raises
+    ZeroDivisionError naming its index."""
+    if 0 in leads:
+        raise ZeroDivisionError("lead coefficient vanishes at index %d"
+                                % (start + leads.index(0)))
+    units = list(leads)
+    hits = {}
+    for i in [i for i, x in enumerate(leads) if x % p == 0]:
+        u, v = units[i], 0
+        while u % p == 0:
+            u //= p
+            v += 1
+        units[i] = u
+        hits[start + i] = v
+    return units, hits
+
+
 def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int) -> Residues:
     """T(n) mod p^e for n <= n_max and for n = p k with k <= n_max, of the
     Z-ring stream with T(0) = 1, from a p-adic run of the recurrence to
@@ -162,52 +194,56 @@ def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int) -> Residue
     shrinks to p^prec.  A kept index returns W(n) D(n)^-1 mod p^e, with D
     tracked mod p^e.  The result certifies p-integrality only; a
     denominator prime to p is not detected.
+
+    Both passes (the precision budget, then the run) read the coefficients
+    a block of indices at a time from _coeff_blocks.  Each block of the run
+    strips the p-part from its leads once and builds the unit-folded
+    weights b_j(m) u_(m-1)...u_(m-j+1) as columns, carrying the last k-1
+    units across block edges; a step is then one sum of weights times a
+    deque of the last k values of W.
     """
     lead, backs = _integral_relation(spec)
+    k = len(backs)
     end = p * n_max
     prec = e
-    for m in range(end):
-        x = _eval_int_poly(lead, m)
-        if not x:
-            raise ZeroDivisionError("lead coefficient vanishes at index %d" % m)
-        while x % p == 0:
-            x //= p
-            prec += 1
+    for start, (leads,) in _coeff_blocks([lead], end):
+        prec += sum(_unit_parts(leads, p, start)[1].values())
     pe = p ** e
     M = p ** prec
-    window = [1] + [0] * (len(backs) - 1)  # window[j-1] = W(m+1-j) while producing W(m+1)
-    folds = [1] * len(backs)   # folds[j-1] = u_(m-1)...u_(m-j+1)
-    D = 1                      # D(m+1) mod p^e once u_m is folded in
+    window = deque([1] + [0] * (k - 1), maxlen=k)  # window[j-1] = W(m+1-j) while producing W(m+1)
+    carry = [1] * (k - 1)  # u_(start-k+1), ..., u_(start-1); u is 1 at a negative index
+    D = 1                  # D(m+1) mod p^e once u_m is folded in
     low = [1]   # T(n) mod p^e for n <= n_max
     above = []  # T(p k) mod p^e for n_max < p k <= p n_max
-    for m in range(end):
-        s = 0
-        for c, f, w in zip(backs, folds, window):
-            if w:
-                s += _eval_int_poly(c, m) * f * w
-        u = _eval_int_poly(lead, m)
-        if u % p == 0:
-            v = 0
-            while u % p == 0:
-                u //= p
-                v += 1
-            pv = p ** v
-            s, r = divmod(s, pv)
-            if r:
-                raise InexactDivision(m + 1)
-            prec -= v
-            if prec < e:
-                raise ArithmeticError("p-adic precision below e at index %d" % (m + 1))
-            M //= pv
-        w = s % M
-        D = D * u % pe
-        if m < n_max:
-            low.append(w * pow(D, -1, pe) % pe)
-        elif (m + 1) % p == 0:
-            above.append(w * pow(D, -1, pe) % pe)
-        window.insert(0, w)
-        window.pop()
-        folds = [1] + [u * f for f in folds[:-1]]
+    for start, (leads, *bs) in _coeff_blocks([lead] + backs, end):
+        n = len(leads)
+        units, hits = _unit_parts(leads, p, start)
+        ext = carry + units  # ext[k-1+i] = u_(start+i)
+        carry = ext[n:]
+        weights = bs[:1]
+        fold = [1] * n  # fold[i] = u_(m-1)...u_(m-j+1) at m = start+i
+        for j in range(2, k + 1):
+            fold = [f * u for f, u in zip(fold, ext[k - j:k - j + n])]
+            weights.append([b * f for b, f in zip(bs[j - 1], fold)])
+        for m, u, row in zip(range(start, start + n), units, _rows(weights, n)):
+            s = sum(map(mul, row, window))
+            if m in hits:
+                v = hits[m]
+                pv = p ** v
+                s, r = divmod(s, pv)
+                if r:
+                    raise InexactDivision(m + 1)
+                prec -= v
+                if prec < e:
+                    raise ArithmeticError("p-adic precision below e at index %d" % (m + 1))
+                M //= pv
+            w = s % M
+            D = D * u % pe
+            if m < n_max:
+                low.append(w * pow(D, -1, pe) % pe)
+            elif (m + 1) % p == 0:
+                above.append(w * pow(D, -1, pe) % pe)
+            window.appendleft(w)
     return ((low, low[::p] + above),)
 
 

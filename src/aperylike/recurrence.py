@@ -15,10 +15,12 @@ zero by convention.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, repeat
 from math import lcm
+from operator import mul
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .rings import (
@@ -287,11 +289,40 @@ def _integral_relation(spec: RecurrenceSpec
     return lead, backs
 
 
-def _eval_int_poly(coeffs: Tuple[Scalar, ...], n: int) -> Scalar:
-    out = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        out = out * n + c
-    return out
+_BLOCK_FIRST = 16
+_BLOCK_LAST = 512
+
+
+def _coeff_blocks(polys: List[Tuple[Scalar, ...]], stop: Optional[int] = None
+                  ) -> Iterator[Tuple[int, List[List[Scalar]]]]:
+    """Evaluate coefficient polynomials over blocks of consecutive indices.
+
+    Yields (start, values) for consecutive blocks start <= m < start +
+    len(values[i]), from m = 0, with values[i][m - start] = polys[i](m)
+    by list-comprehension Horner.  An open-ended run (stop None) takes 16
+    indices, then as many as it has evaluated so far, up to 512 (16, 16,
+    32, ..., 512, 512, ...), so a short stream evaluates less than twice
+    the indices it reads; a run to a known stop takes blocks of 512."""
+    start = 0
+    size = _BLOCK_FIRST if stop is None else _BLOCK_LAST
+    while stop is None or start < stop:
+        end = start + size if stop is None else min(start + size, stop)
+        ns = range(start, end)
+        values = []
+        for coeffs in polys:
+            col = [coeffs[-1]] * len(ns)
+            for c in reversed(coeffs[:-1]):
+                col = [v * n + c for v, n in zip(col, ns)]
+            values.append(col)
+        yield start, values
+        start = end
+        size = min(start, _BLOCK_LAST)
+
+
+def _rows(cols: List[List[Scalar]], n: int) -> Iterator[Tuple[Scalar, ...]]:
+    """The n per-index tuples of a block's columns; empty tuples when
+    there is no column (a relation of order 0)."""
+    return zip(*cols) if cols else repeat((), n)
 
 
 def _rational_lead(spec: RecurrenceSpec) -> RecurrenceSpec:
@@ -315,77 +346,75 @@ def _split_surd(coeffs: Tuple[Scalar, ...], ring: RingTag
 
 
 def _stream_z(spec: RecurrenceSpec) -> Iterator[int]:
-    """Kernel for Z: every division by the lead must be exact."""
+    """Kernel for Z: every division by the lead must be exact.
+
+    The coefficients come a block of indices at a time from
+    _coeff_blocks; each step sums the back coefficients against a deque
+    of the last k terms and divides by the lead with divmod."""
     lead, backs = _integral_relation(spec)
-    window = [1] + [0] * (len(backs) - 1)  # window[j-1] = T(m+1-j) while producing T(m+1)
+    window = deque([1] + [0] * (len(backs) - 1), maxlen=len(backs))  # window[j-1] = T(m+1-j)
     yield 1
-    for m in count():
-        s = 0
-        for c, w in zip(backs, window):
-            if w:
-                s += _eval_int_poly(c, m) * w
-        t, r = divmod(s, _eval_int_poly(lead, m))
-        if r:
-            raise InexactDivision(m + 1)
-        yield t
-        window.insert(0, t)
-        window.pop()
+    for start, (leads, *cols) in _coeff_blocks([lead] + backs):
+        for m, x, row in zip(count(start), leads, _rows(cols, len(leads))):
+            t, r = divmod(sum(map(mul, row, window)), x)
+            if r:
+                raise InexactDivision(m + 1)
+            yield t
+            window.appendleft(t)
 
 
 def _stream_q(spec: RecurrenceSpec) -> Iterator[Fraction]:
     """Kernel for Q: Fraction terms, summed as plain ints.
 
-    The window holds each term as (numerator, denominator).  Each step
-    sums the back terms over L, the lcm of the nonzero window
+    The window holds each term as (numerator, denominator), and the
+    coefficients come a block of indices at a time from _coeff_blocks.
+    Each step sums the back terms over L, the lcm of the nonzero window
     denominators, and builds one Fraction(sum, lead * L): one
     normalisation per term.  A vanishing lead raises ZeroDivisionError."""
     lead, backs = _integral_relation(spec)
-    window = [(1, 1)] + [(0, 1)] * (len(backs) - 1)
+    window = deque([(1, 1)] + [(0, 1)] * (len(backs) - 1), maxlen=len(backs))
     yield Fraction(1)
-    for m in count():
-        L = lcm(*[den for num, den in window if num])
-        s = 0
-        for c, (num, den) in zip(backs, window):
-            if num:
-                s += _eval_int_poly(c, m) * num * (L // den)
-        t = Fraction(s, _eval_int_poly(lead, m) * L)
-        yield t
-        window.insert(0, (t.numerator, t.denominator))
-        window.pop()
+    for _, (leads, *cols) in _coeff_blocks([lead] + backs):
+        for x, row in zip(leads, _rows(cols, len(leads))):
+            L = lcm(*[den for num, den in window if num])
+            s = sum([c * num * (L // den) for c, (num, den) in zip(row, window)])
+            t = Fraction(s, x * L)
+            yield t
+            window.appendleft((t.numerator, t.denominator))
 
 
 def _stream_quad(spec: RecurrenceSpec, ring: RingTag) -> Iterator[Tuple[Rat, Rat]]:
     """Kernel for Q(sqrt(d)) on integer pairs: T = a + b*sqrt(d) as (a, b).
 
     Each back polynomial is split into the integer coefficient tuples of
-    its rational and surd parts, evaluated by plain-int Horner; each
-    component of the sum is divided by the integer lead with divmod.  An
-    inexact division gives a Fraction, as division in the field would."""
+    its rational and surd parts, A(n) + B(n)*sqrt(d), and _coeff_blocks
+    evaluates the lead and every A and B a block of indices at a time.
+    Each component of the sum is divided by the integer lead with divmod;
+    an inexact division gives a Fraction, as division in the field
+    would."""
     d = ring.d
     lead, backs = _integral_relation(_rational_lead(spec))
     lead, _ = _split_surd(lead, ring)  # the surd part is 0 after _rational_lead
     backs = [_split_surd(p, ring) for p in backs]
-    window = [(1, 0)] + [(0, 0)] * (len(backs) - 1)
+    k = len(backs)
+    wa = deque([1] + [0] * (k - 1), maxlen=k)  # wa[j-1], wb[j-1]: the parts of T(m+1-j)
+    wb = deque([0] * k, maxlen=k)
+    polys = [lead] + [pa for pa, _ in backs] + [pb for _, pb in backs]
     yield (1, 0)
-    for m in count():
-        sa = sb = 0
-        for (pa, pb), (wa, wb) in zip(backs, window):
-            if wa or wb:
-                A = _eval_int_poly(pa, m)
-                B = _eval_int_poly(pb, m)
-                sa += A * wa + d * B * wb
-                sb += A * wb + B * wa
-        den = _eval_int_poly(lead, m)
-        a, r = divmod(sa, den)
-        if r:
-            a = Fraction(sa, den)
-        b, r = divmod(sb, den)
-        if r:
-            b = Fraction(sb, den)
-        t = (a, b)
-        yield t
-        window.insert(0, t)
-        window.pop()
+    for _, (dens, *cols) in _coeff_blocks(polys):
+        n = len(dens)
+        for den, A, B in zip(dens, _rows(cols[:k], n), _rows(cols[k:], n)):
+            sa = sum(map(mul, A, wa)) + d * sum(map(mul, B, wb))
+            sb = sum(map(mul, A, wb)) + sum(map(mul, B, wa))
+            a, r = divmod(sa, den)
+            if r:
+                a = Fraction(sa, den)
+            b, r = divmod(sb, den)
+            if r:
+                b = Fraction(sb, den)
+            yield (a, b)
+            wa.appendleft(a)
+            wb.appendleft(b)
 
 
 def term_iterator(spec: RecurrenceSpec, ring: RingTag = RING_Z) -> Iterator[Scalar]:

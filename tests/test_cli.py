@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aperylike
-from aperylike import catalog, cli, qseries, series
+from aperylike import catalog, cli, congruence, qseries, series
 from aperylike.cli import build_parser, main, reproduce
 
 
@@ -284,8 +284,13 @@ def test_terms_negative_nmax_fails_fast(capsys):
     proc = subprocess.run(
         [sys.executable, "-m", "aperylike.cli", "terms", "--seq", "level11", "--nmax", "-1"],
         capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 1
-    assert "n_max" in json.loads(proc.stderr)["error"]
+    assert proc.returncode == 2
+    assert "--nmax" in proc.stderr
+
+
+def test_terms_accepts_nmax_zero(capsys):
+    assert main(["terms", "--seq", "level11", "--nmax", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["payload"]["terms"] == ["1"]
 
 
 def test_def_file_errors_are_json(tmp_path, capsys):
@@ -461,6 +466,19 @@ def test_reproduce_reports_the_options_its_table_reads(argv, parameters, capsys)
     code, doc = run_json(capsys, *argv)
     assert code == 0
     assert doc["parameters"] == parameters
+
+
+@pytest.mark.parametrize("argv", [
+    ["supercong", "--seq", "level11", "--prime", "400000000000000000000000"],
+    ["scan", "--primes", "2,400000000000000000000000"],
+])
+def test_prime_beyond_the_primality_bound_names_the_bound(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "is not decided below %d" % congruence._MR_BOUND in err
+    assert "invalid _prime value" not in err
 
 
 def test_prime_range_cap_fires_before_the_sieve(monkeypatch, capsys):

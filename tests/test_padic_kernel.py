@@ -132,6 +132,34 @@ def test_extra_powers_of_p_in_the_lead_are_budgeted(p):
         assert _padic_residues(spec, p, e, 50) == want
 
 
+# The kernel reads its coefficients in blocks of 512 indices and carries
+# the last k-1 units across each block edge; the catalog-wide test above
+# stays inside the first block.
+@pytest.mark.parametrize("key, p, e, n_max", [
+    ("level11", 59, 2, 20),  # 1,180 steps
+    ("apery", 2, 6, 700),    # 1,400 steps, half of which divide
+])
+def test_kernel_matches_exact_pass_across_block_edges(key, p, e, n_max):
+    seq = catalog.sequence(key)
+    want = _exact_residues(seq, n_max, [(p ** e, p)])[0]
+    assert _padic_residues(seq.spec, p, e, n_max) == want
+
+
+@pytest.mark.parametrize("p, m, power", [(2, 511, 10), (2, 512, 10), (3, 512, 6)])
+def test_lead_gaining_a_power_of_p_at_a_block_edge(p, m, power):
+    # lead (n + c) (n+1)^3 with m + c = p^power: the step at index m, the
+    # last index of the first block or the first of the second, divides
+    # by p^power more than the unscaled relation does
+    seq = catalog.sequence("level11")
+    spec = _scaled(seq.spec, Poly([p ** power - m, 1]))
+    scaled = catalog.Sequence("scaled", RING_Z, spec)
+    n_max = 300
+    for e in (1, 3):
+        want = _exact_residues(scaled, n_max, [(p ** e, p)])[0]
+        assert want == _exact_residues(seq, n_max, [(p ** e, p)])[0]
+        assert _padic_residues(spec, p, e, n_max) == want
+
+
 # (n+1) T(n+1) = 24 T(n): T(n) = 24^n / n!, integral up to n = 4; T(5) has
 # denominator 5, and T(7) has denominator 35
 FACTORIAL_SPEC = RecurrenceSpec((Poly([1, 1]), Poly([-24])))

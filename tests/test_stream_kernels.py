@@ -14,6 +14,7 @@ from aperylike.congruence import primes_below
 from aperylike.recurrence import Poly, RecurrenceSpec, generate_terms, term_iterator, term_pairs
 from aperylike.rings import (
     RING_Q,
+    RING_Z,
     QuadElem,
     RingError,
     RingTag,
@@ -92,6 +93,26 @@ def test_kernel_matches_generic_loop_on_catalog(key):
     got = seq.terms(N_MAX)
     assert got == want
     assert [type(t) for t in got] == [type(t) for t in want]
+
+
+@pytest.mark.parametrize("key", ["level11", "14C", "level13"])
+def test_kernel_matches_generic_loop_across_block_edges(key):
+    # one row per kernel (Z, Z[sqrt(d)], Q); the coefficients come in
+    # blocks of up to 512 indices, so 1,100 terms cross several edges
+    seq = catalog.sequence(key)
+    want = reference_terms(seq.spec, seq.ring, 1100)
+    got = seq.terms(1100)
+    assert got == want
+    assert [type(t) for t in got] == [type(t) for t in want]
+
+
+@pytest.mark.parametrize("ring", [RING_Z, RING_Q, RING_SQRT2])
+def test_relation_of_order_zero_streams_zeros(ring):
+    # (n+1)^3 T(n+1) = 0: T = 1, 0, 0, ... in every kernel
+    spec = RecurrenceSpec((Poly([1, 1]) ** 3,))
+    got = generate_terms(spec, 600, ring)
+    assert got == reference_terms(spec, ring, 600)
+    assert got[:3] == [1, 0, 0]
 
 
 def test_kernel_matches_generic_loop_on_epsilon_specials():
