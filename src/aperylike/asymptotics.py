@@ -137,8 +137,8 @@ def smallest_root(G: Poly, cfg: PrecisionConfig = DEFAULT_CONFIG):
         return r0, cert
 
 
-def _sqrt_exact(x: Fraction) -> Optional[Scalar]:
-    """sqrt of a rational as a Fraction or QuadElem, None if x = 0."""
+def _sqrt_exact(x: Fraction) -> Scalar:
+    """sqrt of a rational as a Fraction or QuadElem (F(0) at x = 0)."""
     if x == 0:
         return F(0)
     num, den = x.numerator, x.denominator
@@ -174,8 +174,6 @@ def factor_roots_exact(factor: Sequence[Scalar]) -> Optional[List[Scalar]]:
         c0, c1, c2 = F(c0), F(c1), F(c2)
         disc = c1 * c1 - 4 * c0 * c2
         s = _sqrt_exact(disc)
-        if s is None:
-            return None
         return [(-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)]
     return None
 
@@ -233,6 +231,14 @@ def asymptotic_params(G: Poly, H: Poly, cfg: PrecisionConfig = DEFAULT_CONFIG,
         r0_exact, R_exact = exact_min_root(factors)
         if r0_exact is not None:
             b1_exact = _b1_exact(G, H, r0_exact)
+        with mp.workdps(cfg.digits + 10):  # relative gap; an exact 0 is compared absolutely
+            for name, num, exact in (("R", R, R_exact), ("b1", b1, b1_exact)):
+                if exact is None:
+                    continue
+                x = to_mp(exact)
+                if mp.fabs(num - x) > (mp.fabs(x) or 1) / mp.mpf(10) ** cfg.digits:
+                    raise AsymptoticsError("exact %s = %s disagrees with the numeric value"
+                                           % (name, exact))
     return AsymptoticParams(seq, R, b1, F(-3, 2), R_exact, b1_exact,
                             certificate=cert)
 

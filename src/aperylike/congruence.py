@@ -109,7 +109,7 @@ def _exact_residues(seq: catalog.Sequence, n_max: int,
     for m, stride in targets:
         for k in range(n_max // stride + 1, n_max + 1):
             above[stride * k] = math.lcm(above.get(stride * k, 1), m)
-    stream = seq.iter_pairs()
+    stream = seq.iter_pairs(max(above, default=n_max))
     if seq.ring.kind == "quad":
         la: List[int] = []
         lb: List[int] = []
@@ -121,7 +121,7 @@ def _exact_residues(seq: catalog.Sequence, n_max: int,
     else:
         lows = ([reduce_pair(t, 0, P)[0] for t, _ in islice(stream, n_max + 1)],)
     highs: Dict[int, Residue] = {}
-    for n, (a, b) in enumerate(islice(stream, max(above, default=n_max) - n_max), n_max + 1):
+    for n, (a, b) in enumerate(stream, n_max + 1):
         if n in above:
             highs[n] = reduce_pair(a, b, above[n])
     out = []

@@ -380,11 +380,11 @@ def eta_expand(N: int, order: int) -> QExpansion:
 
 def eta_quotient(factors: Sequence[Tuple[int, int]], order: int) -> QExpansion:
     """prod eta_N^e over (N, e), known through q^(sum e N/24 + order)."""
+    if order < 0 and not (factors and factors[0][0] < 1):  # a bad first level is named first
+        raise QSeriesError("precision q^%d is negative" % order)
     for N, _ in factors:
         if N < 1:
             raise QSeriesError("eta level must be >= 1")
-        if order < 0:
-            raise QSeriesError("precision q^%d is negative" % order)
     unit = _unit_product([(N, N, e) for N, e in factors], order)
     return _raw(F(sum(e * N for N, e in factors), 24), unit, 1)
 
@@ -392,9 +392,9 @@ def eta_quotient(factors: Sequence[Tuple[int, int]], order: int) -> QExpansion:
 def poch_quotient(offset, factors: Sequence[Tuple[int, int, int]], order: int) -> QExpansion:
     """q^offset prod (prod_{j>=0} (1 - q^(a+j m)))^e over (a, m, e), known
     through q^(offset + order)."""
+    if order < 0:
+        raise QSeriesError("precision q^%d is negative" % order)
     for a, m, _ in factors:
-        if order < 0:
-            raise QSeriesError("precision q^%d is negative" % order)
         if a < 1 or m < 1:
             raise QSeriesError("Pochhammer factor needs a >= 1 and m >= 1, got a=%d, m=%d"
                                % (a, m))

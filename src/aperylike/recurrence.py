@@ -18,7 +18,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice, repeat
+from itertools import count, repeat
 from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
@@ -289,25 +289,18 @@ def _integral_relation(spec: RecurrenceSpec
     return lead, backs
 
 
-_BLOCK_FIRST = 16
-_BLOCK_LAST = 512
+_BLOCK = 512
 
 
-def _coeff_blocks(polys: List[Tuple[Scalar, ...]], stop: Optional[int] = None
+def _coeff_blocks(polys: List[Tuple[Scalar, ...]], stop: int
                   ) -> Iterator[Tuple[int, List[List[Scalar]]]]:
     """Evaluate coefficient polynomials over blocks of consecutive indices.
 
-    Yields (start, values) for consecutive blocks start <= m < start +
-    len(values[i]), from m = 0, with values[i][m - start] = polys[i](m)
-    by list-comprehension Horner.  An open-ended run (stop None) takes 16
-    indices, then as many as it has evaluated so far, up to 512 (16, 16,
-    32, ..., 512, 512, ...), so a short stream evaluates less than twice
-    the indices it reads; a run to a known stop takes blocks of 512."""
-    start = 0
-    size = _BLOCK_FIRST if stop is None else _BLOCK_LAST
-    while stop is None or start < stop:
-        end = start + size if stop is None else min(start + size, stop)
-        ns = range(start, end)
+    Yields (start, values) for consecutive blocks of up to 512 indices
+    start <= m < start + len(values[i]), covering 0 <= m < stop, with
+    values[i][m - start] = polys[i](m) by list-comprehension Horner."""
+    for start in range(0, stop, _BLOCK):
+        ns = range(start, min(start + _BLOCK, stop))
         values = []
         for coeffs in polys:
             col = [coeffs[-1]] * len(ns)
@@ -315,8 +308,6 @@ def _coeff_blocks(polys: List[Tuple[Scalar, ...]], stop: Optional[int] = None
                 col = [v * n + c for v, n in zip(col, ns)]
             values.append(col)
         yield start, values
-        start = end
-        size = min(start, _BLOCK_LAST)
 
 
 def _rows(cols: List[List[Scalar]], n: int) -> Iterator[Tuple[Scalar, ...]]:
@@ -345,16 +336,16 @@ def _split_surd(coeffs: Tuple[Scalar, ...], ring: RingTag
     return tuple(x.a for x in xs), tuple(x.b for x in xs)
 
 
-def _stream_z(spec: RecurrenceSpec) -> Iterator[int]:
-    """Kernel for Z: every division by the lead must be exact.
+def _stream_z(spec: RecurrenceSpec, n_max: int) -> Iterator[int]:
+    """Kernel for Z: T(0..n_max), every division by the lead exact.
 
-    The coefficients come a block of indices at a time from
+    The coefficients at 0 <= m < n_max come a block at a time from
     _coeff_blocks; each step sums the back coefficients against a deque
     of the last k terms and divides by the lead with divmod."""
     lead, backs = _integral_relation(spec)
     window = deque([1] + [0] * (len(backs) - 1), maxlen=len(backs))  # window[j-1] = T(m+1-j)
     yield 1
-    for start, (leads, *cols) in _coeff_blocks([lead] + backs):
+    for start, (leads, *cols) in _coeff_blocks([lead] + backs, n_max):
         for m, x, row in zip(count(start), leads, _rows(cols, len(leads))):
             t, r = divmod(sum(map(mul, row, window)), x)
             if r:
@@ -363,18 +354,18 @@ def _stream_z(spec: RecurrenceSpec) -> Iterator[int]:
             window.appendleft(t)
 
 
-def _stream_q(spec: RecurrenceSpec) -> Iterator[Fraction]:
-    """Kernel for Q: Fraction terms, summed as plain ints.
+def _stream_q(spec: RecurrenceSpec, n_max: int) -> Iterator[Fraction]:
+    """Kernel for Q: T(0..n_max) as Fractions, summed as plain ints.
 
     The window holds each term as (numerator, denominator), and the
-    coefficients come a block of indices at a time from _coeff_blocks.
+    coefficients at 0 <= m < n_max come a block at a time from _coeff_blocks.
     Each step sums the back terms over L, the lcm of the nonzero window
     denominators, and builds one Fraction(sum, lead * L): one
     normalisation per term.  A vanishing lead raises ZeroDivisionError."""
     lead, backs = _integral_relation(spec)
     window = deque([(1, 1)] + [(0, 1)] * (len(backs) - 1), maxlen=len(backs))
     yield Fraction(1)
-    for _, (leads, *cols) in _coeff_blocks([lead] + backs):
+    for _, (leads, *cols) in _coeff_blocks([lead] + backs, n_max):
         for x, row in zip(leads, _rows(cols, len(leads))):
             L = lcm(*[den for num, den in window if num])
             s = sum([c * num * (L // den) for c, (num, den) in zip(row, window)])
@@ -383,12 +374,12 @@ def _stream_q(spec: RecurrenceSpec) -> Iterator[Fraction]:
             window.appendleft((t.numerator, t.denominator))
 
 
-def _stream_quad(spec: RecurrenceSpec, ring: RingTag) -> Iterator[Tuple[Rat, Rat]]:
-    """Kernel for Q(sqrt(d)) on integer pairs: T = a + b*sqrt(d) as (a, b).
+def _stream_quad(spec: RecurrenceSpec, ring: RingTag, n_max: int) -> Iterator[Tuple[Rat, Rat]]:
+    """Kernel for Q(sqrt(d)) on integer pairs: T(0..n_max) as (a, b).
 
     Each back polynomial is split into the integer coefficient tuples of
     its rational and surd parts, A(n) + B(n)*sqrt(d), and _coeff_blocks
-    evaluates the lead and every A and B a block of indices at a time.
+    evaluates the lead and every A and B at 0 <= m < n_max, a block at a time.
     Each component of the sum is divided by the integer lead with divmod;
     an inexact division gives a Fraction, as division in the field
     would."""
@@ -401,7 +392,7 @@ def _stream_quad(spec: RecurrenceSpec, ring: RingTag) -> Iterator[Tuple[Rat, Rat
     wb = deque([0] * k, maxlen=k)
     polys = [lead] + [pa for pa, _ in backs] + [pb for _, pb in backs]
     yield (1, 0)
-    for _, (dens, *cols) in _coeff_blocks(polys):
+    for _, (dens, *cols) in _coeff_blocks(polys, n_max):
         n = len(dens)
         for den, A, B in zip(dens, _rows(cols[:k], n), _rows(cols[k:], n)):
             sa = sum(map(mul, A, wa)) + d * sum(map(mul, B, wb))
@@ -417,8 +408,9 @@ def _stream_quad(spec: RecurrenceSpec, ring: RingTag) -> Iterator[Tuple[Rat, Rat
             wb.appendleft(b)
 
 
-def term_iterator(spec: RecurrenceSpec, ring: RingTag = RING_Z) -> Iterator[Scalar]:
-    """Yield T(0) = 1, T(1), ... exactly, keeping only a k-term window.
+def term_iterator(spec: RecurrenceSpec, ring: RingTag, n_max: int) -> Iterator[Scalar]:
+    """Yield T(0) = 1, T(1), ..., T(n_max) exactly, keeping only a k-term
+    window; the coefficients are evaluated at 0 <= m < n_max only.
 
     The kernel is chosen here, once per ring.  Under ring Z every division
     by the leading coefficient must be exact, otherwise InexactDivision
@@ -426,28 +418,30 @@ def term_iterator(spec: RecurrenceSpec, ring: RingTag = RING_Z) -> Iterator[Scal
     in the fraction field; Quad(d) streams run on integer pairs (see
     term_pairs) and become QuadElem only as each term is yielded.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0, got %d" % n_max)
     if ring.kind == "quad":
         d = ring.d
-        return (QuadElem(d, a, b) for a, b in _stream_quad(spec, ring))
+        return (QuadElem(d, a, b) for a, b in _stream_quad(spec, ring, n_max))
     if ring.kind == "Q":
-        return _stream_q(spec)
-    return _stream_z(spec)
+        return _stream_q(spec, n_max)
+    return _stream_z(spec, n_max)
 
 
-def term_pairs(spec: RecurrenceSpec, ring: RingTag = RING_Z) -> Iterator[Tuple[Rat, Rat]]:
-    """Yield each T(n) = a + b*sqrt(d) as the exact pair (a, b), without
-    building a QuadElem; b = 0 over Z and Q.  Same terms and errors as
-    term_iterator."""
+def term_pairs(spec: RecurrenceSpec, ring: RingTag, n_max: int) -> Iterator[Tuple[Rat, Rat]]:
+    """Yield each T(n), n <= n_max, as the exact pair (a, b) meaning
+    a + b*sqrt(d), without building a QuadElem; b = 0 over Z and Q.  Same
+    terms and errors as term_iterator."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0, got %d" % n_max)
     if ring.kind == "quad":
-        return _stream_quad(spec, ring)
-    return ((t, 0) for t in term_iterator(spec, ring))
+        return _stream_quad(spec, ring, n_max)
+    return ((t, 0) for t in term_iterator(spec, ring, n_max))
 
 
 def generate_terms(spec: RecurrenceSpec, n_max: int, ring: RingTag = RING_Z) -> List[Scalar]:
     """T(0..n_max) as a list."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0, got %d" % n_max)
-    return list(islice(term_iterator(spec, ring), n_max + 1))
+    return list(term_iterator(spec, ring, n_max))
 
 
 @dataclass
@@ -508,9 +502,9 @@ class Sequence:
     def terms(self, n_max: int) -> List[Scalar]:
         return generate_terms(self.spec, n_max, self.ring)
 
-    def iter_pairs(self) -> Iterator[Tuple[Rat, Rat]]:
-        """The terms as exact pairs (a, b), T = a + b*sqrt(d); see term_pairs."""
-        return term_pairs(self.spec, self.ring)
+    def iter_pairs(self, n_max: int) -> Iterator[Tuple[Rat, Rat]]:
+        """T(0..n_max) as exact pairs (a, b), T = a + b*sqrt(d); see term_pairs."""
+        return term_pairs(self.spec, self.ring, n_max)
 
     def to_json(self) -> dict:
         if self.G is None or self.H is None:

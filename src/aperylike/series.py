@@ -9,7 +9,6 @@ through x^order and reports the first mismatching exponent as an int.
 
 from __future__ import annotations
 
-from itertools import islice
 from math import comb
 from typing import Optional, Sequence, Tuple
 
@@ -92,7 +91,7 @@ def _special_gf(family: catalog.EpsilonFamily, eps: Scalar, order: int) -> Pair:
     re = 1 + e0 w + sigma w^2, so u = w (re - e1 w sqrt(d)) / N over the
     rational norm N = re^2 - d e1^2 w^2.  A rational eps gives B = None.
     """
-    terms = list(islice(family.specialize(eps).iter_pairs(), order))
+    terms = list(family.specialize(eps).iter_pairs(order - 1))
     if isinstance(eps, QuadElem) and eps.b:
         d, e0, e1 = eps.d, eps.a, eps.b
     else:

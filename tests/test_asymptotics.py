@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import mpmath as mp
 import pytest
 
-from aperylike import catalog
+from aperylike import asymptotics, catalog
 from aperylike.asymptotics import (
     AsymptoticsError,
     PrecisionConfig,
@@ -68,6 +68,18 @@ def test_numeric_matches_exact_to_high_precision():
             assert diff < mp.mpf("1e-40"), key
             diff = abs(pr.b1 - to_mp(pr.b1_exact)) / abs(to_mp(pr.b1_exact))
             assert diff < mp.mpf("1e-40"), key
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("exact_min_root", lambda factors: (F(1, 28), F(28))),
+    ("exact_min_root", lambda factors: (1 / (27 + F(1, 10 ** 48)), 27 + F(1, 10 ** 48))),
+    ("_b1_exact", lambda G, H, r0: F(-65, 144) * (1 + F(1, 10 ** 55))),
+])
+def test_exact_values_are_cross_checked_against_the_numeric_path(monkeypatch, name, wrong):
+    # level7 has R = 27 and b1 = -65/144; a gap above 10^-digits raises
+    monkeypatch.setattr(asymptotics, name, wrong)
+    with pytest.raises(AsymptoticsError, match="disagrees with the numeric value"):
+        analyze("level7", FAST, with_C=False)
 
 
 def test_alpha_is_rederived_not_assumed():

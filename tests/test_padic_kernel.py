@@ -37,9 +37,7 @@ def ref_exact_residues(seq, n_max, targets):
     """The exact pass with (modulus, keep) targets, keep None keeping all."""
     tables = [{} for _ in targets]
     reducers = list(zip(targets, tables))
-    for n, (a, b) in enumerate(seq.iter_pairs()):
-        if n > n_max:
-            break
+    for n, (a, b) in enumerate(seq.iter_pairs(n_max)):
         for (m, keep), table in reducers:
             if keep is None or keep(n):
                 table[n] = reduce_pair(a, b, m)

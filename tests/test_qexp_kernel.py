@@ -751,10 +751,11 @@ def test_quotient_builders_match_reference_on_every_reachable_spec():
         for offset, factors in pochs:
             assert_same_quotient(qseries.poch_quotient(offset, factors, order),
                                  ref_poch_quotient(offset, factors, order))
-    # with no factor, a negative order is no error
-    assert_same_quotient(qseries.eta_quotient((), -3), ref_eta_quotient((), -3))
-    assert_same_quotient(qseries.poch_quotient(F(1, 2), (), -1),
-                         ref_poch_quotient(F(1, 2), (), -1))
+    # with no factor, a negative order is still an error
+    with pytest.raises(QSeriesError, match=r"^precision q\^-3 is negative$"):
+        qseries.eta_quotient((), -3)
+    with pytest.raises(QSeriesError, match=r"^precision q\^-1 is negative$"):
+        qseries.poch_quotient(F(1, 2), (), -1)
 
 
 eta_factor_lists = st.lists(st.tuples(st.integers(1, 40), st.integers(-24, 24)),
@@ -781,6 +782,8 @@ def test_random_quotients_match_reference(etas, offset, pochs, order):
     ("eta_expand", (5, -1), "precision q^-1 is negative"),
     ("poch_quotient", (F(1), ((1, 5, 0),), -1), "precision q^-1 is negative"),
     ("poch_unit", (1, 1, -3), "precision q^-3 is negative"),
+    ("eta_quotient", ((), -1), "precision q^-1 is negative"),
+    ("poch_quotient", (0, (), -3), "precision q^-3 is negative"),
 ])
 def test_quotient_errors_are_unchanged(name, args, message):
     with pytest.raises(QSeriesError) as info:

@@ -8,7 +8,7 @@ from math import lcm
 
 import pytest
 
-from aperylike import catalog, congruence
+from aperylike import catalog, congruence, recurrence
 from aperylike.catalog import EPSILON_FAMILIES
 from aperylike.congruence import primes_below
 from aperylike.recurrence import Poly, RecurrenceSpec, generate_terms, term_iterator, term_pairs
@@ -106,6 +106,30 @@ def test_kernel_matches_generic_loop_across_block_edges(key):
     assert [type(t) for t in got] == [type(t) for t in want]
 
 
+@pytest.mark.parametrize("key", ["level11", "level13", "14C"])
+def test_streams_evaluate_coefficients_only_up_to_the_last_index(key, monkeypatch):
+    # one row per kernel (Z, Q, Z[sqrt(2)]): T(0..n_max) needs the
+    # coefficients at the n_max step indices 0 <= m < n_max and no more
+    seq = catalog.sequence(key)
+    want = reference_terms(seq.spec, seq.ring, 1100)
+    lengths = []
+    coeff_blocks = recurrence._coeff_blocks
+
+    def spy(polys, stop):
+        for start, values in coeff_blocks(polys, stop):
+            lengths.append(len(values[0]))
+            yield start, values
+    monkeypatch.setattr(recurrence, "_coeff_blocks", spy)
+    for n_max in (0, 1, 20, 511, 512, 513, 1100):
+        lengths.clear()
+        assert generate_terms(seq.spec, n_max, seq.ring) == want[:n_max + 1]
+        assert sum(lengths) == n_max and max(lengths, default=0) <= 512, n_max
+        lengths.clear()
+        assert list(term_pairs(seq.spec, seq.ring, n_max)) == [
+            (t.a, t.b) if isinstance(t, QuadElem) else (t, 0) for t in want[:n_max + 1]]
+        assert sum(lengths) == n_max, n_max
+
+
 @pytest.mark.parametrize("ring", [RING_Z, RING_Q, RING_SQRT2])
 def test_relation_of_order_zero_streams_zeros(ring):
     # (n+1)^3 T(n+1) = 0: T = 1, 0, 0, ... in every kernel
@@ -128,7 +152,7 @@ def test_pair_residues_equal_reduce_mod():
     assert sorted(keys) == ["14C", "14Cbar", "15C", "15Cbar"]
     for key in keys:
         seq = catalog.sequence(key)
-        pairs = list(islice(seq.iter_pairs(), N_MAX + 1))
+        pairs = list(seq.iter_pairs(N_MAX))
         for (a, b), t in zip(pairs, seq.terms(N_MAX)):
             assert type(a) is int and type(b) is int
             for p in primes:
@@ -137,7 +161,7 @@ def test_pair_residues_equal_reduce_mod():
 
 def test_pairs_over_z_and_q_carry_zero_surd():
     seq = catalog.sequence("level13")
-    pairs = list(islice(seq.iter_pairs(), 7))
+    pairs = list(seq.iter_pairs(6))
     assert pairs == [(t, 0) for t in catalog.REFERENCE_TERMS["level13"]]
 
 
@@ -156,7 +180,7 @@ def test_hand_built_quad_specs_keep_fraction_coordinates():
 
 def test_residue_path_rejects_nonintegral_pairs(monkeypatch):
     nonintegral, _ = _hand_built_specs()
-    a, b = list(islice(term_pairs(nonintegral, RING_SQRT2), 3))[2]
+    a, b = list(term_pairs(nonintegral, RING_SQRT2, 2))[2]
     assert (a, b) == (F(13, 12), F(3, 4))
     with pytest.raises(RingError, match="not m-integral"):
         reduce_pair(a, b, 5)
@@ -207,7 +231,7 @@ def test_q_kernel_matches_generic_loop_on_hand_built_specs(name):
 def test_q_kernel_raises_where_the_lead_vanishes():
     # (n - 3) T(n+1) = (n + 1/3) T(n): T(1..3) exist, T(4) divides by 0
     spec = RecurrenceSpec((Poly([-3, 1]), -Poly([F(1, 3), 1])))
-    stream = term_iterator(spec, RING_Q)
+    stream = term_iterator(spec, RING_Q, 4)
     assert list(islice(stream, 4)) == [1, F(-1, 9), F(2, 27), F(-14, 81)]
     with pytest.raises(ZeroDivisionError):
         next(stream)
@@ -219,7 +243,7 @@ def test_q_kernel_raises_where_the_lead_vanishes():
 def test_mixed_radicand_coefficient_is_rejected():
     spec = RecurrenceSpec((Poly([1, 1]), -Poly([QuadElem(-1, 0, 1)])))
     with pytest.raises(RingError):
-        list(islice(term_iterator(spec, RING_SQRT2), 3))
+        list(term_iterator(spec, RING_SQRT2, 2))
 
 
 def test_negative_n_max_is_rejected():
@@ -227,3 +251,6 @@ def test_negative_n_max_is_rejected():
     with pytest.raises(ValueError, match="n_max"):
         generate_terms(seq.spec, -1)
     assert generate_terms(seq.spec, 0) == [1]
+    quad = catalog.sequence("14C")  # the pair kernel is reached without term_iterator
+    with pytest.raises(ValueError, match="n_max"):
+        quad.iter_pairs(-1)
