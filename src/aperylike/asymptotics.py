@@ -243,15 +243,12 @@ def asymptotic_params(G: Poly, H: Poly, cfg: PrecisionConfig = DEFAULT_CONFIG,
                             certificate=cert)
 
 
-def _b1_exact(G: Poly, H: Poly, r0: Scalar) -> Optional[Scalar]:
+def _b1_exact(G: Poly, H: Poly, r0: Scalar) -> Scalar:
     gstar, gstarstar = _gstar_polys(G)
-    try:
-        num = 16 * H(r0) - gstarstar(r0)
-        den = 8 * gstar(r0)
-        return num / den if isinstance(num, QuadElem) or isinstance(den, QuadElem) \
-            else F(num) / F(den)
-    except (TypeError, ZeroDivisionError):
-        return None
+    num = 16 * H(r0) - gstarstar(r0)
+    den = 8 * gstar(r0)
+    return num / den if isinstance(num, QuadElem) or isinstance(den, QuadElem) \
+        else F(num) / F(den)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from .recurrence import (
     _integral_relation,
     _rows,
 )
-from .rings import RingError, reduce_pair
+from .rings import RING_Z, RingError, reduce_pair
 
 Residue = Tuple[int, int]
 Target = Tuple[int, int]  # (modulus, stride)
@@ -159,11 +159,8 @@ def _check_primes(primes: Sequence[int]) -> None:
 def _unit_parts(leads: List[int], p: int, start: int) -> Tuple[List[int], Dict[int, int]]:
     """Strip the p-part from a block of leads, lead(m) for m = start, ...:
     the units u_m (lead(m) = p^v_m u_m, u_m prime to p) and the map m ->
-    v_m over the indices with v_m > 0.  A vanishing lead raises
-    ZeroDivisionError naming its index."""
-    if 0 in leads:
-        raise ZeroDivisionError("lead coefficient vanishes at index %d"
-                                % (start + leads.index(0)))
+    v_m over the indices with v_m > 0.  _coeff_blocks ends a block before
+    any vanishing lead."""
     units = list(leads)
     hits = {}
     for i in [i for i, x in enumerate(leads) if x % p == 0]:
@@ -202,7 +199,7 @@ def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int) -> Residue
     units across block edges; a step is then one sum of weights times a
     deque of the last k values of W.
     """
-    lead, backs = _integral_relation(spec)
+    lead, backs, _ = _integral_relation(spec, RING_Z)
     k = len(backs)
     end = p * n_max
     prec = e
@@ -215,7 +212,7 @@ def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int) -> Residue
     D = 1                  # D(m+1) mod p^e once u_m is folded in
     low = [1]   # T(n) mod p^e for n <= n_max
     above = []  # T(p k) mod p^e for n_max < p k <= p n_max
-    for start, (leads, *bs) in _coeff_blocks([lead] + backs, end):
+    for start, (leads, *bs) in _coeff_blocks([lead, *backs], end):
         n = len(leads)
         units, hits = _unit_parts(leads, p, start)
         ext = carry + units  # ext[k-1+i] = u_(start+i)

@@ -27,10 +27,10 @@ from .rings import (
     QuadElem,
     Rat,
     RingTag,
+    RING_Q,
     RING_Z,
     Scalar,
     _norm_rat,
-    conj,
     scalar_denominator,
     scalar_from_str,
     scalar_to_str,
@@ -160,6 +160,10 @@ class RecurrenceSpec:
 
     coeff_polys: Tuple[Poly, ...]
 
+    def __post_init__(self):
+        if not self.coeff_polys:
+            raise ValueError("a recurrence needs at least its lead coefficient polynomial")
+
     @property
     def order(self) -> int:
         """Number of back terms k; the relation has k+1 terms."""
@@ -275,30 +279,46 @@ def is_self_starting(spec: RecurrenceSpec) -> Tuple[bool, Optional[Tuple[int, in
 # ---------------------------------------------------------------------------
 
 
-def _integral_relation(spec: RecurrenceSpec
-                       ) -> Tuple[Tuple[Scalar, ...], List[Tuple[Scalar, ...]]]:
-    """The relation scaled once to integral coefficients and solved for
-    T(n+1): (lead, backs), with backs[j-1] the coefficients of
-    -coeff_polys[j], so that lead(n) T(n+1) = sum_j backs[j-1](n) T(n+1-j)."""
-    L = 1
-    for p in spec.coeff_polys:
-        for c in p.coeffs:
-            L = lcm(L, scalar_denominator(c))
-    lead = tuple(_norm_rat(c * L) for c in spec.coeff_polys[0].coeffs)
-    backs = [tuple(_norm_rat(-c * L) for c in p.coeffs) for p in spec.coeff_polys[1:]]
-    return lead, backs
+def _integral_relation(spec: RecurrenceSpec, ring: RingTag) -> Tuple[
+        Tuple[int, ...], Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]:
+    """The relation over ring with integer coefficients, solved for T(n+1):
+    (lead, backs, surds), so that
+
+        lead(n) T(n+1) = sum_j (backs[j-1](n) + surds[j-1](n) sqrt(d)) T(n+1-j),
+
+    each polynomial an int coefficient tuple; surds is empty over Z and Q.
+    Denominators are cleared once, by the lcm of all of them, and every
+    coefficient is then coerced into ring, so one outside it raises
+    RingError naming the ring.  Over Z[sqrt(d)] a lead with a surd part
+    (possible only in a hand-built spec) is multiplied through by its
+    conjugate, which turns it into its norm; both vanish at the same n, so
+    the solution is unchanged."""
+    L = lcm(*(scalar_denominator(c) for p in spec.coeff_polys for c in p.coeffs))
+    polys = [Poly([ring.coerce(c * L) for c in p.coeffs]) for p in spec.coeff_polys]
+    if ring.kind != "quad":
+        return (tuple(map(int, polys[0].coeffs)),
+                tuple(tuple(-int(c) for c in p.coeffs) for p in polys[1:]), ())
+    if any(c.b for c in polys[0].coeffs):
+        bar = Poly([c.conj() for c in polys[0].coeffs])
+        polys = [Poly([ring.coerce(c) for c in (p * bar).coeffs]) for p in polys]
+    return (tuple(c.a for c in polys[0].coeffs),
+            tuple(tuple(-c.a for c in p.coeffs) for p in polys[1:]),
+            tuple(tuple(-c.b for c in p.coeffs) for p in polys[1:]))
 
 
 _BLOCK = 512
 
 
-def _coeff_blocks(polys: List[Tuple[Scalar, ...]], stop: int
-                  ) -> Iterator[Tuple[int, List[List[Scalar]]]]:
+def _coeff_blocks(polys: List[Tuple[int, ...]], stop: int
+                  ) -> Iterator[Tuple[int, List[List[int]]]]:
     """Evaluate coefficient polynomials over blocks of consecutive indices.
 
     Yields (start, values) for consecutive blocks of up to 512 indices
     start <= m < start + len(values[i]), covering 0 <= m < stop, with
-    values[i][m - start] = polys[i](m) by list-comprehension Horner."""
+    values[i][m - start] = polys[i](m) by list-comprehension Horner.
+    polys[0] is the lead: a block ends before the first index m where it
+    vanishes, and the next request raises ZeroDivisionError naming m, so
+    a stream still yields every term up to T(m)."""
     for start in range(0, stop, _BLOCK):
         ns = range(start, min(start + _BLOCK, stop))
         values = []
@@ -307,6 +327,10 @@ def _coeff_blocks(polys: List[Tuple[Scalar, ...]], stop: int
             for c in reversed(coeffs[:-1]):
                 col = [v * n + c for v, n in zip(col, ns)]
             values.append(col)
+        if 0 in values[0]:
+            z = values[0].index(0)
+            yield start, [col[:z] for col in values]
+            raise ZeroDivisionError("lead coefficient vanishes at index %d" % (start + z))
         yield start, values
 
 
@@ -316,36 +340,16 @@ def _rows(cols: List[List[Scalar]], n: int) -> Iterator[Tuple[Scalar, ...]]:
     return zip(*cols) if cols else repeat((), n)
 
 
-def _rational_lead(spec: RecurrenceSpec) -> RecurrenceSpec:
-    """The same relation with a rational lead coefficient.
-
-    A lead with a surd part (possible only in a hand-built spec) is
-    multiplied through by its conjugate, which turns the lead into its
-    norm; both vanish at the same n, so the solution is unchanged."""
-    lead = spec.coeff_polys[0]
-    if not any(isinstance(c, QuadElem) and c.b for c in lead.coeffs):
-        return spec
-    bar = Poly([conj(c) for c in lead.coeffs])
-    return RecurrenceSpec(tuple(p * bar for p in spec.coeff_polys))
-
-
-def _split_surd(coeffs: Tuple[Scalar, ...], ring: RingTag
-                ) -> Tuple[Tuple[Rat, ...], Tuple[Rat, ...]]:
-    """The coefficient tuples (A, B) of a polynomial A(n) + B(n)*sqrt(d)."""
-    xs = [ring.coerce(c) for c in coeffs]
-    return tuple(x.a for x in xs), tuple(x.b for x in xs)
-
-
 def _stream_z(spec: RecurrenceSpec, n_max: int) -> Iterator[int]:
     """Kernel for Z: T(0..n_max), every division by the lead exact.
 
     The coefficients at 0 <= m < n_max come a block at a time from
     _coeff_blocks; each step sums the back coefficients against a deque
     of the last k terms and divides by the lead with divmod."""
-    lead, backs = _integral_relation(spec)
+    lead, backs, _ = _integral_relation(spec, RING_Z)
     window = deque([1] + [0] * (len(backs) - 1), maxlen=len(backs))  # window[j-1] = T(m+1-j)
     yield 1
-    for start, (leads, *cols) in _coeff_blocks([lead] + backs, n_max):
+    for start, (leads, *cols) in _coeff_blocks([lead, *backs], n_max):
         for m, x, row in zip(count(start), leads, _rows(cols, len(leads))):
             t, r = divmod(sum(map(mul, row, window)), x)
             if r:
@@ -361,11 +365,11 @@ def _stream_q(spec: RecurrenceSpec, n_max: int) -> Iterator[Fraction]:
     coefficients at 0 <= m < n_max come a block at a time from _coeff_blocks.
     Each step sums the back terms over L, the lcm of the nonzero window
     denominators, and builds one Fraction(sum, lead * L): one
-    normalisation per term.  A vanishing lead raises ZeroDivisionError."""
-    lead, backs = _integral_relation(spec)
+    normalisation per term."""
+    lead, backs, _ = _integral_relation(spec, RING_Q)
     window = deque([(1, 1)] + [(0, 1)] * (len(backs) - 1), maxlen=len(backs))
     yield Fraction(1)
-    for _, (leads, *cols) in _coeff_blocks([lead] + backs, n_max):
+    for _, (leads, *cols) in _coeff_blocks([lead, *backs], n_max):
         for x, row in zip(leads, _rows(cols, len(leads))):
             L = lcm(*[den for num, den in window if num])
             s = sum([c * num * (L // den) for c, (num, den) in zip(row, window)])
@@ -377,22 +381,19 @@ def _stream_q(spec: RecurrenceSpec, n_max: int) -> Iterator[Fraction]:
 def _stream_quad(spec: RecurrenceSpec, ring: RingTag, n_max: int) -> Iterator[Tuple[Rat, Rat]]:
     """Kernel for Q(sqrt(d)) on integer pairs: T(0..n_max) as (a, b).
 
-    Each back polynomial is split into the integer coefficient tuples of
-    its rational and surd parts, A(n) + B(n)*sqrt(d), and _coeff_blocks
-    evaluates the lead and every A and B at 0 <= m < n_max, a block at a time.
-    Each component of the sum is divided by the integer lead with divmod;
-    an inexact division gives a Fraction, as division in the field
-    would."""
+    _integral_relation gives the integer lead and each back polynomial
+    as A(n) + B(n)*sqrt(d), its rational part in backs and its surd part
+    in surds, and _coeff_blocks evaluates the lead and every A and B at
+    0 <= m < n_max, a block at a time.  Each component of the sum is
+    divided by the integer lead with divmod; an inexact division gives a
+    Fraction, as division in the field would."""
     d = ring.d
-    lead, backs = _integral_relation(_rational_lead(spec))
-    lead, _ = _split_surd(lead, ring)  # the surd part is 0 after _rational_lead
-    backs = [_split_surd(p, ring) for p in backs]
+    lead, backs, surds = _integral_relation(spec, ring)
     k = len(backs)
     wa = deque([1] + [0] * (k - 1), maxlen=k)  # wa[j-1], wb[j-1]: the parts of T(m+1-j)
     wb = deque([0] * k, maxlen=k)
-    polys = [lead] + [pa for pa, _ in backs] + [pb for _, pb in backs]
     yield (1, 0)
-    for _, (dens, *cols) in _coeff_blocks(polys, n_max):
+    for _, (dens, *cols) in _coeff_blocks([lead, *backs, *surds], n_max):
         n = len(dens)
         for den, A, B in zip(dens, _rows(cols[:k], n), _rows(cols[k:], n)):
             sa = sum(map(mul, A, wa)) + d * sum(map(mul, B, wb))
@@ -416,7 +417,9 @@ def term_iterator(spec: RecurrenceSpec, ring: RingTag, n_max: int) -> Iterator[S
     by the leading coefficient must be exact, otherwise InexactDivision
     carries the offending index.  Under Q and Quad(d) the division happens
     in the fraction field; Quad(d) streams run on integer pairs (see
-    term_pairs) and become QuadElem only as each term is yielded.
+    term_pairs) and become QuadElem only as each term is yielded.  A
+    coefficient outside ring raises RingError before T(1), and a lead
+    that vanishes at index m raises ZeroDivisionError after T(m).
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0, got %d" % n_max)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import io
@@ -275,6 +276,29 @@ def test_readme_command_examples_parse():
     for line in lines:
         argv = shlex.split(line)[1:]
         assert callable(parser.parse_args(argv).func), line
+
+
+def test_readme_library_tour_runs_and_shows_its_commented_values(tmp_path, monkeypatch):
+    # each bare expression in the tour that has a value is followed by a
+    # comment that starts with that value (a list shows the str of its items)
+    block = _readme_text().split("## Library quick tour", 1)[1].split("```python", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = block.splitlines()
+    monkeypatch.chdir(tmp_path)  # the tour writes seq.json
+    namespace, shown = {}, []
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        if value is None:
+            continue
+        text = "[%s]" % ", ".join(map(str, value)) if isinstance(value, list) else str(value)
+        comment = lines[stmt.end_lineno - 1][stmt.end_col_offset:].strip()
+        assert re.match(r"# %s($|[:;]| \()" % re.escape(text), comment), (text, comment)
+        shown.append(text)
+    assert shown == ["[1, 8, 216, 8000, 343000]", "[1, -4+4*sqrt(2), 56-32*sqrt(2)]",
+                     "True", "True", "True", "-7/4+69/64*sqrt(2)"]
 
 
 def test_terms_negative_nmax_fails_fast(capsys):

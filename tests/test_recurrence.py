@@ -6,6 +6,7 @@ from aperylike import catalog
 from aperylike.recurrence import (
     InexactDivision,
     Poly,
+    RecurrenceSpec,
     Sequence,
     asz_gh,
     cubic_from_quadratic_asz,
@@ -51,6 +52,9 @@ def test_gh_preconditions():
         recurrence_from_gh(Poly([2, 1]), Poly([0, 1]))
     with pytest.raises(ValueError):
         recurrence_from_gh(Poly([1, 1]), Poly([1, 1]))
+    # an empty relation has no lead to solve for, yet would read as self-starting
+    with pytest.raises(ValueError, match="lead coefficient"):
+        RecurrenceSpec(())
 
 
 def test_quadratic_examples():

@@ -233,17 +233,55 @@ def test_q_kernel_raises_where_the_lead_vanishes():
     spec = RecurrenceSpec((Poly([-3, 1]), -Poly([F(1, 3), 1])))
     stream = term_iterator(spec, RING_Q, 4)
     assert list(islice(stream, 4)) == [1, F(-1, 9), F(2, 27), F(-14, 81)]
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match="lead coefficient vanishes at index 3"):
         next(stream)
     with pytest.raises(ZeroDivisionError):
         reference_terms(spec, RING_Q, 4)
     assert reference_terms(spec, RING_Q, 3) == generate_terms(spec, 3, RING_Q)
+    # the Z and Z[sqrt(2)] kernels stop at the same step with the same
+    # message: (n - 3) T(n+1) = 6 T(n), and 6 sqrt(2) T(n); a lead that
+    # vanishes past a block edge, at 600, is named too
+    for spec, ring, head in (
+            (RecurrenceSpec((Poly([-3, 1]), Poly([-6]))), RING_Z, [1, -2, 6, -36]),
+            (RecurrenceSpec((Poly([-3, 1]), Poly([-6 * SQRT2]))), RING_SQRT2,
+             [1, -2 * SQRT2, 12, -72 * SQRT2]),
+            (RecurrenceSpec((Poly([-600, 1]), Poly([0, 0, 1]))), RING_Z, [1, 0, 0, 0])):
+        assert reference_terms(spec, ring, 3) == head
+        index = -spec.coeff_polys[0][0]
+        stream = term_iterator(spec, ring, index + 1)
+        assert list(islice(stream, index + 1)) == reference_terms(spec, ring, index)
+        with pytest.raises(ZeroDivisionError, match="vanishes at index %d$" % index):
+            next(stream)
+        pairs = term_pairs(spec, ring, index + 1)
+        assert len(list(islice(pairs, index + 1))) == index + 1
+        with pytest.raises(ZeroDivisionError, match="vanishes at index %d$" % index):
+            next(pairs)
 
 
 def test_mixed_radicand_coefficient_is_rejected():
     spec = RecurrenceSpec((Poly([1, 1]), -Poly([QuadElem(-1, 0, 1)])))
     with pytest.raises(RingError):
         list(term_iterator(spec, RING_SQRT2, 2))
+
+
+@pytest.mark.parametrize("ring", [RING_Z, RING_Q], ids=["Z", "Q"])
+def test_surd_relation_is_rejected_outside_its_ring(ring, monkeypatch):
+    # 14C's relation has coefficients in Z[sqrt(2)]: every kernel checks
+    # the ring before its first step
+    spec = catalog.sequence("14C").spec
+    named = "irrational scalar in %s ring" % ring.kind
+    with pytest.raises(RingError, match=named):
+        generate_terms(spec, 5, ring)
+    with pytest.raises(RingError, match=named):
+        list(term_pairs(spec, ring, 5))
+    seq = catalog.Sequence("14C-over-" + ring.kind, ring, spec)
+    with pytest.raises(RingError, match=named):
+        list(seq.iter_pairs(5))
+    monkeypatch.setattr(catalog, "sequence", lambda key: seq)
+    with pytest.raises(RingError, match=named):
+        congruence.supercongruence_check(seq.key, 3, 2, 3)
+    with pytest.raises(RingError, match="irrational scalar in Z ring"):
+        congruence._padic_residues(spec, 3, 1, 3)
 
 
 def test_negative_n_max_is_rejected():
