@@ -96,7 +96,8 @@ def _exact_residues(seq: catalog.Sequence, n_max: int,
     targets, one Residues per target.  Every target keeps n <= n_max;
     above n_max an index map names the lcm of the moduli that keep it.
     Each kept term is reduced once, modulo the lcm P of its targets' moduli
-    (that reduction raises RingError on a term that is not P-integral),
+    (that reduction raises RingError on a term whose components are not
+    integers),
     and each target reads its residues from the small remainders mod P.
     The ring is chosen once: over Z and Q a term is one int, over
     Z[sqrt(d)] a pair.  The exact terms are discarded beyond the

@@ -4,17 +4,27 @@ machine verification of the differentiation formulas, the nonlinear ODE,
 and a bank of named q-series identities.
 
 A QExpansion is q^offset * (c0 + c1 q + c2 q^2 + ...) with exact rational
-coefficients and a rational offset (eta products live on the q^(1/24)
-grid).  The coefficients are stored as Python ints over one common
-denominator, so every operation is plain-int arithmetic.  Every operation
-tracks how far the result is actually known, and comparisons refuse to
-answer beyond that point.
+coefficients and a rational offset.  The offset is an int whenever it is
+integral, and a Fraction (denominator > 1) only off the integer grid, as
+for eta products on the q^(1/24) grid, so exponent bookkeeping is int
+arithmetic on the integer grid.  The coefficients are stored as Python
+ints over one common denominator, so every operation is plain-int
+arithmetic.  Every operation tracks how far the result is actually known,
+and comparisons refuse to answer beyond that point.  Only ints and
+Fractions enter: a float offset, coefficient, scalar or exponent raises
+QSeriesError.
 
 Division carries the quotient as ints over one running denominator, the
 lcm of the reduced denominators of the coefficients solved so far, with
 one gcd per coefficient and no powers of the divisor's leading
 coefficient, so a divisor stored over a large common denominator does not
-blow up the intermediates.
+blow up the intermediates.  A rational power f^(p/s) carries its
+coefficients over a running denominator the same way: each costs two
+dot products over the coefficients solved so far and one gcd.
+
+``linear_combination`` sums c_i f_i over one common denominator and
+reduces once, with the alignment and precision of the chain
+c_1 f_1 + c_2 f_2 + ...; ``+`` and ``-`` are its two-term case.
 
 Eta quotients and Pochhammer quotients, whatever their factors and
 exponents, are built in one exact integer pass from the logarithmic
@@ -25,9 +35,9 @@ derivative of their unit part, a divisor sum read off the factors (see
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, floor, gcd, isqrt, lcm
+from math import floor, gcd, isqrt, lcm
 from operator import add, mul
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import catalog
 from .catalog import LevelRow, WeightRow, ORACLES
@@ -45,24 +55,26 @@ class QSeriesError(ArithmeticError):
 class QExpansion:
     """q^offset * sum(num[i] q^i) / den, known exactly below q^(offset+len(num)).
 
-    ``num`` is a list of ints and ``den`` a positive int, kept in lowest
-    terms: gcd(den, *num) == 1 (so a series that is zero to working
-    precision has den == 1).  ``coeffs`` gives the coefficients as
-    Fractions.  Division solves the quotient coefficient by coefficient
-    over one running integer denominator, one gcd per coefficient.
+    ``offset`` is an int when integral, otherwise a Fraction with
+    denominator > 1.  ``num`` is a list of ints and ``den`` a positive int,
+    kept in lowest terms: gcd(den, *num) == 1 (so a series that is zero to
+    working precision has den == 1).  ``coeffs`` gives the coefficients as
+    Fractions.  Division and rational powers solve their coefficients one
+    by one over one running integer denominator, one gcd per coefficient.
     """
 
     __slots__ = ("offset", "num", "den")
 
     def __init__(self, offset, coeffs: Sequence):
+        offset = _exact(offset)
         cs = list(coeffs)
         if all(type(c) is int for c in cs):
             num, den = cs, 1
         else:
-            fs = [F(c) for c in cs]
+            fs = [_exact(c) for c in cs]
             den = lcm(*(f.denominator for f in fs))
             num = [f.numerator * (den // f.denominator) for f in fs]
-        _fill(self, F(offset), num, den)
+        _fill(self, offset, num, den)
 
     def __setattr__(self, *args):
         raise AttributeError("QExpansion is immutable")
@@ -76,7 +88,7 @@ class QExpansion:
         return [F(c, den) for c in self.num]
 
     @property
-    def prec(self) -> Fraction:
+    def prec(self) -> int | Fraction:
         """First exponent at which the expansion is unknown."""
         return self.offset + len(self.num)
 
@@ -97,7 +109,7 @@ class QExpansion:
 
     def coefficient(self, exponent) -> Fraction:
         """Exact coefficient of q^exponent; exponent must be below prec."""
-        e = F(exponent)
+        e = _exact(exponent)
         if e >= self.prec:
             raise QSeriesError("coefficient of q^%s is beyond precision" % e)
         rel = e - self.offset
@@ -110,34 +122,18 @@ class QExpansion:
     def __neg__(self):
         return _raw(self.offset, [-c for c in self.num], self.den)
 
-    def _add(self, other: "QExpansion", sign: int) -> "QExpansion":
-        if (other.offset - self.offset).denominator != 1:
-            raise QSeriesError("offsets differ by a non-integer: %s vs %s"
-                               % (self.offset, other.offset))
-        den = lcm(self.den, other.den)
-        parts = [(self, den // self.den), (other, sign * (den // other.den))]
-        if other.offset < self.offset:
-            parts.reverse()
-        (lo, ls), (hi, hs) = parts
-        # the overlap starts at lo.offset and holds n >= 1 coefficients;
-        # hi's part of it starts k places in
-        n = int(min(self.prec, other.prec) - lo.offset)
-        k = int(hi.offset - lo.offset)
-        out = [c * ls for c in lo.num[:n]]
-        out[k:] = map(add, out[k:], [c * hs for c in hi.num[:max(n - k, 0)]])
-        return _make(lo.offset, out, den)
+    def _add(self, other, sign: int) -> "QExpansion":
+        if not isinstance(other, QExpansion):
+            other = _embed_scalar(other, self.prec)
+        return linear_combination(((1, self), (sign, other)))
 
     def __add__(self, other):
-        if isinstance(other, QExpansion):
-            return self._add(other, +1)
-        return self._add(_embed_scalar(other, self.prec), +1)
+        return self._add(other, +1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, QExpansion):
-            return self._add(other, -1)
-        return self._add(_embed_scalar(other, self.prec), -1)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -192,7 +188,7 @@ class QExpansion:
         if e < 0:
             return (_one_like(self) / self) ** (-e)
         a = self.normalized()
-        out = _raw(F(0), [1] + [0] * (len(a.num) - 1), 1)
+        out = _raw(0, [1] + [0] * (len(a.num) - 1), 1)
         base = a
         while e:
             if e & 1:
@@ -204,32 +200,34 @@ class QExpansion:
     def pow_fraction(self, r) -> "QExpansion":
         """f^r for rational r; needs leading coefficient exactly 1."""
         a = self.normalized()
-        r = F(r)
+        r = _exact(r)
         u, d = a.num, a.den
         if u[0] != d:
             raise QSeriesError("rational power needs leading coefficient 1")
         p, s = r.numerator, r.denominator
-        sd = s * d
-        n = len(u)
         # f^r = sum P_k q^k with k P_k = sum_{j=1..k} (r j - (k - j)) u_j P_(k-j),
-        # u_j = num_j / den.  Carry the ints Y_k = P_k k! (s den)^k:
-        # Y_k = sum_{j=1..k} (p j - s (k - j)) num_j Y_(k-j) (k-1)!/(k-j)! (s den)^(j-1),
-        # summed by Horner from j = k down to 1.
-        ys = [1]
-        for k in range(1, n):
-            acc = 0
-            for j in range(k, 0, -1):
-                acc *= (k - j) * sd
-                if u[j]:
-                    acc += (p * j - s * (k - j)) * u[j] * ys[k - j]
-            ys.append(acc)
-        # P_k over the common denominator (n-1)! (s den)^(n-1)
-        out = [0] * n
-        scale = 1
-        for k in range(n - 1, -1, -1):
-            out[k] = ys[k] * scale
-            scale *= k * sd
-        return _make(a.offset * r, out, factorial(n - 1) * sd ** (n - 1))
+        # u_j = num_j / den and r = p/s, that is
+        # s k P_k = (p + s) sum j u_j P_(k-j) - s k sum u_j P_(k-j).
+        # Carry P_i = t_i / L over one running denominator L > 0, as
+        # __truediv__ does: P_k = T / (s k den L) with the int
+        # T = (p + s) sum j num_j t_(k-j) - s k sum num_j t_(k-j).  With
+        # g = gcd(T, s k den), L grows by s k den / g and t_k = T / g.
+        u1 = u[1:]
+        ju1 = [j * c for j, c in enumerate(u1, 1)]
+        t = [1]
+        L = 1
+        for k in range(1, len(u)):
+            # map stops at the end of reversed(t): j runs over 1..k
+            T = ((p + s) * sum(map(mul, ju1, reversed(t)))
+                 - s * k * sum(map(mul, u1, reversed(t))))
+            M = s * k * d
+            g = gcd(T, M)
+            m = M // g
+            if m != 1:
+                L *= m
+                t = [c * m for c in t]
+            t.append(T // g)
+        return _make(a.offset * r, t, L)
 
     def q_derivative(self) -> "QExpansion":
         """q d/dq, exact on the fractional exponent grid."""
@@ -239,7 +237,7 @@ class QExpansion:
 
     def shift(self, k) -> "QExpansion":
         """Multiply by q^k."""
-        return _raw(self.offset + F(k), self.num, self.den)
+        return _raw(self.offset + _exact(k), self.num, self.den)
 
     def subs_q_power(self, m: int) -> "QExpansion":
         """f(q^m); the gaps are known zeros, so precision scales by m."""
@@ -251,15 +249,15 @@ class QExpansion:
 
     def subs_q_negated(self) -> "QExpansion":
         """f(-q); requires integer offset."""
-        if self.offset.denominator != 1:
+        base = self.offset
+        if type(base) is not int:
             raise QSeriesError("f(-q) needs an integer exponent grid")
-        base = int(self.offset)
-        return _raw(self.offset, [-c if (base + i) % 2 else c
-                                  for i, c in enumerate(self.num)], self.den)
+        return _raw(base, [-c if (base + i) % 2 else c
+                           for i, c in enumerate(self.num)], self.den)
 
     def truncate_abs(self, exponent) -> "QExpansion":
         """Drop knowledge above q^exponent (inclusive)."""
-        n = floor(F(exponent) - self.offset) + 1
+        n = floor(_exact(exponent) - self.offset) + 1
         if n <= 0:
             raise QSeriesError("truncation removes every known coefficient")
         return _make(self.offset, self.num[:n], self.den)
@@ -274,22 +272,25 @@ class QExpansion:
                                      " + O(q^%s)" % a.prec)
 
 
-def _fill(f: QExpansion, offset: Fraction, num: List[int], den: int) -> None:
+def _fill(f: QExpansion, offset: int | Fraction, num: List[int], den: int) -> None:
+    """Set the slots; an integral offset is stored as an int."""
     if not num:
         raise QSeriesError("empty coefficient list")
+    if type(offset) is not int and offset.denominator == 1:
+        offset = offset.numerator
     object.__setattr__(f, "offset", offset)
     object.__setattr__(f, "num", num)
     object.__setattr__(f, "den", den)
 
 
-def _raw(offset: Fraction, num: List[int], den: int) -> QExpansion:
+def _raw(offset: int | Fraction, num: List[int], den: int) -> QExpansion:
     """A QExpansion from numerators already in lowest terms over den > 0."""
     f = object.__new__(QExpansion)
     _fill(f, offset, num, den)
     return f
 
 
-def _make(offset: Fraction, num: List[int], den: int) -> QExpansion:
+def _make(offset: int | Fraction, num: List[int], den: int) -> QExpansion:
     """A QExpansion from int numerators over den > 0, reduced to lowest terms."""
     if den != 1:
         g = gcd(den, *num)
@@ -299,27 +300,72 @@ def _make(offset: Fraction, num: List[int], den: int) -> QExpansion:
     return _raw(offset, num, den)
 
 
+def _exact(c) -> int | Fraction:
+    """c itself if it is an int or a Fraction; anything else (a float
+    above all) raises, so no inexact value enters a series."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    raise QSeriesError("%r is not an exact rational (int or Fraction)" % (c,))
+
+
 def _ratio(c) -> Tuple[int, int]:
     """(numerator, denominator > 0) of an exact rational scalar."""
     if type(c) is int:
         return c, 1
-    c = F(c)
+    c = _exact(c)
     return c.numerator, c.denominator
 
 
 def _embed_scalar(c, prec_abs) -> QExpansion:
-    n = int(F(prec_abs))
+    n = int(prec_abs)
     if n <= 0:
         raise QSeriesError("cannot embed a constant at nonpositive precision")
     p, s = _ratio(c)
-    return _raw(F(0), [p] + [0] * (n - 1), s)
+    return _raw(0, [p] + [0] * (n - 1), s)
 
 
 def _one_like(f: QExpansion) -> QExpansion:
-    return _raw(F(0), [1] + [0] * (len(f.num) - 1), 1)
+    return _raw(0, [1] + [0] * (len(f.num) - 1), 1)
 
 
-def qexp_equal(a: QExpansion, b: QExpansion, through: int) -> Tuple[bool, Optional[Fraction]]:
+def linear_combination(pairs: Iterable[Tuple[int | Fraction, QExpansion]]) -> QExpansion:
+    """sum c * f over the (scalar, series) pairs, over one common denominator.
+
+    Equal to the chain c1 * f1 + c2 * f2 + ... of ``+`` and scalar ``*``,
+    with the same alignment: the result starts at the least offset and is
+    known to the least precision.  It raises the chain's QSeriesError, at
+    the same pair, when an offset differs from those before it by a
+    non-integer.  The sum is reduced to lowest terms once; ``+`` and ``-``
+    are the two-term case.
+    """
+    terms = []
+    for c, f in pairs:
+        p, s = _ratio(c)
+        if not terms:
+            lo, prec = f.offset, f.prec
+        elif (f.offset - lo).denominator != 1:
+            raise QSeriesError("offsets differ by a non-integer: %s vs %s" % (lo, f.offset))
+        else:
+            lo, prec = min(lo, f.offset), min(prec, f.prec)
+        terms.append((p, s * f.den if p else 1, f))
+    if not terms:
+        raise QSeriesError("empty linear combination")
+    den = lcm(*[sd for _, sd, _ in terms])
+    n = int(prec - lo)
+    out = [0] * n
+    for p, sd, f in terms:
+        k = int(f.offset - lo)
+        if p and k < n:
+            m = p * (den // sd)
+            out[k:] = map(add, out[k:], [c * m for c in f.num[:n - k]])
+    return _make(lo, out, den)
+
+
+# (ok, exponent of the first mismatch: an int, or a Fraction off the integer grid)
+Check = Tuple[bool, Optional[Union[int, Fraction]]]
+
+
+def qexp_equal(a: QExpansion, b: QExpansion, through: int) -> Check:
     """Compare two expansions coefficientwise up to q^through.
 
     Raises if through is negative or either side is not known that far;
@@ -398,7 +444,7 @@ def poch_quotient(offset, factors: Sequence[Tuple[int, int, int]], order: int) -
         if a < 1 or m < 1:
             raise QSeriesError("Pochhammer factor needs a >= 1 and m >= 1, got a=%d, m=%d"
                                % (a, m))
-    return _raw(F(offset), _unit_product(factors, order), 1)
+    return _raw(_exact(offset), _unit_product(factors, order), 1)
 
 
 def theta_expand(spec: Tuple[int, int, int], order: int) -> QExpansion:
@@ -577,9 +623,6 @@ def _check_order(order: int) -> None:
         raise QSeriesError("verification order must be >= 1, got %s" % (order,))
 
 
-Check = Tuple[bool, Optional[Fraction]]
-
-
 def verify_level_row(row: LevelRow, order: int = 30) -> Tuple[Check, Check]:
     """The differentiation formula (q dX/dq)^2 == Z^2 X^2 G(X) (squared form,
     no roots) and the ODE D^2 Z - (DZ)^2/(2Z) == H(X) Z with D = (1/Z) q d/dq,
@@ -605,11 +648,11 @@ def _expansion_matches(terms: Sequence, z: QExpansion, x: QExpansion,
     got = expansion_coefficients(z, x, order)
     for n, (u, v) in enumerate(zip(terms, got)):
         if u != v:
-            return False, F(n)
+            return False, n
     return True, None
 
 
-def verify_weight_one(row: WeightRow, order: int = 30) -> Tuple[bool, Optional[Fraction]]:
+def verify_weight_one(row: WeightRow, order: int = 30) -> Check:
     """z == sum t(n) x^n and q dx/dq == z^2 x (1 - a x - c x^2), through q^order."""
     _check_order(order)
     a, b, g = row.triple
@@ -623,7 +666,7 @@ def verify_weight_one(row: WeightRow, order: int = 30) -> Tuple[bool, Optional[F
     return qexp_equal(lhs, rhs, order)
 
 
-def verify_weight_two(row: WeightRow, order: int = 20) -> Tuple[bool, Optional[Fraction]]:
+def verify_weight_two(row: WeightRow, order: int = 20) -> Check:
     """z == sum s(n) x^n for a cubic-companion table row, through q^order."""
     _check_order(order)
     x, z = build_xz(row, order)
@@ -782,7 +825,7 @@ def _bank_sum_eight_squares(order: int):
     return qexp_equal(lhs, rhs, order)
 
 
-IDENTITY_BANK: Dict[str, Callable[[int], Tuple[bool, Optional[Fraction]]]] = {
+IDENTITY_BANK: Dict[str, Callable[[int], Check]] = {
     "beukers-apery": _bank_beukers_apery,
     "jacobi-phi4": _bank_jacobi_phi4,
     "phi-eta": _bank_phi_eta,
@@ -801,7 +844,7 @@ IDENTITY_BANK: Dict[str, Callable[[int], Tuple[bool, Optional[Fraction]]]] = {
 }
 
 
-def verify_identity_bank(name: str, order: int = 30) -> Tuple[bool, Optional[Fraction]]:
+def verify_identity_bank(name: str, order: int = 30) -> Check:
     if name not in IDENTITY_BANK:
         raise catalog.UnknownKeyError("unknown identity %r" % (name,))
     _check_order(order)

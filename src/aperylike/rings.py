@@ -209,7 +209,9 @@ def reduce_mod(x: Scalar, m: int) -> Tuple[int, int]:
     """Componentwise residue (a mod m, b mod m) of x = a + b*sqrt(d).
 
     For int and Fraction input the surd residue is 0.  Requires m >= 2 and
-    integral components; otherwise raises RingError("not m-integral").
+    components that are integers (a Fraction with denominator 1 counts);
+    otherwise raises RingError.  A component that is m-integral but not an
+    integer, such as 1/2 for odd m, is refused too: no inverse mod m is taken.
     """
     if isinstance(x, QuadElem):
         return reduce_pair(x.a, x.b, m)
@@ -223,7 +225,8 @@ def reduce_pair(a: Rat, b: Rat, m: int) -> Tuple[int, int]:
     if type(a) is not int or type(b) is not int:
         fa, fb = Fraction(a), Fraction(b)
         if fa.denominator != 1 or fb.denominator != 1:
-            raise RingError("not m-integral: (%s, %s)" % (_rat_to_str(fa), _rat_to_str(fb)))
+            raise RingError("residue needs integer components, got (%s, %s)"
+                            % (_rat_to_str(fa), _rat_to_str(fb)))
         a, b = fa.numerator, fb.numerator
     return (a % m, b % m)
 

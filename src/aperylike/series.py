@@ -13,7 +13,7 @@ from math import comb
 from typing import Optional, Sequence, Tuple
 
 from . import catalog
-from .qseries import QExpansion, qexp_equal
+from .qseries import QExpansion, linear_combination, qexp_equal
 from .recurrence import cubic_from_quadratic_asz, generate_terms, recurrence_from_quadratic
 from .rings import RING_Q, QuadElem, Scalar
 
@@ -53,11 +53,12 @@ def verify_asz(alpha: Scalar, beta: Scalar, gamma: Scalar, order: int = 30
     lhs = (z * z).shift(1).truncate_abs(order)
     s = generate_terms(cubic_from_quadratic_asz(alpha, beta, gamma), order, RING_Q)
     u = _poly([0, 1], order) / _poly([1, -alpha, -gamma], order)
-    rhs = _poly([0], order)
+    pows = []
     upow = _poly([1], order)
     for n in range(order):
         upow = (upow * u).truncate_abs(order)
-        rhs = rhs + s[n] * upow
+        pows.append(upow)
+    rhs = linear_combination(zip(s, pows))
     mism = _mismatch(lhs, rhs, order)
     return mism is None, mism
 
@@ -72,12 +73,10 @@ def verify_ctyz(alpha: Scalar, beta: Scalar, gamma: Scalar, order: int = 30
     lhs = (z * z).truncate_abs(order)
     den = _poly([1, 0, gamma], order)
     v = _poly([0, 1], order) * _poly([1, -alpha, -gamma], order) / (den * den)
-    rhs = _poly([0], order)
-    vpow = _poly([1], order)
-    for n in range(order + 1):
-        if n:
-            vpow = (vpow * v).truncate_abs(order)
-        rhs = rhs + (comb(2 * n, n) * t[n]) * vpow
+    pows = [_poly([1], order)]
+    for n in range(order):
+        pows.append((pows[-1] * v).truncate_abs(order))
+    rhs = linear_combination((comb(2 * n, n) * t[n], vpow) for n, vpow in enumerate(pows))
     rhs = rhs / den
     mism = _mismatch(lhs, rhs, order)
     return mism is None, mism
@@ -102,19 +101,18 @@ def _special_gf(family: catalog.EpsilonFamily, eps: Scalar, order: int) -> Pair:
         u: Pair = (r * re, -e1 * r.shift(1))
     else:
         u = (_poly([0, 1], order) / re, None)
-    zero = _poly([0], order)
-    sum_a, sum_b = zero, None if u[1] is None else zero
+    parts_a, parts_b = [], []
     upow = u
     # QExpansion carries the precision of every power, so none is truncated
     for n, (a, b) in enumerate(terms):
         if n:
             upow = _pair_mul(upow, u, d)
         A, B = upow
-        sum_a = sum_a + a * A
+        parts_a.append((a, A))
         if B is not None:
-            sum_a = sum_a + (d * b) * B
-            sum_b = sum_b + a * B + b * A
-    return sum_a, sum_b
+            parts_a.append((d * b, B))
+            parts_b += [(a, B), (b, A)]
+    return linear_combination(parts_a), (linear_combination(parts_b) if parts_b else None)
 
 
 def _pair_mul(x: Pair, y: Pair, d: int) -> Pair:

@@ -1,12 +1,16 @@
 """The exact layers compute with ints, Fractions and exact ring elements
-only: no float literal and no float() call appears in their source."""
+only: no float literal and no float() call appears in their source, and a
+float handed to a q-series at run time is refused, not converted."""
 
 import ast
 import os
+import re
+from fractions import Fraction as F
 
 import pytest
 
 import aperylike
+from aperylike.qseries import QExpansion, QSeriesError, linear_combination
 
 EXACT_MODULES = ("qseries", "recurrence", "rings", "congruence", "series", "catalog")
 
@@ -33,3 +37,43 @@ def test_exact_layer_has_no_floats(module):
 def test_the_float_check_sees_floats():
     assert float_uses("x = int((4 * c / d) ** 0.5)\ny = float(n)\nz = 2j") == [
         (1, "0.5"), (2, "float("), (3, "2j")]
+
+
+# every entry point where a caller's number becomes part of a QExpansion
+FLOAT_ENTRIES = {
+    "offset": lambda f, x: QExpansion(x, [1, 2]),
+    "coefficient list": lambda f, x: QExpansion(0, [1, x]),
+    "series * scalar": lambda f, x: f * x,
+    "scalar * series": lambda f, x: x * f,
+    "series / scalar": lambda f, x: f / x,
+    "scalar / series": lambda f, x: x / f,
+    "series + scalar": lambda f, x: f + x,
+    "truncate_abs": lambda f, x: f.truncate_abs(x),
+    "coefficient": lambda f, x: f.coefficient(x),
+    "shift": lambda f, x: f.shift(x),
+    "pow_fraction": lambda f, x: f.pow_fraction(x),
+    "linear_combination": lambda f, x: linear_combination([(1, f), (x, f)]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FLOAT_ENTRIES))
+@pytest.mark.parametrize("x", [0.5, 2.0, 0.1])
+def test_qexpansion_refuses_floats(entry, x):
+    f = QExpansion(0, [1, F(1, 2), 3, 4])
+    with pytest.raises(QSeriesError, match="^" + re.escape(repr(x)) + " is not an exact rational"):
+        FLOAT_ENTRIES[entry](f, x)
+
+
+@pytest.mark.parametrize("entry", sorted(FLOAT_ENTRIES))
+@pytest.mark.parametrize("x", [2, F(1, 2), F(4, 2)])
+def test_qexpansion_takes_ints_and_fractions(entry, x):
+    f = QExpansion(0, [1, F(1, 2), 3, 4])
+    assert isinstance(FLOAT_ENTRIES[entry](f, x), (QExpansion, F, int))
+
+
+def test_float_offset_and_coefficients_are_not_converted():
+    # F(0.1) would be 3602879701896397/36028797018963968
+    with pytest.raises(QSeriesError, match=r"^0\.1 is not an exact rational"):
+        QExpansion(0.1, [1, 0.5])
+    with pytest.raises(QSeriesError, match=r"^0\.5 is not an exact rational"):
+        QExpansion(F(1, 10), [1, 0.5])

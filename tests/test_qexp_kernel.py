@@ -17,6 +17,11 @@ Series division is also kept as a reference: the previous integer
 ``QExpansion.__truediv__`` (``ref_lead_power_div``) scaled by powers of the
 divisor's leading numerator, where ``qseries`` now carries the quotient over
 one running denominator.  Both must give the same (offset, num, den).
+
+``qseries.linear_combination``, which ``+`` and ``-`` now call, is checked
+against the chain of ``+`` and scalar ``*`` it replaces, run on the
+reference kernel (``chain_combination``): the same series, or the same
+QSeriesError at the same pair.
 """
 
 from contextlib import contextmanager
@@ -366,7 +371,8 @@ def assert_canonical(f):
     assert f.num and all(type(c) is int for c in f.num)
     assert type(f.den) is int and f.den > 0
     assert gcd(f.den, *f.num) == 1
-    assert type(f.offset) is Fraction
+    # an integral offset is an int; a Fraction offset is off the integer grid
+    assert type(f.offset) is int or (type(f.offset) is Fraction and f.offset.denominator > 1)
 
 
 def assert_same(new, ref):
@@ -602,6 +608,74 @@ def test_long_mul_matches_reference(off, cs, off2, ds, lead_zeros):
 
 
 # ---------------------------------------------------------------------------
+# Linear combinations against the + / scalar-* chain they replace
+# ---------------------------------------------------------------------------
+
+
+def chain_combination(pairs):
+    """c1 * f1 + c2 * f2 + ... on the reference kernel, folded from the left
+    as the Clausen checks used to build their sums."""
+    (c, f), *rest = [(c, RefQExpansion(f.offset, f.coeffs)) for c, f in pairs]
+    acc = c * f
+    for c, f in rest:
+        acc = acc + c * f
+    return acc
+
+
+def outcome_with_message(fn, *args):
+    try:
+        return fn(*args)
+    except QSeriesError as exc:
+        return QSeriesError, str(exc)
+
+
+def assert_combination_matches_chain(pairs):
+    new = outcome_with_message(qseries.linear_combination, pairs)
+    ref = outcome_with_message(chain_combination, pairs)
+    if isinstance(new, tuple) or isinstance(ref, tuple):
+        assert new == ref
+        return
+    assert_same(new, ref)
+
+
+scalars = st.one_of(st.just(0), st.integers(-10 ** 6, 10 ** 6), rationals,
+                    st.builds(F, st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 40)))
+# most terms sit on the first term's grid; a 1/24 or 1/2 step leaves it
+off_grid_steps = st.sampled_from((0, 0, 0, 0, 0, 0, F(1, 24), F(1, 2)))
+combination_terms = st.lists(
+    st.tuples(scalars, st.integers(-6, 6), off_grid_steps,
+              st.one_of(coeff_lists, long_coeff_lists)),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_offsets, combination_terms)
+def test_linear_combination_matches_the_chain(base, terms):
+    pairs = [(c, qseries.QExpansion(base + k + step, cs)) for c, k, step, cs in terms]
+    assert_combination_matches_chain(pairs)
+    # the same series all on one grid: the chain never refuses
+    assert_combination_matches_chain(
+        [(c, qseries.QExpansion(base + k, cs)) for c, k, _, cs in terms])
+
+
+def test_linear_combination_edge_cases():
+    f = qseries.QExpansion(0, [1, 2, 3, 4])
+    g = qseries.QExpansion(F(5, 24), [F(1, 3), 5])
+    h = qseries.QExpansion(F(-19, 24), [2, F(-1, 7), 0, 1, 1])
+    for pairs in ([(0, f)], [(0, f), (0, g), (F(3, 4), h)], [(F(1, 2), g), (3, h), (-1, g)],
+                  [(1, f), (-1, f)], [(1, f), (1, g)], [(2, g), (1, h), (1, f)],
+                  [(7, f), (1, f.shift(9))], [(1, f), (F(1, 3), f.shift(-2).truncate_abs(0))]):
+        assert_combination_matches_chain(pairs)
+    with pytest.raises(QSeriesError, match=r"^offsets differ by a non-integer: 0 vs 5/24$"):
+        qseries.linear_combination([(1, f), (1, g)])
+    # the refusal names the least offset so far, as the chain's running sum does
+    with pytest.raises(QSeriesError, match=r"^offsets differ by a non-integer: -19/24 vs 0$"):
+        qseries.linear_combination([(2, g), (1, h), (1, f)])
+    with pytest.raises(QSeriesError, match="^empty linear combination$"):
+        qseries.linear_combination([])
+
+
+# ---------------------------------------------------------------------------
 # Series division against the lead-power path it replaced
 # ---------------------------------------------------------------------------
 
@@ -683,6 +757,16 @@ def test_unit_lead_over_a_large_denominator_matches_lead_power(off, cs, off2, de
     assert_division_matches_lead_power(a, b)
     assert_division_matches_lead_power(qseries._embed_scalar(1, b.prec - off2), b)
     assert_division_matches_lead_power(b, b)
+
+
+@settings(max_examples=10, deadline=None)
+@given(long_offsets, unit_lead_dens, wide_ints, st.sampled_from(POWERS))
+def test_rational_power_over_a_large_denominator_matches_reference(off, den, ns, r):
+    # as for level 13's X^(7/6): lead 1 over a 100-160-bit common denominator
+    cs = [1] + [F(c, den) for c in ns] + [F(1, den)]
+    a, ra = pair(off, cs)
+    assert a.num[0] == a.den == den
+    assert_same_outcome(a.pow_fraction(r), ra.pow_fraction(r))
 
 
 @settings(max_examples=30, deadline=None)

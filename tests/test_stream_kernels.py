@@ -182,15 +182,15 @@ def test_residue_path_rejects_nonintegral_pairs(monkeypatch):
     nonintegral, _ = _hand_built_specs()
     a, b = list(term_pairs(nonintegral, RING_SQRT2, 2))[2]
     assert (a, b) == (F(13, 12), F(3, 4))
-    with pytest.raises(RingError, match="not m-integral"):
+    with pytest.raises(RingError, match=r"^residue needs integer components, got \(13/12, 3/4\)$"):
         reduce_pair(a, b, 5)
     seq = catalog.Sequence("hand-built", RING_SQRT2, nonintegral)
     monkeypatch.setattr(catalog, "sequence", lambda key: seq)
-    with pytest.raises(RingError, match="not m-integral"):
+    with pytest.raises(RingError, match=r"^residue needs integer components, got \(13/12, 3/4\)$"):
         congruence.lucas_scan("hand-built", 5, 10)
-    with pytest.raises(RingError, match="not m-integral"):
+    with pytest.raises(RingError, match=r"^residue needs integer components, got \(13/12, 3/4\)$"):
         congruence.lucas_scan_many("hand-built", [2, 3], 10)
-    with pytest.raises(RingError, match="not m-integral"):
+    with pytest.raises(RingError, match=r"^residue needs integer components, got \(13/12, 3/4\)$"):
         congruence.structured_congruence_check("hand-built", 3, 9, 3, {}, 5)
 
 
