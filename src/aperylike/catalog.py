@@ -3,6 +3,10 @@ the six weight-one sporadic rows, their weight-two companions, the
 one-parameter level-14/15 families, binomial-sum formulas, and the frozen
 reference values the test suite reproduces.
 
+The level-14/15 eta quotients w are data too: ``ETA_W`` holds each one
+once, and the level rows, the families' X_eps and the weight-0 relations
+``LAURENT_RELATIONS`` (which the q-series identity bank checks) read it.
+
 Table data is committed as literal source constants.  Each block carries a
 row key so entries can be audited against the source tables one by one.
 Rows flagged ``corrected`` differ from the printed source; see the note on
@@ -190,7 +194,6 @@ def binomial_oracle(key: str, n: int) -> Scalar:
 # Product specs understood by the q-expansion builder:
 #   ("eta",  ((N, e), ...))                 product of eta_N^e
 #   ("poch", offset, ((a, m, e), ...))      q^offset * prod_{j>=0} (1-q^(a+j m))^e
-#   ("theta", (a, b, c))                    theta_{a,b,c}
 #   ("eisenstein13",)                       (13 P(q^13) - P(q)) / 12
 #   ("level1w",)                            (Q^{3/2} - R) / (432 (Q^{3/2} + R))
 #   ("hauptmodul", w, D)                    w / D(w), w a product spec, D coefficients
@@ -333,6 +336,29 @@ def _eta(*pairs) -> tuple:
     return ("eta", tuple(pairs))
 
 
+# The Atkin-Lehner eta quotients w at levels 14 and 15, as eta products
+# ((N, e), ...) keyed by level and by the involutions "+m" that fix them;
+# each has an integer valuation sum(N e)/24 >= 1.
+ETA_W: Dict[int, Dict[str, Tuple[Tuple[int, int], ...]]] = {
+    14: {"+2": ((7, 4), (14, 4), (1, -4), (2, -4)),
+         "+7": ((2, 3), (14, 3), (1, -3), (7, -3)),
+         "+14": ((1, 4), (14, 4), (2, -4), (7, -4))},
+    15: {"+3": ((5, 3), (15, 3), (1, -3), (3, -3)),
+         "+5": ((3, 2), (15, 2), (1, -2), (5, -2)),
+         "+15": ((1, 3), (15, 3), (3, -3), (5, -3))},
+}
+
+# Weight-0 relations between two of them, (level, w, {k: a_k}, v, {k: b_k})
+# for sum a_k w^k == sum b_k v^k as Laurent polynomials in w and v.
+LAURENT_RELATIONS: Dict[str, Tuple[int, str, Dict[int, int], str, Dict[int, int]]] = {
+    "level14-wbwc": (14, "+7", {-1: 1, 1: 8}, "+14", {-1: 1, 0: -7, 1: 1}),
+    "level14-wawb": (14, "+2", {-1: 1, 1: 2401},
+                     "+14", {-3: 1, -2: -16, -1: 48, 0: 32, 1: 48, 2: -16, 3: 1}),
+    "level15-wbwc": (15, "+5", {-1: 1, 0: 5, 1: 9}, "+15", {-1: 1, 1: -1}),
+    "level15-wawb": (15, "+3", {-1: 1, 1: -125}, "+5", {-2: 1, -1: 1, 1: -9, 2: -81}),
+}
+
+
 LEVEL_ROWS: Dict[str, LevelRow] = {
     # level 1: w from the weight-4 Eisenstein pair, X = w/(1+432w)^2
     "level1": LevelRow(
@@ -414,22 +440,22 @@ LEVEL_ROWS: Dict[str, LevelRow] = {
         ring=RING_Q),
     # level 14 (A)
     "level14A": LevelRow(
-        "level14A", "14 (A)", ("hauptmodul", _eta((1, 4), (14, 4), (2, -4), (7, -4)), (1, -2, 1)),
+        "level14A", "14 (A)", ("hauptmodul", ("eta", ETA_W[14]["+14"]), (1, -2, 1)),
         _eta((1, 1), (2, 1), (7, 1), (14, 1)), F(1),
         ((1, 4), (1, -10, -7)), (0, 1, F(51, 2), 28), oracle_id="level14A"),
     # level 14 (B)
     "level14B": LevelRow(
-        "level14B", "14 (B)", ("hauptmodul", _eta((1, 4), (14, 4), (2, -4), (7, -4)), (1, 2, 1)),
+        "level14B", "14 (B)", ("hauptmodul", ("eta", ETA_W[14]["+14"]), (1, 2, 1)),
         _eta((1, 1), (2, 1), (7, 1), (14, 1)), F(1),
         ((1, -4), (1, -18, 49)), (0, 5, F(-141, 2), 196)),
     # level 15 (A)
     "level15A": LevelRow(
-        "level15A", "15 (A)", ("hauptmodul", _eta((3, 2), (15, 2), (1, -2), (5, -2)), (1, 6, 9)),
+        "level15A", "15 (A)", ("hauptmodul", ("eta", ETA_W[15]["+5"]), (1, 6, 9)),
         _eta((1, 1), (3, 1), (5, 1), (15, 1)), F(1),
         ((1, -12), (1, -2, 5)), (0, 3, F(-33, 2), 60)),
     # level 15 (B)
     "level15B": LevelRow(
-        "level15B", "15 (B)", ("hauptmodul", _eta((3, 2), (15, 2), (1, -2), (5, -2)), (1, -6, 9)),
+        "level15B", "15 (B)", ("hauptmodul", ("eta", ETA_W[15]["+5"]), (1, -6, 9)),
         _eta((1, 1), (3, 1), (5, 1), (15, 1)), F(1),
         ((1, 12), (1, 22, 125)), (0, -9, F(-465, 2), -1500)),
     # level 18
@@ -506,7 +532,8 @@ class EpsilonFamily:
 
     B_eps^2 = (1 - (eps - s1) X)(1 - (eps - s2) X)(1 - 2 eps X + (eps^2 + q2) X^2)
     and the generating functions sum to a common series in
-    w / (1 + eps w + sigma w^2) independently of eps.
+    X_eps = w / (1 + eps w + sigma w^2) independently of eps, where w is the
+    eta quotient ETA_W[level][w].
     """
 
     level: int
@@ -514,6 +541,7 @@ class EpsilonFamily:
     s2: int
     q2: int           # eps^2 + q2 is the quartic factor's X^2 coefficient
     sigma: int
+    w: str
     specials: Tuple[Tuple[str, Scalar], ...]
 
     def b2_factors(self, eps: Scalar) -> Tuple[tuple, ...]:
@@ -559,7 +587,7 @@ class EpsilonFamily:
 
 EPSILON_FAMILIES: Dict[int, EpsilonFamily] = {
     14: EpsilonFamily(
-        14, s1=9, s2=5, q2=-32, sigma=8,
+        14, s1=9, s2=5, q2=-32, sigma=8, w="+7",
         specials=(
             ("level14A", 5),
             ("level14B", 9),
@@ -567,7 +595,7 @@ EPSILON_FAMILIES: Dict[int, EpsilonFamily] = {
             ("14Cbar", QuadElem(2, 0, -4)),
         )),
     15: EpsilonFamily(
-        15, s1=1, s2=-11, q2=4, sigma=-1,
+        15, s1=1, s2=-11, q2=4, sigma=-1, w="+15",
         specials=(
             ("level15A", 1),
             ("level15B", -11),

@@ -35,6 +35,7 @@ derivative of their unit part, a divisor sum read off the factors (see
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import floor, gcd, isqrt, lcm
 from operator import add, mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -532,8 +533,6 @@ def build_product(spec: tuple, order: int) -> QExpansion:
         return eta_quotient(spec[1], order)
     if kind == "poch":
         return poch_quotient(spec[1], spec[2], order)
-    if kind == "theta":
-        return theta_expand(spec[1], order)
     if kind == "eisenstein13":
         P = eisenstein_expand("P", order)
         return (13 * P.subs_q_power(13).truncate_abs(order) - P) / 12
@@ -718,90 +717,55 @@ def _bank_p_derivative(order: int):
     return qexp_equal(lhs, rhs, order)
 
 
-def _w14(symbol: str, order: int) -> QExpansion:
-    specs = {
-        "+2": ((7, 4), (14, 4), (1, -4), (2, -4)),
-        "+7": ((2, 3), (14, 3), (1, -3), (7, -3)),
-        "+14": ((1, 4), (14, 4), (2, -4), (7, -4)),
-    }
-    return eta_quotient(specs[symbol], order).normalized()
+def _bank_laurent(name: str, order: int) -> Check:
+    """sum a_k w^k == sum b_k v^k through q^order for the relation
+    (level, w, {k: a_k}, v, {k: b_k}) named in catalog.LAURENT_RELATIONS.
+
+    Each eta quotient f is built through q^(order + K v_w), v_w its valuation
+    and -K its most negative power, so every power is known through q^order.
+    The powers take one division in all and one product per power past the
+    first on each side: f^k = f^(k-1) f and f^-k = f^(1-k) f^-1."""
+    level, w, a, v, b = catalog.LAURENT_RELATIONS[name]
+    sides = []
+    for symbol, coeffs in ((w, a), (v, b)):
+        factors = catalog.ETA_W[level][symbol]
+        K = max(0, -min(coeffs))
+        f = eta_quotient(factors, order + K * sum(N * e for N, e in factors) // 24)
+        powers = {1: f, -1: 1 / f} if K else {1: f}
+        for k in range(2, max(coeffs) + 1):
+            powers[k] = powers[k - 1] * f
+        for k in range(2, K + 1):
+            powers[-k] = powers[1 - k] * powers[-1]
+        sides.append(sum((c * powers[k] for k, c in coeffs.items() if k), coeffs.get(0, 0)))
+    return qexp_equal(*sides, order)
 
 
-def _w15(symbol: str, order: int) -> QExpansion:
-    specs = {
-        "+3": ((5, 3), (15, 3), (1, -3), (3, -3)),
-        "+5": ((3, 2), (15, 2), (1, -2), (5, -2)),
-        "+15": ((1, 3), (15, 3), (3, -3), (5, -3)),
-    }
-    return eta_quotient(specs[symbol], order).normalized()
-
-
-def _bank_level14_wbwc(order: int):
-    w7 = _w14("+7", order + 4)
-    w14 = _w14("+14", order + 4)
-    one = _embed_scalar(1, order + 2)
-    lhs = one / w7 + 8 * w7
-    rhs = one / w14 + w14 - 7
-    return qexp_equal(lhs, rhs, order)
-
-
-def _bank_level14_wawb(order: int):
-    w2 = _w14("+2", order + 10)
-    w14 = _w14("+14", order + 10)
-    one = _embed_scalar(1, order + 8)
-    lhs = one / w2 + 2401 * w2
-    inv = one / w14
-    rhs = (inv ** 3 - 16 * inv ** 2 + 48 * inv + _embed_scalar(32, order + 4)
-           + 48 * w14 - 16 * w14 ** 2 + w14 ** 3)
-    return qexp_equal(lhs, rhs, order)
-
-
-def _bank_level15_wbwc(order: int):
-    w5 = _w15("+5", order + 4)
-    w15 = _w15("+15", order + 4)
-    one = _embed_scalar(1, order + 2)
-    lhs = one / w5 + 9 * w5 + 5
-    rhs = one / w15 - w15
-    return qexp_equal(lhs, rhs, order)
-
-
-def _bank_level15_wawb(order: int):
-    w3 = _w15("+3", order + 8)
-    w5 = _w15("+5", order + 8)
-    one = _embed_scalar(1, order + 6)
-    lhs = one / w3 - 125 * w3
-    inv = one / w5
-    rhs = inv ** 2 + inv - 9 * w5 - 81 * w5 ** 2
-    return qexp_equal(lhs, rhs, order)
-
-
-def _level13_w_u(order: int):
-    w = eta_quotient(((13, 2), (1, -2)), order).normalized()
-    U = eisenstein_expand("U13", order)
-    return w, U
+def _level13_w_d_u(order: int):
+    """w, D(w) and U at level 13, where X = w / D(w) is the level13 row's X."""
+    _, w_spec, D = catalog.LEVEL_ROWS["level13"].x
+    w = build_product(w_spec, order)
+    return w, poly_at_series(Poly(D), w), eisenstein_expand("U13", order)
 
 
 def _bank_level13_eta1(order: int):
-    w, U = _level13_w_u(order + 6)
+    w, D, U = _level13_w_d_u(order + 6)
     lhs = eta_quotient(((1, 24),), order + 6)
-    den = poly_at_series(Poly([1, 5, 13]), w) ** 4
-    rhs = U ** 6 * w / den
+    rhs = U ** 6 * w / D ** 4
     return qexp_equal(lhs, rhs, order)
 
 
 def _bank_level13_eta13(order: int):
-    w, U = _level13_w_u(order + 16)
+    w, D, U = _level13_w_d_u(order + 16)
     lhs = eta_quotient(((13, 24),), order + 16)
-    den = poly_at_series(Poly([1, 5, 13]), w) ** 4
-    rhs = U ** 6 * w ** 13 / den
+    rhs = U ** 6 * w ** 13 / D ** 4
     return qexp_equal(lhs, rhs, order)
 
 
 def _bank_level13_zsquared(order: int):
-    w, U = _level13_w_u(order + 6)
+    w, D, U = _level13_w_d_u(order + 6)
     X, Z = build_xz(catalog.LEVEL_ROWS["level13"], order + 4)
     lhs = Z * Z
-    rhs = U * U * poly_at_series(Poly([1, 5, 13]), w)
+    rhs = U * U * D
     return qexp_equal(lhs, rhs, order)
 
 
@@ -832,10 +796,7 @@ IDENTITY_BANK: Dict[str, Callable[[int], Check]] = {
     "psi-eta": _bank_psi_eta,
     "phi4-eisenstein": _bank_phi4_eisenstein,
     "eisenstein-p-derivative": _bank_p_derivative,
-    "level14-wbwc": _bank_level14_wbwc,
-    "level14-wawb": _bank_level14_wawb,
-    "level15-wbwc": _bank_level15_wbwc,
-    "level15-wawb": _bank_level15_wawb,
+    **{name: partial(_bank_laurent, name) for name in catalog.LAURENT_RELATIONS},
     "level13-eta1-24": _bank_level13_eta1,
     "level13-eta13-24": _bank_level13_eta13,
     "level13-zsquared": _bank_level13_zsquared,
@@ -855,19 +816,14 @@ def verify_identity_bank(name: str, order: int = 30) -> Check:
 
 
 def epsilon_x_expansion(level: int, eps: int, order: int = 8) -> Tuple[QExpansion, QExpansion]:
-    """(X_eps, 1/X_eps) for the level-14/15 family at a concrete eps."""
-    if level == 14:
-        w = _w14("+7", order + 6)
-        one = _embed_scalar(1, order + 4)
-        inv = one / w + 8 * w + eps
-    elif level == 15:
-        w = _w15("+15", order + 6)
-        one = _embed_scalar(1, order + 4)
-        inv = one / w - w + eps
-    else:
+    """(X_eps, 1/X_eps) for the level-14/15 family at a concrete eps, with
+    X_eps = w / (1 + eps w + sigma w^2) known through q^(order + 4)."""
+    if level not in catalog.EPSILON_FAMILIES:
         raise catalog.UnknownKeyError("no epsilon family at level %d" % level)
-    X = _embed_scalar(1, order + 4) / inv
-    return X, inv
+    family = catalog.EPSILON_FAMILIES[level]
+    w = ("eta", catalog.ETA_W[level][family.w])
+    X = build_product(("hauptmodul", w, (1, eps, family.sigma)), order + 3)
+    return X, 1 / X
 
 
 # The level-14 family's printed expansion "1/q + (eps-3) + 11q + 20q^2 +

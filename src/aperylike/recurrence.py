@@ -540,7 +540,11 @@ class Sequence:
                 raise ValueError("sequence definition field %r must be a list of "
                                  "scalar strings" % key)
             cs = [scalar_from_str(c) for c in doc[key]]
-            if ring.kind != "quad":
+            if ring.kind == "quad":
+                # a rational written over another radicand, 3+0*sqrt(5) in
+                # quad:2, joins the ring's field; an irrational one raises
+                cs = [ring.coerce(c) for c in cs]
+            else:
                 if any(isinstance(c, QuadElem) and c.b for c in cs):
                     raise ValueError("sequence definition field %r has an irrational "
                                      "coefficient in ring %s" % (key, ring.kind))

@@ -2,7 +2,9 @@
 
 Three scalar kinds mix freely in arithmetic: plain ``int``,
 ``fractions.Fraction``, and :class:`QuadElem` (a + b*sqrt(d) with rational
-coordinates).  Every value is immutable.
+coordinates).  Every value is immutable, and only ints and Fractions enter:
+a float (or any other number) handed to ``QuadElem`` or ``RingTag.coerce``
+raises RingError instead of being converted.
 """
 
 from __future__ import annotations
@@ -53,23 +55,33 @@ def _norm_rat(x: Rat) -> Rat:
     return x
 
 
+def _exact_rat(x) -> Rat:
+    """x as an int, or as a Fraction when not integral; anything but an int
+    or a Fraction (a float above all) raises RingError."""
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise RingError("%r is not an exact rational (int or Fraction)" % (x,))
+
+
 class QuadElem:
     """An element a + b*sqrt(d) of the quadratic field Q(sqrt(d)).
 
-    d must be squarefree and different from 0 and 1; the coordinates a, b
+    d must be a squarefree int different from 0 and 1; the coordinates a, b
     are exact rationals (stored as int when integral).  Mixed arithmetic
-    with int and Fraction is supported; elements of distinct fields only
-    combine when one of them is actually rational (b == 0).
+    with int and Fraction is supported; elements of distinct fields never
+    combine, even when one of them is rational (b == 0).
     """
 
     __slots__ = ("d", "a", "b")
 
     def __init__(self, d: int, a: Rat = 0, b: Rat = 0):
-        if d in (0, 1) or not _is_squarefree(d):
-            raise RingError("d must be squarefree and not 0 or 1: got %r" % (d,))
+        if type(d) is not int or d in (0, 1) or not _is_squarefree(d):
+            raise RingError("d must be a squarefree int, not 0 or 1: got %r" % (d,))
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "a", a if type(a) is int else _norm_rat(Fraction(a)))
-        object.__setattr__(self, "b", b if type(b) is int else _norm_rat(Fraction(b)))
+        object.__setattr__(self, "a", a if type(a) is int else _exact_rat(a))
+        object.__setattr__(self, "b", b if type(b) is int else _exact_rat(b))
 
     def __setattr__(self, *args):
         raise AttributeError("QuadElem is immutable")
@@ -78,13 +90,9 @@ class QuadElem:
 
     def _coerce(self, other) -> Optional["QuadElem"]:
         if isinstance(other, QuadElem):
-            if other.d == self.d:
-                return other
-            if other.b == 0:
-                return QuadElem(self.d, other.a, 0)
-            if self.b == 0:
-                return None  # handled by caller re-dispatching on other.d
-            raise RingError("mixed radicands: sqrt(%d) vs sqrt(%d)" % (self.d, other.d))
+            if other.d != self.d:
+                raise RingError("mixed radicands: sqrt(%d) vs sqrt(%d)" % (self.d, other.d))
+            return other
         if isinstance(other, (int, Fraction)):
             return QuadElem(self.d, other, 0)
         return None
@@ -94,8 +102,6 @@ class QuadElem:
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, QuadElem):  # self rational, adopt other's field
-                return QuadElem(other.d, other.a + self.a, other.b)
             return NotImplemented
         return QuadElem(self.d, self.a + o.a, self.b + o.b)
 
@@ -107,8 +113,6 @@ class QuadElem:
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, QuadElem):
-                return QuadElem(other.d, self.a - other.a, -other.b)
             return NotImplemented
         return QuadElem(self.d, self.a - o.a, self.b - o.b)
 
@@ -118,8 +122,6 @@ class QuadElem:
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, QuadElem):
-                return QuadElem(other.d, self.a * other.a, self.a * other.b)
             return NotImplemented
         # (a + b s)(a' + b' s) = (aa' + d bb') + (ab' + a'b) s
         return QuadElem(
@@ -133,8 +135,6 @@ class QuadElem:
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
-            if isinstance(other, QuadElem):
-                return QuadElem(other.d, self.a, 0) / other
             return NotImplemented
         if o.b == 0:
             if o.a == 0:
@@ -247,8 +247,8 @@ class RingTag:
         if self.kind not in ("Z", "Q", "quad"):
             raise RingError("unknown ring kind %r" % (self.kind,))
         if self.kind == "quad":
-            if self.d is None or self.d in (0, 1) or not _is_squarefree(self.d):
-                raise RingError("quad ring needs squarefree d != 0, 1: got %r" % (self.d,))
+            if type(self.d) is not int or self.d in (0, 1) or not _is_squarefree(self.d):
+                raise RingError("quad ring needs a squarefree int d != 0, 1: got %r" % (self.d,))
         elif self.d is not None:
             raise RingError("d only applies to quad rings")
 
@@ -267,12 +267,11 @@ class RingTag:
             if x.b != 0:
                 raise RingError("irrational scalar in %s ring" % self.kind)
             x = x.a
+        x = _exact_rat(x)
         if self.kind == "Q":
             return Fraction(x)
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise RingError("non-integer scalar %s in Z ring" % (x,))
-            return int(x)
+        if type(x) is not int:
+            raise RingError("non-integer scalar %s in Z ring" % (x,))
         return x
 
     def serialize(self) -> str:
@@ -371,4 +370,4 @@ def scalar_denominator(x: Scalar) -> int:
         da = Fraction(x.a).denominator
         db = Fraction(x.b).denominator
         return da * db // gcd(da, db)
-    return Fraction(x).denominator
+    return _exact_rat(x).denominator

@@ -11,6 +11,8 @@ import pytest
 
 import aperylike
 from aperylike.qseries import QExpansion, QSeriesError, linear_combination
+from aperylike.recurrence import generate_terms, recurrence_from_quadratic
+from aperylike.rings import QuadElem, RING_Q, RING_Z, RingError, RingTag
 
 EXACT_MODULES = ("qseries", "recurrence", "rings", "congruence", "series", "catalog")
 
@@ -69,6 +71,43 @@ def test_qexpansion_refuses_floats(entry, x):
 def test_qexpansion_takes_ints_and_fractions(entry, x):
     f = QExpansion(0, [1, F(1, 2), 3, 4])
     assert isinstance(FLOAT_ENTRIES[entry](f, x), (QExpansion, F, int))
+
+
+# every entry point where a caller's number becomes a ring scalar; the
+# streams reach RingTag.coerce through the relation's one-time set-up
+RING_FLOAT_ENTRIES = {
+    "Z coerce": lambda x: RING_Z.coerce(x),
+    "Q coerce": lambda x: RING_Q.coerce(x),
+    "quad coerce": lambda x: RingTag("quad", 2).coerce(x),
+    "QuadElem a": lambda x: QuadElem(2, x, 0),
+    "QuadElem b": lambda x: QuadElem(-1, 1, x),
+    "Z stream": lambda x: generate_terms(recurrence_from_quadratic(7, x, 8), 3, RING_Z),
+    "Q stream": lambda x: generate_terms(recurrence_from_quadratic(x, 1, 0), 3, RING_Q),
+    "quad stream": lambda x: generate_terms(recurrence_from_quadratic(x, 1, 0), 3,
+                                            RingTag("quad", 2)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(RING_FLOAT_ENTRIES))
+@pytest.mark.parametrize("x", [0.5, 2.0, 0.1])
+def test_ring_layer_refuses_floats(entry, x):
+    # a stream names the coefficient it was handed, which may be -x
+    with pytest.raises(RingError, match=r"^-?" + re.escape(repr(x))
+                       + r" is not an exact rational \(int or Fraction\)$"):
+        RING_FLOAT_ENTRIES[entry](x)
+
+
+def test_ring_layer_keeps_exact_values():
+    # F(0.1) would have made T(2) = 21617278211378381/72057594037927936
+    assert generate_terms(recurrence_from_quadratic(F(1, 10), 1, 0), 3, RING_Q)[2] == F(3, 10)
+    assert QuadElem(2, F(1, 10), F(4, 2)).a == F(1, 10)
+    assert type(QuadElem(2, 0, F(4, 2)).b) is int
+    assert RING_Z.coerce(F(4, 2)) == 2 and type(RING_Z.coerce(F(4, 2))) is int
+    assert RING_Q.coerce(3) == F(3) and type(RING_Q.coerce(3)) is F
+    with pytest.raises(RingError, match="^non-integer scalar 1/2 in Z ring$"):
+        RING_Z.coerce(F(1, 2))
+    with pytest.raises(RingError, match=r"^'1/2' is not an exact rational"):
+        RING_Q.coerce("1/2")
 
 
 def test_float_offset_and_coefficients_are_not_converted():

@@ -31,7 +31,7 @@ from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from aperylike import catalog, qseries
 from aperylike.qseries import QSeriesError, _legendre13, _make, _ratio
@@ -582,13 +582,18 @@ def test_truncation_at_fractional_distances(offset, exponent, kept):
     assert_same(t, ra.truncate_abs(exponent))
 
 
+# The long-list tests below skip hypothesis's shrink phase: shrinking a
+# 40-70-element list of Fractions one element at a time took minutes on a
+# failing kernel, so they report the first failing example as generated.
+UNSHRUNK = tuple(p for p in Phase if p not in (Phase.shrink, Phase.explain))
+
 # Long series: eta and theta products at working order carry 40-70
 # coefficients, on the q^(1/24) grid or at integer offsets.
 long_coeff_lists = st.lists(rationals, min_size=40, max_size=70)
 long_offsets = st.one_of(grid_offsets, st.builds(F, st.integers(-3, 3)))
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, phases=UNSHRUNK)
 @given(long_offsets, long_coeff_lists, st.integers(-75, 75), long_coeff_lists)
 def test_long_add_sub_match_reference(off, cs, k, ds):
     a, ra = pair(off, cs)
@@ -598,7 +603,7 @@ def test_long_add_sub_match_reference(off, cs, k, ds):
     assert_same_outcome(outcome(lambda: b - a), outcome(lambda: rb - ra))
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, phases=UNSHRUNK)
 @given(long_offsets, long_coeff_lists, long_offsets, long_coeff_lists, st.integers(0, 3))
 def test_long_mul_matches_reference(off, cs, off2, ds, lead_zeros):
     a, ra = pair(off, [0] * lead_zeros + cs)
@@ -648,7 +653,7 @@ combination_terms = st.lists(
     min_size=1, max_size=6)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, phases=UNSHRUNK)
 @given(long_offsets, combination_terms)
 def test_linear_combination_matches_the_chain(base, terms):
     pairs = [(c, qseries.QExpansion(base + k + step, cs)) for c, k, step, cs in terms]
@@ -747,7 +752,7 @@ unit_lead_dens = st.integers(2 ** 100, 2 ** 160)
 wide_ints = st.lists(st.integers(-2 ** 170, 2 ** 170), min_size=38, max_size=68)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, phases=UNSHRUNK)
 @given(long_offsets, long_coeff_lists, long_offsets, unit_lead_dens, wide_ints)
 def test_unit_lead_over_a_large_denominator_matches_lead_power(off, cs, off2, den, ns):
     # the last coefficient 1/den keeps den as the common denominator
@@ -759,7 +764,7 @@ def test_unit_lead_over_a_large_denominator_matches_lead_power(off, cs, off2, de
     assert_division_matches_lead_power(b, b)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, deadline=None, phases=UNSHRUNK)
 @given(long_offsets, unit_lead_dens, wide_ints, st.sampled_from(POWERS))
 def test_rational_power_over_a_large_denominator_matches_reference(off, den, ns, r):
     # as for level 13's X^(7/6): lead 1 over a 100-160-bit common denominator
@@ -769,7 +774,7 @@ def test_rational_power_over_a_large_denominator_matches_reference(off, den, ns,
     assert_same_outcome(a.pow_fraction(r), ra.pow_fraction(r))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, phases=UNSHRUNK)
 @given(grid_offsets, st.one_of(coeff_lists, long_coeff_lists), grid_offsets,
        st.one_of(coeff_lists, long_coeff_lists), st.sampled_from((2, -3, F(7, 5))),
        st.integers(0, 2))

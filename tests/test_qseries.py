@@ -285,6 +285,66 @@ def test_epsilon_x_printed_series_matches_reciprocal():
     assert inv.coefficient(0) == 9 - 3
 
 
+@pytest.mark.parametrize("level", sorted(catalog.EPSILON_FAMILIES))
+@pytest.mark.parametrize("eps", [0, 4, -11, F(1, 2)])
+def test_epsilon_x_is_w_over_its_quadratic(level, eps):
+    # against the per-level formula it replaced, 1/X_eps = 1/w + sigma w + eps
+    # with w built through q^(order + 7), at the same precision
+    family = catalog.EPSILON_FAMILIES[level]
+    order = 8
+    w = eta_quotient(catalog.ETA_W[level][family.w], order + 6)
+    one = QExpansion(0, [1] + [0] * (order + 3))
+    inv = one / w + family.sigma * w + eps
+    X = one / inv
+    got = epsilon_x_expansion(level, eps, order)
+    for f, g in zip(got, (X, inv)):
+        assert (f.offset, f.num, f.den) == (g.offset, g.num, g.den)
+    assert got[0].offset == 1 and got[0].coefficient(1) == 1
+    assert got[1].offset == -1 and got[1].prec == order + 3
+
+
+def test_epsilon_x_needs_a_family_level():
+    with pytest.raises(catalog.UnknownKeyError, match="^no epsilon family at level 13$"):
+        epsilon_x_expansion(13, 0)
+
+
+def test_laurent_relations_hold_at_every_precision():
+    # each eta quotient is built only as far as its most negative power needs
+    for name in catalog.LAURENT_RELATIONS:
+        for order in (1, 2, 60):
+            assert verify_identity_bank(name, order) == (True, None), (name, order)
+
+
+@pytest.mark.parametrize("name", sorted(catalog.LAURENT_RELATIONS))
+def test_a_changed_laurent_coefficient_is_caught(name, monkeypatch):
+    # bumping c_k of w^k leaves c w^k as the whole difference, so the first
+    # mismatch is at q^(k v_w), v_w the valuation of w
+    level, w, a, v, b = catalog.LAURENT_RELATIONS[name]
+    order = 30
+    for i, (symbol, coeffs) in enumerate(((w, a), (v, b))):
+        valuation = sum(N * e for N, e in catalog.ETA_W[level][symbol]) // 24
+        for k in list(coeffs) + [max(coeffs) + 1]:
+            changed = dict(coeffs)
+            changed[k] = changed.get(k, 0) + 1
+            relation = (level, w, changed, v, b) if i == 0 else (level, w, a, v, changed)
+            monkeypatch.setattr(catalog, "LAURENT_RELATIONS",
+                                {**catalog.LAURENT_RELATIONS, name: relation})
+            assert verify_identity_bank(name, order) == (False, k * valuation), (symbol, k)
+            assert k * valuation <= order
+    monkeypatch.undo()
+    assert verify_identity_bank(name, order) == (True, None)
+
+
+def test_eta_w_valuations_are_positive_integers():
+    for level, table in catalog.ETA_W.items():
+        for symbol, factors in table.items():
+            total = sum(N * e for N, e in factors)
+            assert total % 24 == 0 and total > 0, (level, symbol)
+            assert all(level % N == 0 for N, _ in factors), (level, symbol)
+    assert catalog.LEVEL_ROWS["level14A"].x[1] == ("eta", catalog.ETA_W[14]["+14"])
+    assert catalog.LEVEL_ROWS["level15B"].x[1] == ("eta", catalog.ETA_W[15]["+5"])
+
+
 def test_qexp_equal_precision_guard():
     a = QExpansion(0, [1, 2, 3])
     b = QExpansion(0, [1, 2, 3])

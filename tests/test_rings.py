@@ -38,6 +38,30 @@ def test_quad_mul_mismatched_d():
         QuadElem(2, 1, 1) * QuadElem(3, 1, 1)
 
 
+@pytest.mark.parametrize("op", [lambda x, y: x + y, lambda x, y: x - y,
+                                lambda x, y: x * y, lambda x, y: x / y])
+def test_two_fields_never_combine(op):
+    # a rational element of another field (b == 0) is refused as well
+    for x, y in ((QuadElem(2, 1, 1), QuadElem(5, 3, 0)), (QuadElem(5, 3, 0), QuadElem(2, 1, 1)),
+                 (QuadElem(2, 3, 0), QuadElem(-1, 2, 0)), (SQRT2, I)):
+        with pytest.raises(RingError, match=r"^mixed radicands: sqrt\(%d\) vs sqrt\(%d\)$"
+                           % (x.d, y.d)):
+            op(x, y)
+
+
+def test_def_file_rational_over_another_radicand_joins_the_ring():
+    # the level-10 row written with 0*sqrt(5) and 0*sqrt(3) in a quad:2 file
+    doc = {"name": "x", "ring": "quad:2", "G": ["1", "-12+0*sqrt(5)", "-64"],
+           "H": ["0", "2", "30+0*sqrt(3)"]}
+    seq = Sequence.from_json(doc)
+    plain = Sequence.from_json(dict(doc, G=["1", "-12", "-64"], H=["0", "2", "30"]))
+    assert seq.G == plain.G and seq.H == plain.H
+    assert {c.d for c in seq.G.coeffs + seq.H.coeffs} == {2}
+    assert seq.terms(6) == plain.terms(6) == [1, 2, 18, 164, 1810, 21252, 263844]
+    with pytest.raises(RingError, match=r"^scalar lives in sqrt\(5\), ring is sqrt\(2\)$"):
+        Sequence.from_json(dict(doc, H=["0", "sqrt(5)"]))
+
+
 def test_conj_examples():
     assert conj(QuadElem(2, -4, 4)) == QuadElem(2, -4, -4)
     assert conj(5) == 5
@@ -70,6 +94,11 @@ def test_d_must_be_squarefree():
     with pytest.raises(RingError):
         QuadElem(1, 1, 1)
     QuadElem(-6, 1, 1)  # fine
+    # a float radicand used to be accepted and fail only in arithmetic
+    with pytest.raises(RingError, match=r"^d must be a squarefree int, not 0 or 1: got 2\.0$"):
+        QuadElem(2.0, 1, 1)
+    with pytest.raises(RingError, match=r"^quad ring needs a squarefree int d != 0, 1: got 2\.0$"):
+        RingTag("quad", 2.0)
 
 
 small_rats = st.fractions(min_value=-9, max_value=9, max_denominator=6)
