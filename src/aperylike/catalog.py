@@ -26,10 +26,11 @@ from .recurrence import (
     RecurrenceSpec,
     Sequence,
     asz_gh,
+    mobius_shift,
     poly_product,
     recurrence_from_quadratic,
 )
-from .rings import QuadElem, RingTag, RING_Q, RING_Z, Scalar
+from .rings import QuadElem, RingTag, RING_Q, RING_Z, Scalar, scalar_denominator
 
 F = Fraction
 SQRT2 = QuadElem(2, 0, 1)
@@ -528,66 +529,37 @@ def get_entry(key: str):
 
 @dataclass(frozen=True)
 class EpsilonFamily:
-    """Deformation (X_eps, Z_eps) of a level-14 or level-15 pair.
-
-    B_eps^2 = (1 - (eps - s1) X)(1 - (eps - s2) X)(1 - 2 eps X + (eps^2 + q2) X^2)
-    and the generating functions sum to a common series in
-    X_eps = w / (1 + eps w + sigma w^2) independently of eps, where w is the
-    eta quotient ETA_W[level][w].
+    """The one-parameter family through a level-14 or level-15 row: the member
+    at eps is the weight-4 shift of LEVEL_ROWS[base] by eps - base_eps
+    (recurrence.mobius_shift).  The generating functions sum to a common
+    series in X_eps = w / (1 + eps w + sigma w^2) independently of eps, where
+    w is the eta quotient ETA_W[level][w].
     """
 
     level: int
-    s1: int
-    s2: int
-    q2: int           # eps^2 + q2 is the quartic factor's X^2 coefficient
+    base: str
+    base_eps: int
     sigma: int
     w: str
     specials: Tuple[Tuple[str, Scalar], ...]
 
-    def b2_factors(self, eps: Scalar) -> Tuple[tuple, ...]:
-        return (
-            (1, -(eps - self.s1)),
-            (1, -(eps - self.s2)),
-            (1, -2 * eps, eps * eps + self.q2),
-        )
-
-    def G(self, eps: Scalar) -> Poly:
-        return poly_product(self.b2_factors(eps))
-
-    def H(self, eps: Scalar) -> Poly:
-        e = eps
-        if self.level == 14:
-            inner = [
-                e - 4,
-                -F(1, 2) * (7 * e * e - 50 * e + 24),
-                4 * e ** 3 - 42 * e * e + 26 * e + 448,
-                -F(3, 2) * ((e - 9) * (e - 5) * (e * e - 32)),
-            ]
-        else:
-            inner = [
-                e + 2,
-                -F(1, 2) * (7 * e * e + 34 * e - 8),
-                4 * e ** 3 + 30 * e * e - 14 * e + 40,
-                -F(3, 2) * ((e - 1) * (e + 11) * (e * e + 4)),
-            ]
-        return Poly([0] + inner)
-
     def specialize(self, eps: Scalar) -> Sequence:
-        """The sequence at eps, keyed by the name of the special it matches."""
+        """The sequence at eps, keyed by the name of the special it matches,
+        over the ring of eps: Z[sqrt(d)], else Z or Q by its denominator."""
         key = next((name for name, special in self.specials if special == eps),
                    "level%d(eps=%s)" % (self.level, eps))
-        ring = RING_Z
         if isinstance(eps, QuadElem) and eps.b != 0:
             ring = RingTag("quad", eps.d)
-        elif isinstance(eps, Fraction) and eps.denominator != 1:
-            ring = RING_Q
-        return Sequence.from_gh(key, ring, self.G(eps), self.H(eps),
-                                level=str(self.level), G_factors=self.b2_factors(eps))
+        else:
+            ring = RING_Z if scalar_denominator(eps) == 1 else RING_Q
+        row = LEVEL_ROWS[self.base]
+        factors, H = mobius_shift(row.b2_factors, row.h_num, eps - self.base_eps, 4)
+        return _factored_sequence(key, ring, factors, H, level=str(self.level))
 
 
 EPSILON_FAMILIES: Dict[int, EpsilonFamily] = {
     14: EpsilonFamily(
-        14, s1=9, s2=5, q2=-32, sigma=8, w="+7",
+        14, base="level14A", base_eps=5, sigma=8, w="+7",
         specials=(
             ("level14A", 5),
             ("level14B", 9),
@@ -595,7 +567,7 @@ EPSILON_FAMILIES: Dict[int, EpsilonFamily] = {
             ("14Cbar", QuadElem(2, 0, -4)),
         )),
     15: EpsilonFamily(
-        15, s1=1, s2=-11, q2=4, sigma=-1, w="+15",
+        15, base="level15A", base_eps=1, sigma=-1, w="+15",
         specials=(
             ("level15A", 1),
             ("level15B", -11),
@@ -603,6 +575,12 @@ EPSILON_FAMILIES: Dict[int, EpsilonFamily] = {
             ("15Cbar", QuadElem(-1, 0, -2)),
         )),
 }
+
+
+def epsilon_family(level: int) -> EpsilonFamily:
+    if level not in EPSILON_FAMILIES:
+        raise UnknownKeyError("no epsilon family at level %r" % (level,))
+    return EPSILON_FAMILIES[level]
 
 
 def printed_five_term(level: int, eps: Scalar) -> RecurrenceSpec:
@@ -640,14 +618,9 @@ ALIASES: Dict[str, str] = {
 }
 
 
-def _scaled_13_gh() -> Tuple[Poly, Poly]:
-    # S(n) = 4^n T(n) corresponds to X -> X/4 in the level-13 data
-    row = LEVEL_ROWS["level13"]
-    return row.G().scale_arg(4), Poly(row.h_num).scale_arg(4)
-
-
-def _scale_factors(factors: Tuple[tuple, ...], c: int) -> Tuple[tuple, ...]:
-    return tuple(tuple(coef * c ** j for j, coef in enumerate(f)) for f in factors)
+def _factored_sequence(key: str, ring: RingTag, factors: Tuple[tuple, ...], H: Poly,
+                       **extras) -> Sequence:
+    return Sequence.from_gh(key, ring, poly_product(factors), H, G_factors=factors, **extras)
 
 
 @cache
@@ -657,25 +630,24 @@ def _build_sequences() -> Dict[str, Sequence]:
     for key, row in LEVEL_ROWS.items():
         if key == "level13star":
             continue
-        seqs[key] = Sequence.from_gh(
-            key, row.ring, row.G(), Poly(row.h_num),
-            oracle=ORACLES.get(row.oracle_id),
-            level=row.level, G_factors=row.b2_factors)
+        seqs[key] = _factored_sequence(key, row.ring, row.b2_factors, Poly(row.h_num),
+                                       oracle=ORACLES.get(row.oracle_id), level=row.level)
     for key, row in ZAGIER_ROWS.items():
         seqs[key] = Sequence(key, RING_Z, recurrence_from_quadratic(*row.triple),
                              oracle=ORACLES[row.oracle_id], level=row.level)
     for key, row in WEIGHT2_ROWS.items():
         G, H = asz_gh(*row.triple)
-        seqs[key] = Sequence.from_gh(key, RING_Z, G, H, oracle=ORACLES[row.oracle_id],
-                                     level=row.level, G_factors=(tuple(G.coeffs),))
+        seqs[key] = _factored_sequence(key, RING_Z, (G.coeffs,), H,
+                                       oracle=ORACLES[row.oracle_id], level=row.level)
     for family in EPSILON_FAMILIES.values():
         for name, eps in family.specials:
             if name not in seqs:
                 seqs[name] = family.specialize(eps)
-    G13, H13 = _scaled_13_gh()
-    seqs["13scaled"] = Sequence.from_gh(
-        "13scaled", RING_Z, G13, H13, level="13",
-        G_factors=_scale_factors(LEVEL_ROWS["level13"].b2_factors, 4))
+    # S(n) = 4^n T(n) is the level-13 row in the variable 4X
+    row = LEVEL_ROWS["level13"]
+    seqs["13scaled"] = _factored_sequence(
+        "13scaled", RING_Z, tuple(Poly(f).scale_arg(4).coeffs for f in row.b2_factors),
+        Poly(row.h_num).scale_arg(4), level="13")
     return seqs
 
 

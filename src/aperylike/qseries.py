@@ -818,9 +818,7 @@ def verify_identity_bank(name: str, order: int = 30) -> Check:
 def epsilon_x_expansion(level: int, eps: int, order: int = 8) -> Tuple[QExpansion, QExpansion]:
     """(X_eps, 1/X_eps) for the level-14/15 family at a concrete eps, with
     X_eps = w / (1 + eps w + sigma w^2) known through q^(order + 4)."""
-    if level not in catalog.EPSILON_FAMILIES:
-        raise catalog.UnknownKeyError("no epsilon family at level %d" % level)
-    family = catalog.EPSILON_FAMILIES[level]
+    family = catalog.epsilon_family(level)
     w = ("eta", catalog.ETA_W[level][family.w])
     X = build_product(("hauptmodul", w, (1, eps, family.sigma)), order + 3)
     return X, 1 / X

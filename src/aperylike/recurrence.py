@@ -143,6 +143,44 @@ def poly_product(factors: Iterable[Iterable[Scalar]]) -> Poly:
     return out
 
 
+def mobius_shift(factors: Iterable[Iterable[Scalar]], h: Iterable[Scalar], eps: Scalar,
+                 m: int) -> Tuple[Tuple[tuple, ...], Poly]:
+    """(B^2 factors, H) of a row after X = Y/(1 - eps Y) at weight m, that is
+    1/X_eps = 1/X + eps and Z_eps = Z (1 + eps X)^mu with mu = m/2 - 1.
+
+    With W = 1 - eps Y and hom_d(p) = sum_j p_j Y^j W^(d-j), each factor f
+    of G maps to hom_{deg f}(f), (1, -eps) pads them up to total degree m, and
+
+        H_eps = [hom_m(H) + mu eps hom_{m+1}(X (G + X G'/2))
+                 - mu (mu/2 + 1) eps^2 hom_{m+2}(X^2 G)] / W^2.
+
+    Derivation: D = Z^-1 q d/dq = X sqrt(G) d/dX, and u = sqrt(Z) solves
+    D^2 u = (H/2) u.  As 1 + eps X = 1/W, G_eps = G W^m, and putting
+    D_eps = (1 + eps X)^-mu D and u_eps = u (1 + eps X)^(mu/2) into
+    D_eps^2 u_eps = (H_eps/2) u_eps gives H_eps.  A remainder in the
+    division by W^2, or deg G > m, raises ValueError.
+    """
+    factors, H = [Poly(f) for f in factors], Poly(h)
+    G, pad = poly_product(f.coeffs for f in factors), m - sum(f.degree for f in factors)
+    x, s = Poly([0, 1]), Poly([1, eps])
+    # as 1/W = 1 + eps X the bracket is W^(m+2) P(X), so H_eps = hom_m(P);
+    # P8 = 8P has integral scalars, with sum_j (2 + j) g_j X^j = 2 (G + X G'/2)
+    P8 = (s * (s * H * 8 + x * Poly([(2 + j) * g for j, g in enumerate(G.coeffs)])
+               * (2 * (m - 2) * eps)) - x * x * G * ((m * m - 4) * eps * eps))
+    if pad < 0 or P8.degree > m:
+        raise ValueError("no weight-%d shift by %s: deg G > %d, or H_eps is not a "
+                         "polynomial" % (m, eps, m))
+
+    def hom(p: Poly, d: int) -> Poly:
+        out = [p[0]]  # Horner in W: (p_0 W + p_1 Y) W + p_2 Y^2 ...
+        for j in range(1, d + 1):
+            out = [out[0]] + [c - eps * b for c, b in zip(out[1:] + [p[j]], out)]
+        return Poly(out)
+
+    return (tuple(hom(f, f.degree).coeffs for f in factors) + ((1, -eps),) * pad,
+            hom(P8, m) * Fraction(1, 8))
+
+
 # ---------------------------------------------------------------------------
 # Recurrence specifications
 # ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ def verify_gf_independence(level: int, order: int = 6) -> Tuple[bool, Optional[s
     failure).
     """
     _check_order(order)
-    family = catalog.EPSILON_FAMILIES[level]
+    family = catalog.epsilon_family(level)
     reference = catalog.REFERENCE_GF_SERIES[level]
     ref = QExpansion(0, reference[: order + 1])
     computed = [(name, _special_gf(family, eps, order)) for name, eps in family.specials]

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -13,8 +14,14 @@ from aperylike.catalog import (
     printed_five_term,
     sequence,
 )
-from aperylike.recurrence import Poly, Sequence, generate_terms, recurrence_from_gh
-from aperylike.rings import QuadElem
+from aperylike.recurrence import (
+    Poly,
+    Sequence,
+    generate_terms,
+    mobius_shift,
+    poly_product,
+)
+from aperylike.rings import QuadElem, RING_Q, RING_Z
 
 
 def test_every_row_has_unit_constant_terms():
@@ -73,6 +80,11 @@ def test_epsilon_specialize_rings():
     g = fam15.specialize(QuadElem(-1, 0, 2))
     assert g.ring.kind == "quad" and g.ring.d == -1
     assert g.terms(2) == [QuadElem(-1, 1, 0), QuadElem(-1, 2, 2), QuadElem(-1, 6, 8)]
+    # a rational eps written as a QuadElem streams in the ring of its value
+    half = fam14.specialize(QuadElem(2, F(1, 2), 0))
+    assert half.ring == RING_Q
+    assert half.terms(6) == fam14.specialize(F(1, 2)).terms(6)
+    assert fam15.specialize(QuadElem(-1, 3, 0)).ring == RING_Z
 
 
 def test_specialized_matches_generic_five_term():
@@ -88,13 +100,17 @@ def test_specialized_matches_generic_five_term():
 
 
 def test_printed_five_term_equals_gh_construction():
-    # at a generic eps the generalT construction from (B^2, H) must equal
-    # the literally printed five-term coefficients
+    # the generalT construction from (B^2, H) must equal the literally
+    # printed five-term coefficients; at a special eps the printed last
+    # coefficient vanishes and the construction stops at four terms
+    irrational = {14: 1 + QuadElem(2, 0, 1), 15: QuadElem(-1, 1, 1)}
     for level, fam in EPSILON_FAMILIES.items():
-        for eps in (0, 3, 7, -2):
-            built = recurrence_from_gh(fam.G(eps), fam.H(eps))
-            printed = printed_five_term(level, eps)
-            assert built.coeff_polys == printed.coeff_polys, (level, eps)
+        specials = [eps for _, eps in fam.specials]
+        for eps in (0, 3, 7, -2, F(7, 3), irrational[level], *specials):
+            built = fam.specialize(eps).spec.coeff_polys
+            printed = printed_five_term(level, eps).coeff_polys
+            assert built == printed[:len(built)], (level, eps)
+            assert all(p == Poly([0]) for p in printed[len(built):]), (level, eps)
 
 
 def test_special_eps_are_exactly_the_square_discriminants():
@@ -113,6 +129,48 @@ def test_special_eps_are_exactly_the_square_discriminants():
         assert (5 + eps) ** 2 - 36 == 0
     for eps in (QuadElem(-1, 0, 2), QuadElem(-1, 0, -2)):
         assert eps * eps + 4 == 0
+    # exactly there B_eps^2 drops from degree 4 to 3
+    for fam in EPSILON_FAMILIES.values():
+        for _, eps in fam.specials:
+            assert fam.specialize(eps).G.degree == 3, eps
+        for eps in (0, F(7, 3), 100):
+            assert fam.specialize(eps).G.degree == 4, eps
+
+
+@pytest.mark.parametrize("source, target, eps, m", [
+    ("level6A", "level6B", 36, 3),
+    ("level6A", "level6C", 32, 3),
+    ("level14A", "level14B", 4, 4),
+    ("level15A", "level15B", -12, 4),
+])
+def test_mobius_shift_links_stored_rows(source, target, eps, m):
+    # 1/X_target = 1/X_source + eps, and the shift back by -eps undoes it
+    for a, b, e in ((source, target, eps), (target, source, -eps)):
+        factors, H = mobius_shift(LEVEL_ROWS[a].b2_factors, LEVEL_ROWS[a].h_num, e, m)
+        assert poly_product(factors) == LEVEL_ROWS[b].G(), (a, b)
+        assert H == Poly(LEVEL_ROWS[b].h_num), (a, b)
+
+
+def test_mobius_shift_raises_where_h_is_not_a_polynomial():
+    # level13 -> level13star is the shift by 1 at weight 3, but H* is
+    # (0, 2, 10, -6, 6)/(1 - X)^2: the division leaves a remainder
+    row = LEVEL_ROWS["level13"]
+    with pytest.raises(ValueError, match="not a polynomial"):
+        mobius_shift(row.b2_factors, row.h_num, 1, 3)
+    with pytest.raises(ValueError, match="deg G > 2"):
+        mobius_shift(row.b2_factors, row.h_num, 1, 2)
+
+
+def test_family_terms_are_binomial_transforms_of_the_base_row():
+    # Z_eps = Z_base / (1 - e Y) with X_base = Y / (1 - e Y), e = eps - base_eps,
+    # so T_eps(n) = sum_k C(n, k) e^(n-k) T_base(k); no (G, H) is involved
+    for fam in EPSILON_FAMILIES.values():
+        base = sequence(fam.base).terms(30)
+        for eps in (0, F(7, 3), *[eps for _, eps in fam.specials]):
+            e = eps - fam.base_eps
+            want = [sum(comb(n, k) * e ** (n - k) * base[k] for k in range(n + 1))
+                    for n in range(31)]
+            assert fam.specialize(eps).terms(30) == want, (fam.level, eps)
 
 
 def test_sporadic_set_as_printed():

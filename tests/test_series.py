@@ -293,6 +293,11 @@ def test_gf_independence_matches_printed_series():
     assert ok, why
 
 
+def test_gf_independence_needs_a_family_level():
+    with pytest.raises(catalog.UnknownKeyError, match="^no epsilon family at level 13$"):
+        verify_gf_independence(13)
+
+
 def test_gf_independence_surd_parts_cancel():
     # each conjugate-pair special alone has a rational generating function:
     # its sqrt(d) part vanishes and its rational part is the common series
