@@ -24,7 +24,7 @@ import mpmath as mp
 
 from . import catalog
 from .recurrence import Poly
-from .rings import QuadElem, Scalar, squarefree_split
+from .rings import QuadElem, Scalar, parts, squarefree_split
 
 F = Fraction
 
@@ -69,33 +69,26 @@ class AsymptoticParams:
 
 
 def to_mp(x: Scalar):
-    """Embed an exact scalar at the current mpmath precision."""
-    if isinstance(x, QuadElem):
-        a = to_mp(x.a)
-        b = to_mp(x.b)
-        if x.d >= 0:
-            return a + b * mp.sqrt(x.d)
-        return mp.mpc(a) + mp.mpc(0, 1) * b * mp.sqrt(-x.d)
-    if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-    return mp.mpf(x)
-
-
-def _scalar_digits(x: Scalar) -> int:
-    def rat_digits(r) -> int:
-        r = Fraction(r)
-        return max(r.numerator.bit_length(), r.denominator.bit_length()) * 302 // 1000
-    if isinstance(x, QuadElem):
-        return max(rat_digits(x.a), rat_digits(x.b))
-    return rat_digits(x)
+    """Embed an exact scalar at the current mpmath precision: an mpf for a
+    rational or a real quadratic element, an mpc for any element of an
+    imaginary quadratic field, even one whose surd part is 0."""
+    d, a, b = parts(x)
+    if d == 0:
+        return mp.mpf(a) if a.denominator == 1 else mp.mpf(a.numerator) / mp.mpf(a.denominator)
+    a, b = to_mp(a), to_mp(b)
+    if d > 0:
+        return a + b * mp.sqrt(d)
+    return mp.mpc(a) + mp.mpc(0, 1) * b * mp.sqrt(-d)
 
 
 def term_to_mp(x: Scalar, dps: int):
     """Embed a term safely even when a + b*sqrt(d) cancels catastrophically
     (real quadratic sequences whose conjugate grows faster than they do):
     the surd is evaluated with as many extra digits as the components hold."""
-    if isinstance(x, QuadElem) and x.b:
-        with mp.workdps(dps + _scalar_digits(x) + 10):
+    _, a, b = parts(x)
+    if b:
+        bits = max(n.bit_length() for c in (a, b) for n in (c.numerator, c.denominator))
+        with mp.workdps(dps + bits * 302 // 1000 + 10):
             return to_mp(x)
     return to_mp(x)
 
@@ -162,16 +155,11 @@ def factor_roots_exact(factor: Sequence[Scalar]) -> Optional[List[Scalar]]:
         return []  # a unit factor contributes no roots
     if len(cs) == 2:
         c0, c1 = cs
-        if isinstance(c0, QuadElem) or isinstance(c1, QuadElem):
-            d = c0.d if isinstance(c0, QuadElem) else c1.d
-            num = c0 if isinstance(c0, QuadElem) else QuadElem(d, c0, 0)
-            return [(-num) / c1]
-        return [F(-c0, 1) / c1]
+        return [F(-1) * c0 / c1]  # F(-1) first: int / int would be a float
     if len(cs) == 3:
-        c0, c1, c2 = cs
-        if any(isinstance(c, QuadElem) for c in cs):
+        if any(parts(c)[0] for c in cs):
             return None  # no catalog sequence needs quadratics over a quad field
-        c0, c1, c2 = F(c0), F(c1), F(c2)
+        c0, c1, c2 = map(F, cs)
         disc = c1 * c1 - 4 * c0 * c2
         s = _sqrt_exact(disc)
         return [(-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)]
@@ -194,8 +182,7 @@ def exact_min_root(factors: Sequence[Sequence[Scalar]]
         if others and min(others) - moduli[i] < mp.mpf("1e-20") * moduli[i]:
             return None, None
     r0 = roots[i]
-    one = QuadElem(r0.d, 1, 0) if isinstance(r0, QuadElem) else F(1)
-    return r0, one / r0
+    return r0, F(1) / r0
 
 
 def _gstar_polys(G: Poly) -> Tuple[Poly, Poly]:
@@ -245,10 +232,8 @@ def asymptotic_params(G: Poly, H: Poly, cfg: PrecisionConfig = DEFAULT_CONFIG,
 
 def _b1_exact(G: Poly, H: Poly, r0: Scalar) -> Scalar:
     gstar, gstarstar = _gstar_polys(G)
-    num = 16 * H(r0) - gstarstar(r0)
-    den = 8 * gstar(r0)
-    return num / den if isinstance(num, QuadElem) or isinstance(den, QuadElem) \
-        else F(num) / F(den)
+    num = F(16) * H(r0) - gstarstar(r0)  # F(16) first: int / int would be a float
+    return num / (8 * gstar(r0))
 
 
 # ---------------------------------------------------------------------------

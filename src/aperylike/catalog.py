@@ -30,7 +30,7 @@ from .recurrence import (
     poly_product,
     recurrence_from_quadratic,
 )
-from .rings import QuadElem, RingTag, RING_Q, RING_Z, Scalar, scalar_denominator
+from .rings import QuadElem, RingTag, RING_Q, RING_Z, Scalar
 
 F = Fraction
 SQRT2 = QuadElem(2, 0, 1)
@@ -548,13 +548,9 @@ class EpsilonFamily:
         over the ring of eps: Z[sqrt(d)], else Z or Q by its denominator."""
         key = next((name for name, special in self.specials if special == eps),
                    "level%d(eps=%s)" % (self.level, eps))
-        if isinstance(eps, QuadElem) and eps.b != 0:
-            ring = RingTag("quad", eps.d)
-        else:
-            ring = RING_Z if scalar_denominator(eps) == 1 else RING_Q
         row = LEVEL_ROWS[self.base]
         factors, H = mobius_shift(row.b2_factors, row.h_num, eps - self.base_eps, 4)
-        return _factored_sequence(key, ring, factors, H, level=str(self.level))
+        return _factored_sequence(key, RingTag.of(eps), factors, H, level=str(self.level))
 
 
 EPSILON_FAMILIES: Dict[int, EpsilonFamily] = {

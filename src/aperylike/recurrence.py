@@ -30,7 +30,8 @@ from .rings import (
     RING_Q,
     RING_Z,
     Scalar,
-    _norm_rat,
+    _exact,
+    parts,
     scalar_denominator,
     scalar_from_str,
     scalar_to_str,
@@ -78,6 +79,13 @@ class Poly:
 
     def __getitem__(self, j: int) -> Scalar:
         return self.coeffs[j] if 0 <= j < len(self.coeffs) else 0
+
+    # without these, iteration would call __getitem__, which never runs out
+    def __iter__(self) -> Iterator[Scalar]:
+        return iter(self.coeffs)
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, Poly):
@@ -289,11 +297,11 @@ def fourterm_params(G: Poly, H: Poly) -> Tuple[Scalar, Scalar, Scalar, Scalar, S
         raise ValueError("not self-starting form: g3 != -h3")
     half = Fraction(1, 2)
     return (
-        _norm_rat(-half * G[1]),
-        _norm_rat(H[1]),
-        _norm_rat(-G[2]),
-        _norm_rat(G[2] + 2 * H[2]),
-        _norm_rat(-half * G[3]),
+        _exact(-half * G[1]),
+        _exact(H[1]),
+        _exact(-G[2]),
+        _exact(G[2] + 2 * H[2]),
+        _exact(-half * G[3]),
     )
 
 
@@ -583,10 +591,10 @@ class Sequence:
                 # quad:2, joins the ring's field; an irrational one raises
                 cs = [ring.coerce(c) for c in cs]
             else:
-                if any(isinstance(c, QuadElem) and c.b for c in cs):
+                if any(parts(c)[2] for c in cs):
                     raise ValueError("sequence definition field %r has an irrational "
                                      "coefficient in ring %s" % (key, ring.kind))
-                cs = [c.a if isinstance(c, QuadElem) else c for c in cs]
+                cs = [parts(c)[1] for c in cs]
             polys.append(Poly(cs))
         return Sequence.from_gh(doc["name"], ring, *polys, level=doc.get("level"))
 

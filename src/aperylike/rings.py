@@ -4,7 +4,11 @@ Three scalar kinds mix freely in arithmetic: plain ``int``,
 ``fractions.Fraction``, and :class:`QuadElem` (a + b*sqrt(d) with rational
 coordinates).  Every value is immutable, and only ints and Fractions enter:
 a float (or any other number) handed to ``QuadElem`` or ``RingTag.coerce``
-raises RingError instead of being converted.
+raises RingError instead of being converted.  Elements of two different
+fields never combine and never compare equal, even when both are rational.
+
+This module alone tells the three kinds apart: :func:`parts` reads any
+scalar as (d, a, b) and :meth:`RingTag.of` names the ring that holds it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import lcm
 from typing import Optional, Tuple, Union
 
 Rat = Union[int, Fraction]
@@ -49,20 +53,28 @@ def _is_squarefree(d: int) -> bool:
     return d != 0 and squarefree_split(abs(d))[0] == 1
 
 
-def _norm_rat(x: Rat) -> Rat:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
-
-
-def _exact_rat(x) -> Rat:
-    """x as an int, or as a Fraction when not integral; anything but an int
-    or a Fraction (a float above all) raises RingError."""
+def _exact(x) -> Scalar:
+    """x as a canonical exact scalar: an integral Fraction becomes its int, an
+    int, another Fraction or a QuadElem passes unchanged, and anything else (a
+    float above all) raises RingError."""
     if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
         return int(x)
+    if isinstance(x, QuadElem):
+        return x
     raise RingError("%r is not an exact rational (int or Fraction)" % (x,))
+
+
+def parts(x: Scalar) -> Tuple[int, Rat, Rat]:
+    """x = a + b*sqrt(d) as (d, a, b), with d = 0 for a rational and each
+    coordinate an int when integral.  The one view of the scalar union that
+    the rest of the package reads; a float raises RingError."""
+    if type(x) is int:
+        return 0, x, 0
+    if isinstance(x, QuadElem):
+        return x.d, x.a, x.b
+    return 0, _exact(x), 0
 
 
 class QuadElem:
@@ -71,7 +83,7 @@ class QuadElem:
     d must be a squarefree int different from 0 and 1; the coordinates a, b
     are exact rationals (stored as int when integral).  Mixed arithmetic
     with int and Fraction is supported; elements of distinct fields never
-    combine, even when one of them is rational (b == 0).
+    combine and never compare equal, even when both are rational (b == 0).
     """
 
     __slots__ = ("d", "a", "b")
@@ -79,31 +91,35 @@ class QuadElem:
     def __init__(self, d: int, a: Rat = 0, b: Rat = 0):
         if type(d) is not int or d in (0, 1) or not _is_squarefree(d):
             raise RingError("d must be a squarefree int, not 0 or 1: got %r" % (d,))
+        if type(a) is not int or type(b) is not int:
+            a, b = _exact(a), _exact(b)
+            for c in (a, b):
+                if isinstance(c, QuadElem):
+                    raise RingError("%r is not an exact rational (int or Fraction)" % (c,))
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "a", a if type(a) is int else _exact_rat(a))
-        object.__setattr__(self, "b", b if type(b) is int else _exact_rat(b))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     def __setattr__(self, *args):
         raise AttributeError("QuadElem is immutable")
 
-    # -- coercion -----------------------------------------------------
+    # -- arithmetic on the coordinates of the other operand -----------
 
-    def _coerce(self, other) -> Optional["QuadElem"]:
-        if isinstance(other, QuadElem):
-            if other.d != self.d:
-                raise RingError("mixed radicands: sqrt(%d) vs sqrt(%d)" % (self.d, other.d))
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadElem(self.d, other, 0)
-        return None
-
-    # -- arithmetic ---------------------------------------------------
+    def _operand(self, other) -> Optional[Tuple[Rat, Rat]]:
+        """(a, b) of an int, Fraction or same-field operand; None for any
+        other type, so Python tries the other operand's method."""
+        if not isinstance(other, (int, Fraction, QuadElem)):
+            return None
+        d, a, b = parts(other)
+        if d and d != self.d:
+            raise RingError("mixed radicands: sqrt(%d) vs sqrt(%d)" % (self.d, d))
+        return a, b
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return QuadElem(self.d, self.a + o.a, self.b + o.b)
+        return QuadElem(self.d, self.a + o[0], self.b + o[1])
 
     __radd__ = __add__
 
@@ -111,44 +127,46 @@ class QuadElem:
         return QuadElem(self.d, -self.a, -self.b)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return QuadElem(self.d, self.a - o.a, self.b - o.b)
+        return QuadElem(self.d, self.a - o[0], self.b - o[1])
 
     def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
+        return QuadElem(self.d, o[0] - self.a, o[1] - self.b)
+
+    def __mul__(self, other):
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        a, b = o
         # (a + b s)(a' + b' s) = (aa' + d bb') + (ab' + a'b) s
-        return QuadElem(
-            self.d,
-            self.a * o.a + self.d * self.b * o.b,
-            self.a * o.b + o.a * self.b,
-        )
+        return QuadElem(self.d, self.a * a + self.d * self.b * b, self.a * b + a * self.b)
 
     __rmul__ = __mul__
 
+    def _quotient(self, xa: Rat, xb: Rat, ya: Rat, yb: Rat) -> "QuadElem":
+        """(xa + xb s) / (ya + yb s): times the conjugate, over the rational norm."""
+        n = ya * ya - self.d * yb * yb
+        if not n:
+            raise ZeroDivisionError("division by zero in Q(sqrt(%d))" % self.d)
+        return QuadElem(self.d, Fraction(xa * ya - self.d * xb * yb, n),
+                        Fraction(xb * ya - xa * yb, n))
+
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        if o.b == 0:
-            if o.a == 0:
-                raise ZeroDivisionError("division by zero in Q(sqrt(%d))" % self.d)
-            q = Fraction(o.a)
-            return QuadElem(self.d, Fraction(self.a) / q, Fraction(self.b) / q)
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(%d))" % self.d)
-        num = self * o.conj()
-        return QuadElem(self.d, Fraction(num.a) / n, Fraction(num.b) / n)
+        return self._quotient(self.a, self.b, *o)
 
     def __rtruediv__(self, other):
-        return QuadElem(self.d, other, 0) / self
+        o = self._operand(other)
+        if o is None:
+            return NotImplemented
+        return self._quotient(*o, self.a, self.b)
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
@@ -170,15 +188,13 @@ class QuadElem:
 
     def norm(self) -> Rat:
         """N(a + b sqrt(d)) = a^2 - d b^2, a rational number."""
-        return _norm_rat(Fraction(self.a * self.a - self.d * self.b * self.b))
+        return _exact(self.a * self.a - self.d * self.b * self.b)
 
     # -- comparisons / hashing ----------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, QuadElem):
-            if self.d == other.d:
-                return self.a == other.a and self.b == other.b
-            return self.b == 0 and other.b == 0 and self.a == other.a
+            return self.d == other.d and self.a == other.a and self.b == other.b
         if isinstance(other, (int, Fraction)):
             return self.b == 0 and self.a == other
         return NotImplemented
@@ -210,12 +226,12 @@ def reduce_mod(x: Scalar, m: int) -> Tuple[int, int]:
 
     For int and Fraction input the surd residue is 0.  Requires m >= 2 and
     components that are integers (a Fraction with denominator 1 counts);
-    otherwise raises RingError.  A component that is m-integral but not an
-    integer, such as 1/2 for odd m, is refused too: no inverse mod m is taken.
+    otherwise raises RingError, as does a float.  A component that is
+    m-integral but not an integer, such as 1/2 for odd m, is refused too: no
+    inverse mod m is taken.
     """
-    if isinstance(x, QuadElem):
-        return reduce_pair(x.a, x.b, m)
-    return reduce_pair(x, 0, m)
+    _, a, b = parts(x)
+    return reduce_pair(a, b, m)
 
 
 def reduce_pair(a: Rat, b: Rat, m: int) -> Tuple[int, int]:
@@ -223,11 +239,9 @@ def reduce_pair(a: Rat, b: Rat, m: int) -> Tuple[int, int]:
     if m < 2:
         raise RingError("modulus must be >= 2")
     if type(a) is not int or type(b) is not int:
-        fa, fb = Fraction(a), Fraction(b)
-        if fa.denominator != 1 or fb.denominator != 1:
-            raise RingError("residue needs integer components, got (%s, %s)"
-                            % (_rat_to_str(fa), _rat_to_str(fb)))
-        a, b = fa.numerator, fb.numerator
+        a, b = _exact(a), _exact(b)
+        if type(a) is not int or type(b) is not int:
+            raise RingError("residue needs integer components, got (%s, %s)" % (a, b))
     return (a % m, b % m)
 
 
@@ -257,22 +271,27 @@ class RingTag:
             Fraction(0) if self.kind == "Q" else 0)
 
     def coerce(self, x: Scalar) -> Scalar:
+        d, a, b = parts(x)
         if self.kind == "quad":
-            if isinstance(x, QuadElem):
-                if x.d != self.d and x.b != 0:
-                    raise RingError("scalar lives in sqrt(%d), ring is sqrt(%d)" % (x.d, self.d))
-                return x if x.d == self.d else QuadElem(self.d, x.a, 0)
-            return QuadElem(self.d, x, 0)
-        if isinstance(x, QuadElem):
-            if x.b != 0:
-                raise RingError("irrational scalar in %s ring" % self.kind)
-            x = x.a
-        x = _exact_rat(x)
+            if d != self.d and b != 0:
+                raise RingError("scalar lives in sqrt(%d), ring is sqrt(%d)" % (d, self.d))
+            return x if d == self.d else QuadElem(self.d, a, 0)
+        if b != 0:
+            raise RingError("irrational scalar in %s ring" % self.kind)
         if self.kind == "Q":
-            return Fraction(x)
-        if type(x) is not int:
-            raise RingError("non-integer scalar %s in Z ring" % (x,))
-        return x
+            return Fraction(a)
+        if type(a) is not int:
+            raise RingError("non-integer scalar %s in Z ring" % (a,))
+        return a
+
+    @staticmethod
+    def of(x: Scalar) -> "RingTag":
+        """The smallest ring here that holds x: quad(d) when its surd part is
+        not 0, else Z when it is integral, else Q."""
+        d, a, b = parts(x)
+        if b != 0:
+            return RingTag("quad", d)
+        return RING_Z if type(a) is int else RING_Q
 
     def serialize(self) -> str:
         return "quad:%d" % self.d if self.kind == "quad" else self.kind
@@ -309,25 +328,15 @@ _TERM_RE = re.compile(
 )
 
 
-def _rat_to_str(x: Rat) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
-
-
 def scalar_to_str(x: Scalar) -> str:
-    if isinstance(x, QuadElem):
-        if x.b == 0:
-            return _rat_to_str(x.a)
-        b = Fraction(x.b)
-        sign = "-" if b < 0 else "+"
-        mag = -b if b < 0 else b
-        surd = "sqrt(%d)" % x.d if mag == 1 else "%s*sqrt(%d)" % (_rat_to_str(mag), x.d)
-        if x.a == 0:
-            return surd if sign == "+" else "-" + surd
-        return "%s%s%s" % (_rat_to_str(x.a), sign, surd)
-    return _rat_to_str(x)
+    d, a, b = parts(x)
+    if b == 0:
+        return str(a)
+    mag = abs(b)
+    surd = "sqrt(%d)" % d if mag == 1 else "%s*sqrt(%d)" % (mag, d)
+    if a == 0:
+        return surd if b > 0 else "-" + surd
+    return "%s%s%s" % (a, "-" if b < 0 else "+", surd)
 
 
 def scalar_from_str(s: str) -> Scalar:
@@ -335,7 +344,7 @@ def scalar_from_str(s: str) -> Scalar:
     text = s.strip()
     if "sqrt" not in text:
         try:
-            return _norm_rat(Fraction(text))
+            return _exact(Fraction(text))
         except ValueError:
             raise RingError("cannot parse scalar %r" % (s,)) from None
 
@@ -366,8 +375,5 @@ def scalar_from_str(s: str) -> Scalar:
 
 
 def scalar_denominator(x: Scalar) -> int:
-    if isinstance(x, QuadElem):
-        da = Fraction(x.a).denominator
-        db = Fraction(x.b).denominator
-        return da * db // gcd(da, db)
-    return _exact_rat(x).denominator
+    _, a, b = parts(x)
+    return lcm(a.denominator, b.denominator)

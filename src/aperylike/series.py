@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 from . import catalog
 from .qseries import QExpansion, linear_combination, qexp_equal
 from .recurrence import cubic_from_quadratic_asz, generate_terms, recurrence_from_quadratic
-from .rings import RING_Q, QuadElem, Scalar
+from .rings import RING_Q, Scalar, parts
 
 # a series A + B sqrt(d); B is None when the series is rational
 Pair = Tuple[QExpansion, Optional[QExpansion]]
@@ -91,10 +91,7 @@ def _special_gf(family: catalog.EpsilonFamily, eps: Scalar, order: int) -> Pair:
     rational norm N = re^2 - d e1^2 w^2.  A rational eps gives B = None.
     """
     terms = list(family.specialize(eps).iter_pairs(order - 1))
-    if isinstance(eps, QuadElem) and eps.b:
-        d, e0, e1 = eps.d, eps.a, eps.b
-    else:
-        d, e0, e1 = 0, eps, 0
+    d, e0, e1 = parts(eps)
     re = _poly([1, e0, family.sigma], order)
     if e1:
         r = _poly([0, 1], order) / (re * re - _poly([0, 0, d * e1 * e1], order))

@@ -159,6 +159,13 @@ def test_asymptotics_cli(capsys):
     assert doc["payload"]["R_exact"] == "12"
     assert doc["payload"]["b1_exact"] == "-489/1000"
     assert doc["payload"]["C"].startswith("0.3732648")
+    # --no-constant drops C and its error bound and nothing else
+    code, bare = run_json(capsys, "asymptotics", "--seq", "level15A",
+                          "--terms", "300", "--diffs", "6", "--no-constant")
+    assert code == 0
+    assert "C" not in bare["payload"] and "C_error" not in bare["payload"]
+    assert bare["payload"] == {k: v for k, v in doc["payload"].items()
+                               if k not in ("C", "C_error")}
 
 
 def test_reproduce_fourterm(capsys):

@@ -1,3 +1,4 @@
+from itertools import islice
 from math import comb
 
 import pytest
@@ -14,6 +15,8 @@ from aperylike.recurrence import (
     fourterm_params,
     generate_terms,
     is_self_starting,
+    mobius_shift,
+    poly_product,
     recurrence_from_gh,
     recurrence_from_quadratic,
     scaled_integrality_check,
@@ -23,6 +26,17 @@ from aperylike.rings import RING_Q, RING_Z, conj
 
 def brute_apery(n):
     return sum(comb(n, k) ** 2 * comb(n + k, k) ** 2 for k in range(n + 1))
+
+
+def test_poly_iterates_over_its_coefficients_and_stops():
+    p = Poly([1, 2])
+    # bounded first: a regression fails here instead of hanging below
+    assert list(islice(iter(p), 5)) == [1, 2]
+    assert list(p) == [1, 2] and len(p) == 2 and p[5] == 0
+    assert Poly(p) == p and poly_product([p]) == p
+    row = catalog.LEVEL_ROWS["level14A"]
+    assert mobius_shift([Poly(f) for f in row.b2_factors], Poly(row.h_num), 0, 4) == \
+        mobius_shift(row.b2_factors, row.h_num, 0, 4)
 
 
 def test_gh_level4_collapses_to_central_binomial_cube():

@@ -1,4 +1,6 @@
-from fractions import Fraction as F
+import operator
+from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from aperylike import rings
 from aperylike.recurrence import Sequence
 from aperylike.rings import (
     QuadElem,
+    Rat,
     RingError,
     RingTag,
     RING_Q,
@@ -14,11 +17,13 @@ from aperylike.rings import (
     conj,
     reduce_mod,
     SQUAREFREE_CAP,
+    _is_squarefree,
     scalar_from_str,
     scalar_to_str,
     squarefree_split,
 )
 
+F = Fraction
 SQRT2 = QuadElem(2, 0, 1)
 I = QuadElem(-1, 0, 1)
 
@@ -43,10 +48,14 @@ def test_quad_mul_mismatched_d():
 def test_two_fields_never_combine(op):
     # a rational element of another field (b == 0) is refused as well
     for x, y in ((QuadElem(2, 1, 1), QuadElem(5, 3, 0)), (QuadElem(5, 3, 0), QuadElem(2, 1, 1)),
-                 (QuadElem(2, 3, 0), QuadElem(-1, 2, 0)), (SQRT2, I)):
+                 (QuadElem(2, 3, 0), QuadElem(-1, 2, 0)), (SQRT2, I),
+                 (QuadElem(2, 3, 0), QuadElem(5, 3, 0))):
         with pytest.raises(RingError, match=r"^mixed radicands: sqrt\(%d\) vs sqrt\(%d\)$"
                            % (x.d, y.d)):
             op(x, y)
+        # nor are they one value, so a set or dict keeps both
+        assert (x == y, y == x) == (False, False)
+        assert len({x, y}) == 2
 
 
 def test_def_file_rational_over_another_radicand_joins_the_ring():
@@ -227,3 +236,211 @@ def test_large_radicand_is_factored_once_per_stream(monkeypatch):
     terms = seq.terms(200)
     assert terms[3] == QuadElem(999999999989, 8000, 0)
     assert len(calls) <= 1
+
+
+# ---------------------------------------------------------------------------
+# QuadElem against the implementation it replaced
+# ---------------------------------------------------------------------------
+#
+# RefQuadElem is the previous QuadElem, kept verbatim apart from its names and
+# its __str__.  It built a whole element for every int or Fraction operand and
+# divided by a rational on a path of its own.  The one intended difference is
+# cross-field ==: it called two rational elements of different fields equal.
+
+
+def _ref_norm_rat(x: Rat) -> Rat:
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return int(x)
+    return x
+
+
+def _ref_exact_rat(x) -> Rat:
+    """x as an int, or as a Fraction when not integral; anything but an int
+    or a Fraction (a float above all) raises RingError."""
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise RingError("%r is not an exact rational (int or Fraction)" % (x,))
+
+
+class RefQuadElem:
+    """An element a + b*sqrt(d) of the quadratic field Q(sqrt(d)).
+
+    d must be a squarefree int different from 0 and 1; the coordinates a, b
+    are exact rationals (stored as int when integral).  Mixed arithmetic
+    with int and Fraction is supported; elements of distinct fields never
+    combine, even when one of them is rational (b == 0).
+    """
+
+    __slots__ = ("d", "a", "b")
+
+    def __init__(self, d: int, a: Rat = 0, b: Rat = 0):
+        if type(d) is not int or d in (0, 1) or not _is_squarefree(d):
+            raise RingError("d must be a squarefree int, not 0 or 1: got %r" % (d,))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "a", a if type(a) is int else _ref_exact_rat(a))
+        object.__setattr__(self, "b", b if type(b) is int else _ref_exact_rat(b))
+
+    def __setattr__(self, *args):
+        raise AttributeError("RefQuadElem is immutable")
+
+    # -- coercion -----------------------------------------------------
+
+    def _coerce(self, other) -> Optional["RefQuadElem"]:
+        if isinstance(other, RefQuadElem):
+            if other.d != self.d:
+                raise RingError("mixed radicands: sqrt(%d) vs sqrt(%d)" % (self.d, other.d))
+            return other
+        if isinstance(other, (int, Fraction)):
+            return RefQuadElem(self.d, other, 0)
+        return None
+
+    # -- arithmetic ---------------------------------------------------
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return RefQuadElem(self.d, self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefQuadElem(self.d, -self.a, -self.b)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return RefQuadElem(self.d, self.a - o.a, self.b - o.b)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        # (a + b s)(a' + b' s) = (aa' + d bb') + (ab' + a'b) s
+        return RefQuadElem(
+            self.d,
+            self.a * o.a + self.d * self.b * o.b,
+            self.a * o.b + o.a * self.b,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if o.b == 0:
+            if o.a == 0:
+                raise ZeroDivisionError("division by zero in Q(sqrt(%d))" % self.d)
+            q = Fraction(o.a)
+            return RefQuadElem(self.d, Fraction(self.a) / q, Fraction(self.b) / q)
+        n = o.norm()
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(sqrt(%d))" % self.d)
+        num = self * o.conj()
+        return RefQuadElem(self.d, Fraction(num.a) / n, Fraction(num.b) / n)
+
+    def __rtruediv__(self, other):
+        return RefQuadElem(self.d, other, 0) / self
+
+    def __pow__(self, e: int):
+        if not isinstance(e, int) or e < 0:
+            return NotImplemented
+        out = RefQuadElem(self.d, 1, 0)
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            base = base * base
+            e >>= 1
+        return out
+
+    # -- structure ----------------------------------------------------
+
+    def conj(self) -> "RefQuadElem":
+        """Field conjugate a - b*sqrt(d)."""
+        return RefQuadElem(self.d, self.a, -self.b)
+
+    def norm(self) -> Rat:
+        """N(a + b sqrt(d)) = a^2 - d b^2, a rational number."""
+        return _ref_norm_rat(Fraction(self.a * self.a - self.d * self.b * self.b))
+
+    # -- comparisons / hashing ----------------------------------------
+
+    def __eq__(self, other):
+        if isinstance(other, RefQuadElem):
+            if self.d == other.d:
+                return self.a == other.a and self.b == other.b
+            return self.b == 0 and other.b == 0 and self.a == other.a
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        return NotImplemented
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.d, self.a, self.b))
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
+    def __repr__(self):
+        return "RefQuadElem(%d, %s, %s)" % (self.d, self.a, self.b)
+
+
+COORDS = (0, 1, -3, F(-7, 3), 10 ** 20 + 1)
+# F(4, 2) is a Fraction with denominator 1
+RATIONALS = COORDS + (F(1, 2), F(4, 2))
+ELEMENTS = [QuadElem(d, a, b) for d in (2, -1) for a in COORDS for b in COORDS]
+
+
+def as_ref(x):
+    return RefQuadElem(x.d, x.a, x.b) if isinstance(x, QuadElem) else x
+
+
+def outcome(fn, *args):
+    """The value fn(*args) gave, with the type of each coordinate, or the
+    type and message of the exception it raised."""
+    try:
+        r = fn(*args)
+    except (RingError, ZeroDivisionError, TypeError) as exc:
+        return type(exc), str(exc).replace("RefQuadElem", "QuadElem")
+    if isinstance(r, (QuadElem, RefQuadElem)):
+        return r.d, r.a, type(r.a), r.b, type(r.b)
+    return r, type(r)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_quad_arithmetic_matches_the_reference(op):
+    # same-field and other-field elements, ints and Fractions, in both orders
+    for x in ELEMENTS:
+        for y in RATIONALS + tuple(ELEMENTS):
+            for u, v in ((x, y), (y, x)):
+                assert outcome(op, u, v) == outcome(op, as_ref(u), as_ref(v)), (op, u, v)
+
+
+def test_quad_powers_conjugates_and_norms_match_the_reference():
+    for x in ELEMENTS:
+        for e in range(6):
+            assert outcome(operator.pow, x, e) == outcome(operator.pow, as_ref(x), e), (x, e)
+        assert outcome(QuadElem.conj, x) == outcome(RefQuadElem.conj, as_ref(x))
+        assert outcome(QuadElem.norm, x) == outcome(RefQuadElem.norm, as_ref(x))
+
+
+def test_quad_equality_matches_the_reference_but_across_fields():
+    for x in ELEMENTS:
+        assert hash(x) == hash(as_ref(x))
+        for y in RATIONALS + tuple(ELEMENTS):
+            same = x == y, y == x
+            ref = as_ref(x) == as_ref(y), as_ref(y) == as_ref(x)
+            if isinstance(y, QuadElem) and y.d != x.d:
+                assert same == (False, False)
+                assert ref == ((x.b == y.b == 0 and x.a == y.a),) * 2
+            else:
+                assert same == ref, (x, y)
