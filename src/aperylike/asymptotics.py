@@ -303,12 +303,11 @@ def conjectured_C(key: str, dps: int = 60):
         pi32 = mp.power(mp.pi, mp.mpf(3) / 2)
         s2 = mp.sqrt(2)
         if key == "level11":
-            # x R / pi^(3/2) with 2^10*11 x^6 + 2^5*29 x^2 - 11 = 0, x > 0
-            ys = mp.polyroots([mp.mpf(11264), mp.mpf(0), mp.mpf(928), mp.mpf(-11)])
-            y = [r for r in ys if mp.im(r) == 0 and mp.re(r) > 0][0]
-            x = mp.sqrt(y)
-            R = [r for r in mp.polyroots([1, -20, 56, -44]) if mp.im(r) == 0
-                 and mp.re(r) > 10][0]
+            # x R / pi^(3/2): x the root > 0 of C_x_poly, R the root > 10 of R_poly
+            ref = catalog.REFERENCE_ASYMPTOTICS["level11"]
+            x, R = ([r for r in mp.polyroots(ref[name][::-1], maxsteps=200, extraprec=60)
+                     if mp.im(r) == 0 and mp.re(r) > low][0]
+                    for name, low in (("C_x_poly", 0), ("R_poly", 10)))
             return x * R / pi32
         if key == "level14A":
             return (5 + 4 * s2) / (4 * pi32) * mp.sqrt((9 * s2 - 8) / 14)

@@ -142,19 +142,20 @@ def _level18(n: int) -> int:
     )
 
 
+# The binomial-sum formula of each sequence that has one, by sequence key.
 ORACLES: Dict[str, Callable[[int], Scalar]] = {
-    "apery": _apery,
-    "franel": _franel,
+    "weight2-6A": _apery,
+    "zagier6C": _franel,
     "zagier5": _zagier5,
     "zagier6A": _zagier6a,
     "zagier6B": _zagier6b,
     "zagier8": _zagier8,
     "zagier9": _zagier9,
-    "w2-5": _w2_5,
-    "w2-6B": _w2_6b,
-    "w2-6C": _w2_6c,
-    "w2-8": _w2_8,
-    "w2-9": _w2_9,
+    "weight2-5": _w2_5,
+    "weight2-6B": _w2_6b,
+    "weight2-6C": _w2_6c,
+    "weight2-8": _w2_8,
+    "weight2-9": _w2_9,
     "level1": lambda n: comb(6 * n, 3 * n) * comb(3 * n, n) * comb(2 * n, n),
     "level2": lambda n: comb(4 * n, 2 * n) * comb(2 * n, n) ** 2,
     "level3": lambda n: comb(3 * n, n) * comb(2 * n, n) ** 2,
@@ -200,6 +201,8 @@ def binomial_oracle(key: str, n: int) -> Scalar:
 #   ("hauptmodul", w, D)                    w / D(w), w a product spec, D coefficients
 #   ("eta_theta_sq", eta, theta)            (eta product / theta)^2
 #   ("eta_over_theta_sum", eta, t1, t2, k)  k * eta product / (theta_t1 + theta_t2)
+# qseries.build_product(spec, order) knows every kind exactly through
+# q^(v + order), v its valuation.
 
 
 @dataclass(frozen=True)
@@ -212,7 +215,6 @@ class WeightRow:
     triple: Tuple[int, int, int]
     x: tuple
     z: tuple
-    oracle_id: str
     oeis: str
     corrected: Optional[str] = None
     z_xexp = F(0)
@@ -224,37 +226,37 @@ ZAGIER_ROWS: Dict[str, WeightRow] = {
         "zagier5", "5", (11, 3, 1),
         ("poch", F(1), ((1, 5, 5), (4, 5, 5), (2, 5, -5), (3, 5, -5))),
         ("poch", F(0), ((1, 1, 2), (1, 5, -5), (4, 5, -5))),
-        "zagier5", "A005258"),
+        "A005258"),
     # row 6 (A)
     "zagier6A": WeightRow(
         "zagier6A", "6 (A)", (-17, -6, -72),
         ("eta", ((2, 1), (6, 5), (1, -5), (3, -1))),
         ("eta", ((1, 6), (6, 1), (2, -3), (3, -2))),
-        "zagier6A", "A093388"),
+        "A093388"),
     # row 6 (B)
     "zagier6B": WeightRow(
         "zagier6B", "6 (B)", (10, 3, -9),
         ("eta", ((1, 4), (6, 8), (2, -8), (3, -4))),
         ("eta", ((2, 6), (3, 1), (1, -3), (6, -2))),
-        "zagier6B", "A002893"),
+        "A002893"),
     # row 6 (C)
     "zagier6C": WeightRow(
         "zagier6C", "6 (C)", (7, 2, 8),
         ("eta", ((1, 3), (6, 9), (2, -3), (3, -9))),
         ("eta", ((2, 1), (3, 6), (1, -2), (6, -3))),
-        "franel", "A000172"),
+        "A000172"),
     # row 8
     "zagier8": WeightRow(
         "zagier8", "8", (-12, -4, -32),
         ("eta", ((2, 2), (8, 4), (1, -4), (4, -2))),
         ("eta", ((1, 4), (2, -2))),
-        "zagier8", "A081085"),
+        "A081085"),
     # row 9
     "zagier9": WeightRow(
         "zagier9", "9", (-9, -3, -27),
         ("eta", ((9, 3), (1, -3))),
         ("eta", ((1, 3), (3, -1))),
-        "zagier9", "A291898"),
+        "A291898"),
 }
 
 # The sporadic parameter set as printed; the level-8 member differs in sign
@@ -274,34 +276,34 @@ WEIGHT2_ROWS: Dict[str, WeightRow] = {
         "weight2-5", "5", (11, 3, 1),
         ("eta", ((5, 6), (1, -6))),
         ("eta", ((1, 5), (5, -1))),
-        "w2-5", "A229111"),
+        "A229111"),
     "weight2-6A": WeightRow(
         "weight2-6A", "6 (A)", (-17, -6, -72),
         ("eta", ((1, 12), (6, 12), (2, -12), (3, -12))),
         ("eta", ((2, 7), (3, 7), (1, -5), (6, -5))),
-        "apery", "A005259"),
+        "A005259"),
     "weight2-6B": WeightRow(
         "weight2-6B", "6 (B)", (10, 3, -9),
         ("eta", ((2, 6), (6, 6), (1, -6), (3, -6))),
         ("eta", ((1, 4), (3, 4), (2, -2), (6, -2))),
-        "w2-6B", "A002895"),
+        "A002895"),
     "weight2-6C": WeightRow(
         "weight2-6C", "6 (C)", (7, 2, 8),
         ("eta", ((3, 4), (6, 4), (1, -4), (2, -4))),
         ("eta", ((1, 3), (2, 3), (3, -1), (6, -1))),
-        "w2-6C", "A125143"),
+        "A125143"),
     "weight2-8": WeightRow(
         "weight2-8", "8", (-12, -4, -32),
         ("eta", ((1, 8), (8, 8), (2, -8), (4, -8))),
         ("eta", ((2, 6), (4, 6), (1, -4), (8, -4))),
-        "w2-8", "A290575",
+        "A290575",
         corrected="printed triple (12,4,-32) contradicts the printed w, y and "
                   "binomial sum; the q-expansion of y fixes (-12,-4,-32)"),
     "weight2-9": WeightRow(
         "weight2-9", "9", (-9, -3, -27),
         ("eta", ((1, 6), (9, 6), (3, -12))),
         ("eta", ((3, 10), (1, -3), (9, -3))),
-        "w2-9", "A290576"),
+        "A290576"),
 }
 
 
@@ -323,7 +325,6 @@ class LevelRow:
     h_num: tuple
     h_den: tuple = (1,)
     ring: RingTag = RING_Z
-    oracle_id: Optional[str] = None
     corrected: Optional[str] = None
 
     def G(self) -> Poly:
@@ -365,64 +366,64 @@ LEVEL_ROWS: Dict[str, LevelRow] = {
     "level1": LevelRow(
         "level1", "1", ("hauptmodul", ("level1w",), (1, 864, 186624)),
         _eta((1, 4)), F(1, 6),
-        ((1, -1728),), (0, 120), oracle_id="level1"),
+        ((1, -1728),), (0, 120)),
     # level 2
     "level2": LevelRow(
         "level2", "2", ("hauptmodul", _eta((2, 24), (1, -24)), (1, 128, 4096)),
         _eta((1, 2), (2, 2)), F(1, 4),
-        ((1, -256),), (0, 24), oracle_id="level2"),
+        ((1, -256),), (0, 24)),
     # level 3
     "level3": LevelRow(
         "level3", "3", ("hauptmodul", _eta((3, 12), (1, -12)), (1, 54, 729)),
         _eta((1, 2), (3, 2)), F(1, 3),
-        ((1, -108),), (0, 12), oracle_id="level3"),
+        ((1, -108),), (0, 12)),
     # level 4
     "level4": LevelRow(
         "level4", "4", ("hauptmodul", _eta((4, 8), (1, -8)), (1, 32, 256)),
         _eta((1, 2), (4, 2)), F(5, 12),
-        ((1, -64),), (0, 8), oracle_id="level4"),
+        ((1, -64),), (0, 8)),
     # level 5
     "level5": LevelRow(
         "level5", "5", ("hauptmodul", _eta((5, 6), (1, -6)), (1, 22, 125)),
         _eta((1, 2), (5, 2)), F(1, 2),
-        ((1, -44, -16),), (0, 6, 6), oracle_id="level5"),
+        ((1, -44, -16),), (0, 6, 6)),
     # level 6 (A)
     "level6A": LevelRow(
         "level6A", "6 (A)", ("hauptmodul", _eta((1, 12), (6, 12), (2, -12), (3, -12)), (1, -34, 1)),
         _eta((1, 1), (2, 1), (3, 1), (6, 1)), F(1, 2),
-        ((1, 32), (1, 36)), (0, -12, -432), oracle_id="level6A"),
+        ((1, 32), (1, 36)), (0, -12, -432)),
     # level 6 (B)
     "level6B": LevelRow(
         "level6B", "6 (B)", ("hauptmodul", _eta((2, 6), (6, 6), (1, -6), (3, -6)), (1, 20, 64)),
         _eta((1, 1), (2, 1), (3, 1), (6, 1)), F(1, 2),
-        ((1, -4), (1, -36)), (0, 6, -54), oracle_id="level6B"),
+        ((1, -4), (1, -36)), (0, 6, -54)),
     # level 6 (C)
     "level6C": LevelRow(
         "level6C", "6 (C)", ("hauptmodul", _eta((3, 4), (6, 4), (1, -4), (2, -4)), (1, 14, 81)),
         _eta((1, 1), (2, 1), (3, 1), (6, 1)), F(1, 2),
-        ((1, 4), (1, -32)), (0, 4, 48), oracle_id="level6C"),
+        ((1, 4), (1, -32)), (0, 4, 48)),
     # level 7
     "level7": LevelRow(
         "level7", "7", ("hauptmodul", _eta((7, 4), (1, -4)), (1, 13, 49)),
         _eta((1, 2), (7, 2)), F(2, 3),
-        ((1, 1), (1, -27)), (0, 4, 12), oracle_id="level7"),
+        ((1, 1), (1, -27)), (0, 4, 12)),
     # level 8: printed X lacks the w numerator; X = w/(1-24w+16w^2) restores
     # X = q + O(q^2) and matches the B^2, H row
     "level8": LevelRow(
         "level8", "8", ("hauptmodul", _eta((1, 8), (8, 8), (2, -8), (4, -8)), (1, -24, 16)),
         _eta((2, 2), (4, 2)), F(1, 2),
-        ((1, 16), (1, 32)), (0, -8, -192), oracle_id="level8",
+        ((1, 16), (1, 32)), (0, -8, -192),
         corrected="printed X(w) = 1/(1-24w+16w^2); the w numerator is restored"),
     # level 9
     "level9": LevelRow(
         "level9", "9", ("hauptmodul", _eta((1, 6), (9, 6), (3, -12)), (1, -18, -27)),
         _eta((3, 4)), F(1, 2),
-        ((1, 36, 432),), (0, -6, -162), oracle_id="level9"),
+        ((1, 36, 432),), (0, -6, -162)),
     # level 10
     "level10": LevelRow(
         "level10", "10", ("hauptmodul", _eta((2, 4), (10, 4), (1, -4), (5, -4)), (1, 8, 16)),
         _eta((1, 1), (2, 1), (5, 1), (10, 1)), F(3, 4),
-        ((1, 4), (1, -16)), (0, 2, 30), oracle_id="level10"),
+        ((1, 4), (1, -16)), (0, 2, 30)),
     # level 11: X = (eta1 eta11 / theta_{1,1,3})^2
     "level11": LevelRow(
         "level11", "11", ("eta_theta_sq", ((1, 1), (11, 1)), (1, 1, 3)),
@@ -432,7 +433,7 @@ LEVEL_ROWS: Dict[str, LevelRow] = {
     "level12": LevelRow(
         "level12", "12", ("hauptmodul", _eta((1, 4), (12, 4), (3, -4), (4, -4)), (1, 2, 1)),
         _eta((1, 1), (3, 1), (4, 1), (12, 1)), F(5, 6),
-        ((1, -4), (1, -16)), (0, 4, -32), oracle_id="level12"),
+        ((1, -4), (1, -16)), (0, 4, -32)),
     # level 13 (rational terms; 4^n T(n) integral)
     "level13": LevelRow(
         "level13", "13", ("hauptmodul", _eta((13, 2), (1, -2)), (1, 5, 13)),
@@ -443,7 +444,7 @@ LEVEL_ROWS: Dict[str, LevelRow] = {
     "level14A": LevelRow(
         "level14A", "14 (A)", ("hauptmodul", ("eta", ETA_W[14]["+14"]), (1, -2, 1)),
         _eta((1, 1), (2, 1), (7, 1), (14, 1)), F(1),
-        ((1, 4), (1, -10, -7)), (0, 1, F(51, 2), 28), oracle_id="level14A"),
+        ((1, 4), (1, -10, -7)), (0, 1, F(51, 2), 28)),
     # level 14 (B)
     "level14B": LevelRow(
         "level14B", "14 (B)", ("hauptmodul", ("eta", ETA_W[14]["+14"]), (1, 2, 1)),
@@ -464,7 +465,7 @@ LEVEL_ROWS: Dict[str, LevelRow] = {
         "level18", "18", ("hauptmodul", _eta((1, 2), (2, 2), (9, 2), (18, 2), (3, -4), (6, -4)),
                           (1, 6, 9)),
         _eta((3, 2), (6, 2)), F(3, 4),
-        ((1, -12), (1, -16)), (0, 6, -90), oracle_id="level18"),
+        ((1, -12), (1, -16)), (0, 6, -90)),
     # level 20
     "level20": LevelRow(
         "level20", "20", ("hauptmodul", _eta((1, 2), (20, 2), (4, -2), (5, -2)), (1, 2, 1)),
@@ -490,7 +491,7 @@ LEVEL_ROWS: Dict[str, LevelRow] = {
         "level24", "24", ("hauptmodul", _eta((1, 2), (3, 2), (8, 2), (24, 2),
                                              (2, -2), (4, -2), (6, -2), (12, -2)), (1, 0, 4)),
         _eta((2, 1), (4, 1), (6, 1), (12, 1)), F(1),
-        ((1, 4), (1, -4), (1, -8)), (0, 2, 10, -128), oracle_id="level24"),
+        ((1, 4), (1, -4), (1, -8)), (0, 2, 10, -128)),
     # level 33 (6-term row)
     "level33": LevelRow(
         "level33", "33", ("hauptmodul", _eta((3, 1), (33, 1), (1, -1), (11, -1)), (1, 1, 3)),
@@ -627,14 +628,14 @@ def _build_sequences() -> Dict[str, Sequence]:
         if key == "level13star":
             continue
         seqs[key] = _factored_sequence(key, row.ring, row.b2_factors, Poly(row.h_num),
-                                       oracle=ORACLES.get(row.oracle_id), level=row.level)
+                                       oracle=ORACLES.get(key), level=row.level)
     for key, row in ZAGIER_ROWS.items():
         seqs[key] = Sequence(key, RING_Z, recurrence_from_quadratic(*row.triple),
-                             oracle=ORACLES[row.oracle_id], level=row.level)
+                             oracle=ORACLES.get(key), level=row.level)
     for key, row in WEIGHT2_ROWS.items():
         G, H = asz_gh(*row.triple)
         seqs[key] = _factored_sequence(key, RING_Z, (G.coeffs,), H,
-                                       oracle=ORACLES[row.oracle_id], level=row.level)
+                                       oracle=ORACLES.get(key), level=row.level)
     for family in EPSILON_FAMILIES.values():
         for name, eps in family.specials:
             if name not in seqs:

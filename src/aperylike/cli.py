@@ -347,7 +347,7 @@ def _weight_rows(table: Dict, verifier):
 
 def _levels_xz_rows():
     for key in catalog.TABLE_LEVEL_KEYS:
-        X, Z = qseries.build_xz(catalog.LEVEL_ROWS[key], 10)
+        X, Z = qseries.build_xz(catalog.LEVEL_ROWS[key], 8)
         got = qseries.expansion_coefficients(Z, X, 8)
         seq = catalog.sequence(key)
         want = seq.terms(8)

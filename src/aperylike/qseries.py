@@ -528,6 +528,10 @@ def eisenstein_expand(kind: str, order: int) -> QExpansion:
 
 
 def build_product(spec: tuple, order: int) -> QExpansion:
+    """The series of a catalog product spec (see the spec-format comment in
+    ``catalog``), known exactly through q^(v + order) for every kind, v its
+    valuation: ``prec == normalized().offset + order + 1``.  A caller that
+    compares through q^N builds at order N and pads nothing."""
     kind = spec[0]
     if kind == "eta":
         return eta_quotient(spec[1], order)
@@ -535,10 +539,11 @@ def build_product(spec: tuple, order: int) -> QExpansion:
         return poch_quotient(spec[1], spec[2], order)
     if kind == "eisenstein13":
         P = eisenstein_expand("P", order)
-        return (13 * P.subs_q_power(13).truncate_abs(order) - P) / 12
+        return (13 * P.subs_q_power(13) - P) / 12
     if kind == "level1w":
-        Qs = eisenstein_expand("Q", order)
-        Rs = eisenstein_expand("R", order)
+        # Q^(3/2) - R starts at q^1: one more term keeps the quotient's rule
+        Qs = eisenstein_expand("Q", order + 1)
+        Rs = eisenstein_expand("R", order + 1)
         q32 = Qs.pow_fraction(F(3, 2))
         return (q32 - Rs) / ((q32 + Rs) * 432)
     if kind == "hauptmodul":
@@ -572,19 +577,20 @@ def poly_at_series(p: Poly, X: QExpansion) -> QExpansion:
 
 def build_xz(row: LevelRow | WeightRow, order: int) -> Tuple[QExpansion, QExpansion]:
     """The pair (X, Z) for a catalog level or weight row, verified to have
-    X = q + O(q^2) and Z = 1 + O(q); raises "definition inconsistent" otherwise."""
-    X = build_product(row.x, order + 4).normalized()
+    X = q + O(q^2) and Z = 1 + O(q); raises "definition inconsistent" otherwise.
+    X is known exactly through q^(order + 1) and Z through q^order."""
+    X = build_product(row.x, order).normalized()
     if X.offset != 1 or X.coefficient(1) != 1:
         raise QSeriesError("definition inconsistent: X of %s starts %s q^%s"
                            % (row.key, X.coefficient(X.offset), X.offset))
-    Z = build_product(row.z, order + 4)
+    Z = build_product(row.z, order)
     if row.z_xexp:
         Z = Z / X.pow_fraction(row.z_xexp)
     Z = Z.normalized()
     if Z.offset != 0 or Z.coefficient(0) != 1:
         raise QSeriesError("definition inconsistent: Z of %s starts %s q^%s"
                            % (row.key, Z.coefficient(Z.offset), Z.offset))
-    return X.truncate_abs(order + 1), Z.truncate_abs(order)
+    return X, Z
 
 
 def expansion_coefficients(Z: QExpansion, X: QExpansion, n_max: int) -> List[Scalar]:
@@ -628,7 +634,7 @@ def verify_level_row(row: LevelRow, order: int = 30) -> Tuple[Check, Check]:
     each through q^order, from one build of (X, Z).  Returns
     ((ok, first mismatch), (ok, first mismatch)) for the two in that order."""
     _check_order(order)
-    X, Z = build_xz(row, order + 4)
+    X, Z = build_xz(row, order)
     dX = X.q_derivative()
     diff = qexp_equal(dX * dX, Z * Z * X * X * poly_at_series(row.G(), X), order)
     DZ = Z.q_derivative() / Z
@@ -678,7 +684,7 @@ def verify_weight_two(row: WeightRow, order: int = 20) -> Check:
 
 def _bank_beukers_apery(order: int):
     x, z = build_xz(catalog.WEIGHT2_ROWS["weight2-6A"], order)
-    apery = ORACLES["apery"]
+    apery = ORACLES["weight2-6A"]
     return _expansion_matches([apery(n) for n in range(order + 1)], z, x, order)
 
 
@@ -705,13 +711,13 @@ def _bank_psi_eta(order: int):
 def _bank_phi4_eisenstein(order: int):
     P = eisenstein_expand("P", order)
     lhs = phi_expand(order) ** 4
-    rhs = (4 * P.subs_q_power(4).truncate_abs(order) - P) / 3
+    rhs = (4 * P.subs_q_power(4) - P) / 3
     return qexp_equal(lhs, rhs, order)
 
 
 def _bank_p_derivative(order: int):
-    P = eisenstein_expand("P", order + 2)
-    Q = eisenstein_expand("Q", order + 2)
+    P = eisenstein_expand("P", order)
+    Q = eisenstein_expand("Q", order)
     lhs = P.q_derivative()
     rhs = (P * P - Q) / 12
     return qexp_equal(lhs, rhs, order)
@@ -748,22 +754,22 @@ def _level13_w_d_u(order: int):
 
 
 def _bank_level13_eta1(order: int):
-    w, D, U = _level13_w_d_u(order + 6)
-    lhs = eta_quotient(((1, 24),), order + 6)
+    w, D, U = _level13_w_d_u(order)
+    lhs = eta_quotient(((1, 24),), order)
     rhs = U ** 6 * w / D ** 4
     return qexp_equal(lhs, rhs, order)
 
 
 def _bank_level13_eta13(order: int):
-    w, D, U = _level13_w_d_u(order + 16)
-    lhs = eta_quotient(((13, 24),), order + 16)
+    w, D, U = _level13_w_d_u(order)
+    lhs = eta_quotient(((13, 24),), order)
     rhs = U ** 6 * w ** 13 / D ** 4
     return qexp_equal(lhs, rhs, order)
 
 
 def _bank_level13_zsquared(order: int):
-    w, D, U = _level13_w_d_u(order + 6)
-    X, Z = build_xz(catalog.LEVEL_ROWS["level13"], order + 4)
+    w, D, U = _level13_w_d_u(order)
+    X, Z = build_xz(catalog.LEVEL_ROWS["level13"], order)
     lhs = Z * Z
     rhs = U * U * D
     return qexp_equal(lhs, rhs, order)
@@ -771,10 +777,10 @@ def _bank_level13_zsquared(order: int):
 
 def _bank_level13_zstar_eta(order: int):
     row = catalog.LEVEL_ROWS["level13star"]
-    X, Z = build_xz(row, order + 6)
+    X, Z = build_xz(row, order)
     one = _embed_scalar(1, X.prec)
     lhs = Z
-    rhs = (eta_quotient(((1, 2), (13, 2)), order + 6)
+    rhs = (eta_quotient(((1, 2), (13, 2)), order)
            * (one - X).pow_fraction(F(2, 3)) / X.pow_fraction(F(7, 6)))
     return qexp_equal(lhs, rhs, order)
 
@@ -783,7 +789,7 @@ def _bank_sum_eight_squares(order: int):
     Qs = eisenstein_expand("Q", order)
     phi = phi_expand(order)
     psi = psi_expand(order)
-    lhs = 16 * Qs.subs_q_power(4).truncate_abs(order) + Qs
+    lhs = 16 * Qs.subs_q_power(4) + Qs
     rhs = (16 * phi ** 8 + phi.subs_q_negated() ** 8
            + 256 * (psi.subs_q_power(2) ** 8).shift(2))
     return qexp_equal(lhs, rhs, order)

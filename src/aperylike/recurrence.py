@@ -121,6 +121,8 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Poly":
+        if e < 0:
+            raise ValueError("Poly power needs an exponent >= 0, got %s" % (e,))
         out = Poly([1])
         for _ in range(e):
             out = out * self

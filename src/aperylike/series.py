@@ -70,7 +70,7 @@ def verify_ctyz(alpha: Scalar, beta: Scalar, gamma: Scalar, order: int = 30
     _check_order(order)
     t = generate_terms(recurrence_from_quadratic(alpha, beta, gamma), order, RING_Q)
     z = QExpansion(0, t)
-    lhs = (z * z).truncate_abs(order)
+    lhs = z * z
     den = _poly([1, 0, gamma], order)
     v = _poly([0, 1], order) * _poly([1, -alpha, -gamma], order) / (den * den)
     pows = [_poly([1], order)]

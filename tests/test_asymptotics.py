@@ -95,6 +95,15 @@ def test_estimate_C_small_run():
     assert pr.C_error < mp.mpf("1e-8")
 
 
+def test_level11_C_decimal_is_a_truncated_prefix():
+    # C = 0.32873686..., so the quoted 7 digits are truncated: rounding
+    # would give 0.3287369
+    want = catalog.REFERENCE_ASYMPTOTICS["level11"]["C_decimal"]
+    pr = analyze("level11", FAST)
+    for C in (conjectured_C("level11"), pr.C):
+        assert mp.nstr(C, 15).startswith(want)
+
+
 def test_estimate_C_needs_enough_terms():
     terms = catalog.sequence("level7").terms(50)
     with pytest.raises(AsymptoticsError):

@@ -1,15 +1,17 @@
 import dataclasses
 import hashlib
 from fractions import Fraction as F
+from functools import partial
 
 import pytest
 
-from aperylike import catalog
+from aperylike import catalog, qseries
 from aperylike.qseries import (
     IDENTITY_BANK,
     QExpansion,
     QSeriesError,
     _check_order,
+    build_product,
     build_xz,
     eisenstein_expand,
     epsilon_x_expansion,
@@ -250,6 +252,71 @@ def test_every_level_row_builds_its_pinned_xz():
         X, Z = build_xz(row, 30)
         text = repr([(str(f.offset), f.num, f.den) for f in (X, Z)])
         assert hashlib.sha256(text.encode()).hexdigest() == XZ_DIGESTS[key], key
+
+
+def _catalog_specs():
+    rows = {**catalog.LEVEL_ROWS, **catalog.ZAGIER_ROWS, **catalog.WEIGHT2_ROWS}
+    assert len(rows) == 40
+    for key, row in rows.items():
+        yield key + ".x", row.x
+        yield key + ".z", row.z
+    yield "level13.w", catalog.LEVEL_ROWS["level13"].x[1]
+    for level, family in catalog.EPSILON_FAMILIES.items():
+        w = ("eta", catalog.ETA_W[level][family.w])
+        yield "family%d" % level, ("hauptmodul", w, (1, 4, family.sigma))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 30])
+def test_build_product_knows_every_spec_through_its_valuation_plus_order(order):
+    for name, spec in _catalog_specs():
+        f = build_product(spec, order)
+        assert f.prec == f.normalized().offset + order + 1, name
+
+
+def test_level13_z_squared_has_the_reference_coefficients():
+    X, Z = build_xz(catalog.LEVEL_ROWS["level13"], 8)
+    assert expansion_coefficients(Z * Z, X, 6) == catalog.REFERENCE_TERMS["level13-zsq"]
+
+
+_BUILDERS = ("eta_quotient", "poch_quotient", "theta_expand", "eisenstein_expand",
+             "phi_expand", "psi_expand")
+
+
+@pytest.mark.parametrize("N", [1, 20])
+def test_checks_through_q_N_build_nothing_past_q_N(N, monkeypatch):
+    calls = []
+    for name in _BUILDERS:
+        def recorded(*args, _name=name, _build=getattr(qseries, name)):
+            calls.append((_name, args[:-1], args[-1]))  # every builder takes order last
+            return _build(*args)
+        monkeypatch.setattr(qseries, name, recorded)
+
+    def limit(check, name, args):
+        """N, but N + 1 for level1w's Q and R (Q^(3/2) - R starts at q^1)
+        and N + K v_f for a Laurent relation's quotient f and its power f^-K."""
+        if check == "level1" and name == "eisenstein_expand" and args[0] in ("Q", "R"):
+            return N + 1
+        if check in catalog.LAURENT_RELATIONS:
+            level, w, a, v, b = catalog.LAURENT_RELATIONS[check]
+            for symbol, coeffs in ((w, a), (v, b)):
+                factors = catalog.ETA_W[level][symbol]
+                if args == (factors,):
+                    return N + max(0, -min(coeffs)) * sum(M * e for M, e in factors) // 24
+        return N
+
+    checks = {key: partial(verify_level_row, row, N) for key, row in catalog.LEVEL_ROWS.items()}
+    checks.update((key, partial(verify_weight_one, row, N))
+                  for key, row in catalog.ZAGIER_ROWS.items())
+    checks.update((key, partial(verify_weight_two, row, N))
+                  for key, row in catalog.WEIGHT2_ROWS.items())
+    checks.update((name, partial(verify_identity_bank, name, N)) for name in IDENTITY_BANK)
+    assert len(checks) == 28 + 12 + len(IDENTITY_BANK)
+    for check, run in checks.items():
+        calls.clear()
+        assert run() in ((True, None), ((True, None), (True, None))), check
+        assert calls, check
+        for name, args, order in calls:
+            assert order <= limit(check, name, args), (check, name, args, order)
 
 
 def test_weight_one_rows():

@@ -39,6 +39,14 @@ def test_poly_iterates_over_its_coefficients_and_stops():
         mobius_shift(row.b2_factors, row.h_num, 0, 4)
 
 
+def test_poly_power_refuses_a_negative_exponent():
+    p = Poly([1, 1])
+    assert p ** 0 == Poly([1]) and p ** 2 == Poly([1, 2, 1])
+    for e in (-1, -3):
+        with pytest.raises(ValueError, match="exponent >= 0, got %d" % e):
+            p ** e
+
+
 def test_gh_level4_collapses_to_central_binomial_cube():
     # G = 1 - 64X, H = 8X: (n+1)^3 T(n+1) = 8(2n+1)^3 T(n)
     spec = recurrence_from_gh(Poly([1, -64]), Poly([0, 8]))
