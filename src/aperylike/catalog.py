@@ -34,7 +34,6 @@ from .rings import QuadElem, RingTag, RING_Q, RING_Z, Scalar
 
 F = Fraction
 SQRT2 = QuadElem(2, 0, 1)
-IMAG = QuadElem(-1, 0, 1)
 
 
 class UnknownKeyError(KeyError):

@@ -95,13 +95,12 @@ def _exact_residues(seq: catalog.Sequence, n_max: int,
     stride, and reduce each kept term against its (modulus, stride)
     targets, one Residues per target.  Every target keeps n <= n_max;
     above n_max an index map names the lcm of the moduli that keep it.
-    Each kept term is reduced once, modulo the lcm P of its targets' moduli
-    (that reduction raises RingError on a term whose components are not
-    integers),
-    and each target reads its residues from the small remainders mod P.
-    The ring is chosen once: over Z and Q a term is one int, over
-    Z[sqrt(d)] a pair.  The exact terms are discarded beyond the
-    recurrence window."""
+    Each kept term is reduced once, as a pair, modulo the lcm P of its
+    targets' moduli (that reduction raises RingError on a term whose
+    components are not integers), and each target reads its residues from
+    the small remainders mod P: one component over Z and Q, two over
+    Z[sqrt(d)].  The exact terms are discarded beyond the recurrence
+    window."""
     _check_moduli(m for m, _ in targets)
     if not targets:
         return []
@@ -111,16 +110,8 @@ def _exact_residues(seq: catalog.Sequence, n_max: int,
         for k in range(n_max // stride + 1, n_max + 1):
             above[stride * k] = math.lcm(above.get(stride * k, 1), m)
     stream = seq.iter_pairs(max(above, default=n_max))
-    if seq.ring.kind == "quad":
-        la: List[int] = []
-        lb: List[int] = []
-        for a, b in islice(stream, n_max + 1):
-            ra, rb = reduce_pair(a, b, P)
-            la.append(ra)
-            lb.append(rb)
-        lows = (la, lb)
-    else:
-        lows = ([reduce_pair(t, 0, P)[0] for t, _ in islice(stream, n_max + 1)],)
+    pairs = [reduce_pair(a, b, P) for a, b in islice(stream, n_max + 1)]
+    lows = list(zip(*pairs))[:2 if seq.ring.kind == "quad" else 1]
     highs: Dict[int, Residue] = {}
     for n, (a, b) in enumerate(stream, n_max + 1):
         if n in above:
@@ -268,9 +259,11 @@ def _tpn_matches(seq_key: str, p: int, modulus: int, n_max: int,
     _check_moduli([modulus])
     if class_mod < 1:
         raise ValueError("class_mod must be >= 1, got %d" % class_mod)
-    for k in offsets:
+    for k, v in offsets.items():
         if k not in range(class_mod):
             raise ValueError("offset class %r is not in range(%d)" % (k, class_mod))
+        if not isinstance(v, int):
+            raise ValueError("offset %r of class %d is not an int" % (v, k))
     seq = catalog.sequence(seq_key)
     e = _exponent_of(p, modulus)
     if seq.ring.kind == "Z" and e is not None:

@@ -189,14 +189,10 @@ class QExpansion:
         if e < 0:
             return (_one_like(self) / self) ** (-e)
         a = self.normalized()
-        out = _raw(0, [1] + [0] * (len(a.num) - 1), 1)
-        base = a
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        if e < 2:
+            return a if e else _one_like(a)
+        h = a ** (e // 2)
+        return h * h * a if e % 2 else h * h
 
     def pow_fraction(self, r) -> "QExpansion":
         """f^r for rational r; needs leading coefficient exactly 1."""
@@ -559,15 +555,22 @@ def build_product(spec: tuple, order: int) -> QExpansion:
 
 
 def poly_at_series(p: Poly, X: QExpansion) -> QExpansion:
-    """p(X) by Horner; X must have positive valuation."""
+    """p(X) = sum p_k X^k, known as far as X: through q^(X.prec - 1), from
+    q^0.  X must have positive valuation v.
+
+    X^k starts at q^(k v), so each power of the chain X, X^2, ... is cut at
+    X's precision and is shorter than the one before; the chain stops at
+    the first power that would start at or past that precision, since it
+    adds nothing known.  The sum is one ``linear_combination``."""
     Xn = X.normalized()
     if Xn.offset <= 0:
         raise QSeriesError("polynomial substitution needs valuation >= 1")
     prec = Xn.prec
-    acc = _embed_scalar(p.coeffs[-1], prec)
-    for c in reversed(p.coeffs[:-1]):
-        acc = acc * X + _embed_scalar(c, prec)
-    return acc
+    coeffs = [_exact(c) for c in p.coeffs]  # those past the chain are refused too
+    powers = [_embed_scalar(1, prec), Xn]
+    while len(powers) < len(coeffs) and powers[-1].offset + Xn.offset < prec:
+        powers.append((powers[-1] * Xn).truncate_abs(prec - 1))
+    return linear_combination(zip(coeffs, powers))
 
 
 # ---------------------------------------------------------------------------
@@ -649,12 +652,11 @@ def verify_level_row(row: LevelRow, order: int = 30) -> Tuple[Check, Check]:
 
 def _expansion_matches(terms: Sequence, z: QExpansion, x: QExpansion,
                        order: int) -> Check:
-    """Whether z == sum terms[n] x^n for n <= order; the first n that differs."""
-    got = expansion_coefficients(z, x, order)
-    for n, (u, v) in enumerate(zip(terms, got)):
-        if u != v:
-            return False, n
-    return True, None
+    """Whether z == sum terms[n] x^n for n <= order; the first n that differs.
+
+    x = q + O(q^2), so the first q-exponent at which the two sides differ
+    is the first n whose term differs."""
+    return qexp_equal(z, poly_at_series(Poly(terms), x), order)
 
 
 def verify_weight_one(row: WeightRow, order: int = 30) -> Check:
@@ -727,22 +729,18 @@ def _bank_laurent(name: str, order: int) -> Check:
     """sum a_k w^k == sum b_k v^k through q^order for the relation
     (level, w, {k: a_k}, v, {k: b_k}) named in catalog.LAURENT_RELATIONS.
 
-    Each eta quotient f is built through q^(order + K v_w), v_w its valuation
-    and -K its most negative power, so every power is known through q^order.
-    The powers take one division in all and one product per power past the
-    first on each side: f^k = f^(k-1) f and f^-k = f^(1-k) f^-1."""
+    With -K the most negative power (K = 0 if none), each side is
+    P(f) / f^K for its eta quotient f and the polynomial P with
+    coefficients P_j = a_(j - K).  f is built through q^(order + K v_w),
+    v_w its valuation, so the quotient is known exactly through q^order."""
     level, w, a, v, b = catalog.LAURENT_RELATIONS[name]
     sides = []
     for symbol, coeffs in ((w, a), (v, b)):
         factors = catalog.ETA_W[level][symbol]
         K = max(0, -min(coeffs))
         f = eta_quotient(factors, order + K * sum(N * e for N, e in factors) // 24)
-        powers = {1: f, -1: 1 / f} if K else {1: f}
-        for k in range(2, max(coeffs) + 1):
-            powers[k] = powers[k - 1] * f
-        for k in range(2, K + 1):
-            powers[-k] = powers[1 - k] * powers[-1]
-        sides.append(sum((c * powers[k] for k, c in coeffs.items() if k), coeffs.get(0, 0)))
+        P = Poly(coeffs.get(j - K, 0) for j in range(max(coeffs) + K + 1))
+        sides.append(poly_at_series(P, f) / f ** K)
     return qexp_equal(*sides, order)
 
 
@@ -837,6 +835,8 @@ PRINTED_X14_SERIES = [1, -3, 11, 20, 57, 92, 207]  # exponents -1..5, eps remove
 
 
 def printed_x14_matches_reciprocal(order: int = 5) -> bool:
+    if order < 0:
+        raise QSeriesError("comparison through q^%s: need order >= 0" % (order,))
     for eps in (0, 4):
         X, inv = epsilon_x_expansion(14, eps, order + 2)
         shifted = inv - eps

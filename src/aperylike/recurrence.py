@@ -506,9 +506,12 @@ class IntegralityReport:
 
 def scaled_integrality_check(terms: List[Scalar], base: int,
                              n_max: Optional[int] = None) -> IntegralityReport:
-    """Check base^n * T(n) in Z for n <= n_max over a rational term list."""
+    """Check base^n * T(n) in Z for n <= n_max over a rational term list;
+    n_max indexes the list (by default its last term), or ValueError."""
     if n_max is None:
         n_max = len(terms) - 1
+    if n_max not in range(len(terms)):
+        raise ValueError("n_max must index the %d terms, got %d" % (len(terms), n_max))
     scaled: List[Scalar] = []
     power = 1
     for n in range(n_max + 1):

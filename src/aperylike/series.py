@@ -13,8 +13,9 @@ from math import comb
 from typing import Optional, Sequence, Tuple
 
 from . import catalog
-from .qseries import QExpansion, linear_combination, qexp_equal
-from .recurrence import cubic_from_quadratic_asz, generate_terms, recurrence_from_quadratic
+from .qseries import QExpansion, linear_combination, poly_at_series, qexp_equal
+from .recurrence import (Poly, cubic_from_quadratic_asz, generate_terms,
+                         recurrence_from_quadratic)
 from .rings import RING_Q, Scalar, parts
 
 # a series A + B sqrt(d); B is None when the series is rational
@@ -53,12 +54,7 @@ def verify_asz(alpha: Scalar, beta: Scalar, gamma: Scalar, order: int = 30
     lhs = (z * z).shift(1).truncate_abs(order)
     s = generate_terms(cubic_from_quadratic_asz(alpha, beta, gamma), order, RING_Q)
     u = _poly([0, 1], order) / _poly([1, -alpha, -gamma], order)
-    pows = []
-    upow = _poly([1], order)
-    for n in range(order):
-        upow = (upow * u).truncate_abs(order)
-        pows.append(upow)
-    rhs = linear_combination(zip(s, pows))
+    rhs = poly_at_series(Poly([0] + s[:order]), u)
     mism = _mismatch(lhs, rhs, order)
     return mism is None, mism
 
@@ -73,11 +69,7 @@ def verify_ctyz(alpha: Scalar, beta: Scalar, gamma: Scalar, order: int = 30
     lhs = z * z
     den = _poly([1, 0, gamma], order)
     v = _poly([0, 1], order) * _poly([1, -alpha, -gamma], order) / (den * den)
-    pows = [_poly([1], order)]
-    for n in range(order):
-        pows.append((pows[-1] * v).truncate_abs(order))
-    rhs = linear_combination((comb(2 * n, n) * t[n], vpow) for n, vpow in enumerate(pows))
-    rhs = rhs / den
+    rhs = poly_at_series(Poly(comb(2 * n, n) * tn for n, tn in enumerate(t)), v) / den
     mism = _mismatch(lhs, rhs, order)
     return mism is None, mism
 

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -263,6 +264,16 @@ def test_class_mod_and_offset_classes_are_checked_before_the_stream(
     monkeypatch.setattr(congruence, "_exact_residues", _no_stream)
     with pytest.raises(ValueError, match=match):
         structured_congruence_check("level11", 3, modulus, class_mod, offsets, 5)
+
+
+@pytest.mark.parametrize("offset", [Fraction(1, 2), Fraction(4, 2), 0.5, "1"])
+@pytest.mark.parametrize("modulus", [25, 7])
+def test_a_non_int_offset_is_refused_before_the_stream(offset, modulus, monkeypatch):
+    # a Fraction offset used to be taken silently, every n then a violation
+    monkeypatch.setattr(congruence, "_padic_residues", _no_stream)
+    monkeypatch.setattr(congruence, "_exact_residues", _no_stream)
+    with pytest.raises(ValueError, match=r"^offset .+ of class 0 is not an int$"):
+        structured_congruence_check("level11", 5, modulus, 5, {0: offset}, 5)
 
 
 @pytest.mark.parametrize("scan", [

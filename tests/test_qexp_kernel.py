@@ -349,7 +349,9 @@ def ref_poch_quotient(offset, factors: Sequence[Tuple[int, int, int]], order: in
 @contextmanager
 def reference_kernel():
     """Run the qseries builders on the reference kernel inside the block;
-    yields the MonkeyPatch, which is undone on exit."""
+    yields the MonkeyPatch, which is undone on exit.  linear_combination
+    (which poly_at_series calls) reads the integer kernel's num and den, so
+    it is replaced by the reference chain it was checked against."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qseries, "QExpansion", RefQExpansion)
         mp.setattr(qseries, "_embed_scalar", ref_embed_scalar)
@@ -358,6 +360,7 @@ def reference_kernel():
         mp.setattr(qseries, "eta_quotient", ref_eta_quotient)
         mp.setattr(qseries, "poch_quotient", ref_poch_quotient)
         mp.setattr(qseries, "eisenstein_expand", ref_eisenstein_expand)
+        mp.setattr(qseries, "linear_combination", chain_combination)
         yield mp
 
 

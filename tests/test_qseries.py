@@ -4,6 +4,7 @@ from fractions import Fraction as F
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aperylike import catalog, qseries
 from aperylike.qseries import (
@@ -31,7 +32,8 @@ from aperylike.qseries import (
     verify_weight_one,
     verify_weight_two,
 )
-from aperylike.recurrence import Poly, generate_terms
+from aperylike.recurrence import (Poly, cubic_from_quadratic_asz, generate_terms,
+                                  recurrence_from_quadratic)
 
 
 def brute_theta(a, b, c, order, box=80):
@@ -473,3 +475,168 @@ def test_orders_below_one_are_rejected():
     assert qexp_equal(a, a, 0) == (True, None)
     with pytest.raises(QSeriesError):
         qexp_equal(a, a, -1)
+
+
+@pytest.mark.parametrize("order", [-1, -2, -5])
+def test_printed_x14_comparison_needs_a_nonnegative_order(order):
+    # orders <= -2 used to compare nothing and return True
+    with pytest.raises(QSeriesError, match=r"^comparison through q\^%d: need order >= 0$" % order):
+        printed_x14_matches_reciprocal(order)
+    assert printed_x14_matches_reciprocal(0)
+
+
+# ---------------------------------------------------------------------------
+# poly_at_series against the Horner evaluator it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_horner(p, X):
+    """The previous poly_at_series, verbatim apart from its name and the
+    module prefix on _embed_scalar."""
+    Xn = X.normalized()
+    if Xn.offset <= 0:
+        raise QSeriesError("polynomial substitution needs valuation >= 1")
+    prec = Xn.prec
+    acc = qseries._embed_scalar(p.coeffs[-1], prec)
+    for c in reversed(p.coeffs[:-1]):
+        acc = acc * X + qseries._embed_scalar(c, prec)
+    return acc
+
+
+def composed(p, X):
+    """The coefficients of q^0 .. q^(X.prec - 1) in p(X), by Horner on plain
+    lists of Fractions cut at q^X.prec: X has valuation >= 1, so what it
+    leaves unknown changes nothing below q^X.prec."""
+    Xn = X.normalized()
+    x = [F(0)] * Xn.offset + Xn.coeffs
+    acc = [F(0)] * len(x)
+    for c in reversed(p.coeffs):
+        acc = [sum(acc[j] * x[i - j] for j in range(i + 1)) for i in range(len(x))]
+        acc[0] += c
+    return acc
+
+
+def assert_evaluates_as_horner(p, X):
+    """poly_at_series(p, X) is the reference's (offset, num, den) where the
+    reference returns, and p(X) through X's precision where it raised."""
+    got = poly_at_series(p, X)
+    try:
+        ref = ref_horner(p, X)
+    except QSeriesError as exc:
+        assert str(exc) == "series is zero to working precision"
+        assert (got.offset, got.prec) == (0, X.normalized().prec)
+        assert got.coeffs == composed(p, X)
+        return False
+    assert (got.offset, got.num, got.den) == (ref.offset, ref.num, ref.den)
+    return True
+
+
+def _row_polys():
+    """Every level row's G, h_num and h_den and every Hauptmodul D, once each."""
+    polys = {}
+    for row in catalog.LEVEL_ROWS.values():
+        for p in (row.G(), Poly(row.h_num), Poly(row.h_den)):
+            polys[p.coeffs] = p
+        if row.x[0] == "hauptmodul":
+            polys[tuple(row.x[2])] = Poly(row.x[2])
+    return list(polys.values())
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 8, 30])
+def test_poly_at_series_matches_horner_on_every_level_row(order):
+    polys = _row_polys()
+    returned = 0
+    for key, row in sorted(catalog.LEVEL_ROWS.items()):
+        X = build_xz(row, order)[0]
+        for p in polys:
+            returned += assert_evaluates_as_horner(p, X)
+    assert returned > 0
+
+
+def test_poly_at_series_knows_what_horner_lost():
+    # 1 + X^4 with X = q + 5 q^2 + O(q^3) is 1 + O(q^3); Horner's running
+    # X^3 = O(q^3) raised "series is zero to working precision"
+    got = poly_at_series(Poly([1, 0, 0, 0, 1]), QExpansion(1, [1, 5]))
+    assert (got.offset, got.num, got.den) == (0, [1, 0, 0], 1)
+
+
+def test_poly_at_series_refuses_a_float_past_the_known_powers():
+    # X^10 = O(q^3) adds nothing known, but its float coefficient is refused
+    with pytest.raises(QSeriesError, match=r"^0\.5 is not an exact rational"):
+        poly_at_series(Poly([1] + [0] * 9 + [0.5]), QExpansion(1, [1, 2]))
+
+
+def outcome_message(fn, *args):
+    try:
+        return fn(*args)
+    except QSeriesError as exc:
+        return QSeriesError, str(exc)
+
+
+def test_poly_at_series_needs_a_positive_valuation():
+    for X in (QExpansion(0, [1, 2]), QExpansion(-1, [1, 2, 3]), QExpansion(-2, [0, 0, 4])):
+        got = outcome_message(poly_at_series, Poly([1, 2]), X)
+        assert got == outcome_message(ref_horner, Poly([1, 2]), X)
+        assert got == (QSeriesError, "polynomial substitution needs valuation >= 1")
+
+
+_rationals = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                       st.builds(F, st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 4)))
+_sparse_polys = st.builds(
+    lambda degree, terms: Poly(dict(terms).get(k, 0) for k in range(degree + 1)),
+    st.integers(0, 40),
+    st.lists(st.tuples(st.integers(0, 40), _rationals), max_size=5))
+_series_x = st.one_of(
+    st.builds(lambda key, order: build_xz(catalog.LEVEL_ROWS[key], order)[0],
+              st.sampled_from(sorted(catalog.LEVEL_ROWS)), st.sampled_from((0, 2, 12))),
+    st.builds(lambda v, lead, rest: QExpansion(v, [lead] + rest),
+              st.integers(1, 4), _rationals.filter(bool), st.lists(_rationals, max_size=14)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_polys, _series_x, st.integers(0, 3))
+def test_poly_at_series_matches_horner_on_sparse_polynomials(p, X, lead_zeros):
+    assert_evaluates_as_horner(p, X)
+    # the same series with leading zeros: poly_at_series normalizes first
+    assert_evaluates_as_horner(p, QExpansion(X.offset - lead_zeros, [0] * lead_zeros + X.coeffs))
+
+
+# ---------------------------------------------------------------------------
+# The expansion check against the coefficient extraction it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_expansion_matches(terms, z, x, order):
+    """The previous _expansion_matches: solve for the coefficients, compare."""
+    got = expansion_coefficients(z, x, order)
+    for n, (u, v) in enumerate(zip(terms, got)):
+        if u != v:
+            return False, n
+    return True, None
+
+
+def _expansion_cases(order):
+    """(name, row, T(0..order)) for every weight-one and weight-two row and
+    the beukers-apery bank identity."""
+    for key, row in sorted(catalog.ZAGIER_ROWS.items()):
+        yield key, row, generate_terms(recurrence_from_quadratic(*row.triple), order)
+    for key, row in sorted(catalog.WEIGHT2_ROWS.items()):
+        yield key, row, generate_terms(cubic_from_quadratic_asz(*row.triple), order)
+    apery = catalog.ORACLES["weight2-6A"]
+    yield ("beukers-apery", catalog.WEIGHT2_ROWS["weight2-6A"],
+           [apery(n) for n in range(order + 1)])
+
+
+@pytest.mark.parametrize("order", [1, 2, 9, 20])
+def test_a_changed_expansion_term_is_caught_where_extraction_caught_it(order):
+    for name, row, terms in _expansion_cases(order):
+        x, z = build_xz(row, order)
+        assert qseries._expansion_matches(terms, z, x, order) == (True, None), name
+        assert ref_expansion_matches(terms, z, x, order) == (True, None), name
+        for n in sorted({0, 1, order // 2, order}):
+            for bump in (1, -1, F(1, 3), -terms[n] or 7):
+                changed = list(terms)
+                changed[n] += bump
+                got = qseries._expansion_matches(changed, z, x, order)
+                assert got == ref_expansion_matches(changed, z, x, order) == (False, n), \
+                    (name, n, bump)

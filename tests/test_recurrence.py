@@ -196,6 +196,20 @@ def test_scaled_integrality():
     assert rep1.ok
 
 
+@pytest.mark.parametrize("terms, n_max", [([1, 5, 73], -1), ([1, 5, 73], -4),
+                                          ([1, 5, 73], 3), ([1, 5, 73], 10), ([], None)])
+def test_scaled_integrality_refuses_an_n_max_outside_the_terms(terms, n_max):
+    # n_max = -1 used to report ok having checked nothing, and n_max past
+    # the list raised IndexError
+    want = len(terms) - 1 if n_max is None else n_max
+    with pytest.raises(ValueError, match=r"^n_max must index the %d terms, got %d$"
+                       % (len(terms), want)):
+        scaled_integrality_check(terms, 2, n_max)
+    if terms:
+        assert scaled_integrality_check(terms, 2, 0).ok
+        assert scaled_integrality_check(terms, 1, len(terms) - 1).ok
+
+
 def test_conjugation_symmetry_to_500():
     for base, barred in (("14C", "14Cbar"), ("15C", "15Cbar")):
         a = catalog.sequence(base).terms(500)
