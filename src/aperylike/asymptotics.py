@@ -8,9 +8,9 @@ and C, which the recurrence does not determine, is estimated numerically
 by forward differences of n^k u_n (u_n the normalized terms), which kills
 the O(n^-j) tails through order k.
 
-Exact values of R and b1 are produced whenever G factors into pieces of
-degree <= 2 over the rationals or is linear over a quadratic field; the
-numeric path is always computed as well and cross-checked.
+Exact values of R and b1 are produced whenever the certified minimal root
+lies in a factor of G of degree <= 2 over Q, or in a linear factor over
+Q(sqrt(d)); the numeric path is always computed as well and cross-checked.
 """
 
 from __future__ import annotations
@@ -166,23 +166,21 @@ def factor_roots_exact(factor: Sequence[Scalar]) -> Optional[List[Scalar]]:
     return None
 
 
-def exact_min_root(factors: Sequence[Sequence[Scalar]]
-                   ) -> Tuple[Optional[Scalar], Optional[Scalar]]:
-    """(r0, R) exactly, when every factor resolves; (None, None) otherwise."""
-    roots: List[Scalar] = []
-    for f in factors:
-        rs = factor_roots_exact(f)
-        if rs is None:
-            return None, None
-        roots.extend(rs)
-    with mp.workdps(40):
-        moduli = [mp.fabs(to_mp(r)) for r in roots]
-        i = min(range(len(roots)), key=lambda j: moduli[j])
-        others = [m for j, m in enumerate(moduli) if j != i]
-        if others and min(others) - moduli[i] < mp.mpf("1e-20") * moduli[i]:
-            return None, None
-    r0 = roots[i]
-    return r0, F(1) / r0
+def exact_min_root(factors: Sequence[Sequence[Scalar]], r0, digits: int) -> Optional[Scalar]:
+    """The exact root of G's factors within 10^-digits |r0| of the certified
+    minimal root r0 (unique, by smallest_root's separation certificate), at
+    the caller's mpmath precision.  None when r0 may lie in a factor that
+    factor_roots_exact cannot solve; AsymptoticsError when every factor was
+    solved and none of their roots is r0."""
+    roots = [factor_roots_exact(f) for f in factors]
+    tol = mp.fabs(r0) / mp.mpf(10) ** digits
+    for r in (r for rs in roots if rs for r in rs):
+        if mp.fabs(to_mp(r) - r0) <= tol:
+            return r
+    if None in roots:
+        return None
+    raise AsymptoticsError("no exact root of G's factors is r0 = %s: the factored G "
+                           "disagrees with the numeric value" % mp.nstr(r0, 15))
 
 
 def _gstar_polys(G: Poly) -> Tuple[Poly, Poly]:
@@ -213,15 +211,13 @@ def asymptotic_params(G: Poly, H: Poly, cfg: PrecisionConfig = DEFAULT_CONFIG,
         R = 1 / r0
         if mp.im(R) == 0:
             R, b1 = mp.re(R), mp.re(b1) if mp.im(b1) == 0 else b1
-    r0_exact = R_exact = b1_exact = None
-    if factors is not None:
-        r0_exact, R_exact = exact_min_root(factors)
+        r0_exact = R_exact = b1_exact = None
+        if factors is not None:
+            r0_exact = exact_min_root(factors, r0, cfg.digits)
         if r0_exact is not None:
-            b1_exact = _b1_exact(G, H, r0_exact)
-        with mp.workdps(cfg.digits + 10):  # relative gap; an exact 0 is compared absolutely
+            R_exact, b1_exact = F(1) / r0_exact, _b1_exact(G, H, r0_exact)
+            # relative gap; an exact 0 is compared absolutely
             for name, num, exact in (("R", R, R_exact), ("b1", b1, b1_exact)):
-                if exact is None:
-                    continue
                 x = to_mp(exact)
                 if mp.fabs(num - x) > (mp.fabs(x) or 1) / mp.mpf(10) ** cfg.digits:
                     raise AsymptoticsError("exact %s = %s disagrees with the numeric value"

@@ -835,8 +835,13 @@ PRINTED_X14_SERIES = [1, -3, 11, 20, 57, 92, 207]  # exponents -1..5, eps remove
 
 
 def printed_x14_matches_reciprocal(order: int = 5) -> bool:
+    """Whether the printed series is 1/X_eps - eps, not X_eps, through q^order
+    for 0 <= order <= 5, the exponents it prints; other orders raise."""
     if order < 0:
         raise QSeriesError("comparison through q^%s: need order >= 0" % (order,))
+    if order > len(PRINTED_X14_SERIES) - 2:
+        raise QSeriesError("comparison through q^%s: the printed series stops at q^%d"
+                           % (order, len(PRINTED_X14_SERIES) - 2))
     for eps in (0, 4):
         X, inv = epsilon_x_expansion(14, eps, order + 2)
         shifted = inv - eps

@@ -29,6 +29,7 @@ from .rings import (
     RingTag,
     RING_Q,
     RING_Z,
+    RingError,
     Scalar,
     _exact,
     parts,
@@ -507,7 +508,9 @@ class IntegralityReport:
 def scaled_integrality_check(terms: List[Scalar], base: int,
                              n_max: Optional[int] = None) -> IntegralityReport:
     """Check base^n * T(n) in Z for n <= n_max over a rational term list;
-    n_max indexes the list (by default its last term), or ValueError."""
+    n_max indexes the list (by default its last term), or ValueError.  A
+    term that is not an int or Fraction (a float, a QuadElem) raises
+    RingError."""
     if n_max is None:
         n_max = len(terms) - 1
     if n_max not in range(len(terms)):
@@ -515,7 +518,10 @@ def scaled_integrality_check(terms: List[Scalar], base: int,
     scaled: List[Scalar] = []
     power = 1
     for n in range(n_max + 1):
-        v = Fraction(terms[n]) * power
+        d, a, _ = parts(terms[n])  # a float raises RingError here
+        if d:
+            raise RingError("%r is not an exact rational (int or Fraction)" % (terms[n],))
+        v = Fraction(a) * power
         if v.denominator != 1:
             return IntegralityReport(base, n_max, False, n, scaled)
         scaled.append(int(v))
@@ -584,6 +590,8 @@ class Sequence:
             raise ValueError("sequence definition field 'name' must be a string")
         if not isinstance(doc["ring"], str):
             raise ValueError("sequence definition field 'ring' must be a string")
+        if not isinstance(doc.get("level", ""), str):
+            raise ValueError("sequence definition field 'level' must be a string")
         ring = RingTag.parse(doc["ring"])
         polys = []
         for key in ("G", "H"):

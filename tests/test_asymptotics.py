@@ -9,14 +9,16 @@ from aperylike.asymptotics import (
     PrecisionConfig,
     analyze,
     apery_constant_check,
+    asymptotic_params,
     conjectured_C,
     estimate_C,
     evaluate_sato_series,
     exact_min_root,
+    factor_roots_exact,
     smallest_root,
     to_mp,
 )
-from aperylike.recurrence import Poly
+from aperylike.recurrence import Poly, poly_product
 from aperylike.rings import QuadElem
 
 FAST = PrecisionConfig(digits=60, terms=400, diff_order=6)
@@ -41,11 +43,82 @@ def test_smallest_root_guards():
 
 
 def test_exact_roots_from_factors():
-    r0, R = exact_min_root(((1, 1), (1, -27)))
-    assert r0 == F(1, 27) and R == 27
-    r0, R = exact_min_root(((1, -34, 1),))
-    assert r0 == QuadElem(2, 17, -12) and R == QuadElem(2, 17, 12)
-    assert exact_min_root(((1, 0, 0, 5),)) == (None, None)  # cubic factor
+    for factors, r0_want, R_want in ((((1, 1), (1, -27)), F(1, 27), 27),
+                                     (((1, -34, 1),), QuadElem(2, 17, -12), QuadElem(2, 17, 12))):
+        G = poly_product(factors)
+        r0, _ = smallest_root(G, FAST)
+        with mp.workdps(70):
+            assert exact_min_root(factors, r0, 60) == r0_want
+        assert asymptotic_params(G, Poly([0]), FAST, factors=factors).R_exact == R_want
+    with mp.workdps(70):
+        cubic_root = -mp.cbrt(mp.mpf(1) / 5)  # a root of the cubic factor 1 + 5x^3
+        assert exact_min_root(((1, 0, 0, 5),), cubic_root, 60) is None
+        # a solvable factor holds r0 although another factor is a cubic
+        assert exact_min_root(((1, 1, 0, 1), (1, -27)), mp.mpf(1) / 27, 60) == F(1, 27)
+        assert exact_min_root(((1, -27), (1, 0, 0, 5)), cubic_root, 60) is None
+        with pytest.raises(AsymptoticsError, match="disagrees with the numeric value"):
+            exact_min_root(((1, 1), (1, -27)), mp.mpf(1) / 28, 60)
+        # equal means within 10^-digits |r0|
+        near = mp.mpf(1) / 27 * (1 + mp.mpf(10) ** -65)
+        assert exact_min_root(((1, 1), (1, -27)), near, 60) == F(1, 27)
+        with pytest.raises(AsymptoticsError, match="disagrees with the numeric value"):
+            exact_min_root(((1, 1), (1, -27 - F(1, 10 ** 47))), mp.mpf(1) / 27, 60)
+
+
+# exact_min_root before it read smallest_root's r0, kept as the reference:
+# it ranked the closed-form roots itself and gave up on any factor of
+# degree >= 3
+def ref_exact_min_root(factors):
+    """(r0, R) exactly, when every factor resolves; (None, None) otherwise."""
+    roots = []
+    for f in factors:
+        rs = factor_roots_exact(f)
+        if rs is None:
+            return None, None
+        roots.extend(rs)
+    with mp.workdps(40):
+        moduli = [mp.fabs(to_mp(r)) for r in roots]
+        i = min(range(len(roots)), key=lambda j: moduli[j])
+        others = [m for j, m in enumerate(moduli) if j != i]
+        if others and min(others) - moduli[i] < mp.mpf("1e-20") * moduli[i]:
+            return None, None
+    r0 = roots[i]
+    return r0, F(1) / r0
+
+
+# the minimal root lies in a factor of degree <= 2 beside a cubic factor
+GAINED = {
+    "level22": (8, F(-525, 968)),
+    "level33": (QuadElem(3, 1, 2), QuadElem(3, F(-7113, 5324), F(637, 21296))),
+}
+
+
+def test_exact_min_root_matches_the_ranking_it_replaced():
+    seen = set()
+    for key in catalog.sequence_keys():
+        seq = catalog.sequence(key)
+        if seq.G_factors is None:
+            continue
+        try:
+            r0, _ = smallest_root(seq.G, FAST)
+        except AsymptoticsError:
+            continue
+        seen.add(key)
+        with mp.workdps(FAST.digits + 10):
+            root = exact_min_root(seq.G_factors, r0, FAST.digits)
+        pr = asymptotic_params(seq.G, seq.H, FAST, factors=seq.G_factors)
+        ref_root, ref_R = ref_exact_min_root(seq.G_factors)
+        if ref_root is not None:
+            assert root == ref_root, key
+            assert (pr.R_exact, pr.b1_exact) == (ref_R, asymptotics._b1_exact(
+                seq.G, seq.H, ref_root)), key
+        elif key in GAINED:
+            assert (pr.R_exact, pr.b1_exact) == GAINED[key], key
+            assert root == F(1) / GAINED[key][0], key
+        else:
+            assert root is pr.R_exact is pr.b1_exact is None, key
+    assert {"level7", "15C", "level11", "level23", "level35"} | set(GAINED) <= seen
+    assert not {"level9", "weight2-5", "weight2-6C"} & seen
 
 
 def test_b1_closed_forms():
@@ -71,12 +144,15 @@ def test_numeric_matches_exact_to_high_precision():
 
 
 @pytest.mark.parametrize("name, wrong", [
-    ("exact_min_root", lambda factors: (F(1, 28), F(28))),
-    ("exact_min_root", lambda factors: (1 / (27 + F(1, 10 ** 48)), 27 + F(1, 10 ** 48))),
+    ("factor_roots_exact", lambda factor: [F(1, 28)]),
+    ("factor_roots_exact", lambda factor: [1 / (27 + F(1, 10 ** 48))]),
+    ("exact_min_root", lambda factors, r0, digits: F(1, 28)),
+    ("exact_min_root", lambda factors, r0, digits: 1 / (27 + F(1, 10 ** 48))),
     ("_b1_exact", lambda G, H, r0: F(-65, 144) * (1 + F(1, 10 ** 55))),
 ])
 def test_exact_values_are_cross_checked_against_the_numeric_path(monkeypatch, name, wrong):
-    # level7 has R = 27 and b1 = -65/144; a gap above 10^-digits raises
+    # level7 has R = 27 and b1 = -65/144; a gap above 10^-digits raises, in
+    # exact_min_root for a wrong factor root, in the R and b1 check otherwise
     monkeypatch.setattr(asymptotics, name, wrong)
     with pytest.raises(AsymptoticsError, match="disagrees with the numeric value"):
         analyze("level7", FAST, with_C=False)

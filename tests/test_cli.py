@@ -372,6 +372,7 @@ def test_huge_quad_radicand_fails_fast(tmp_path, capsys):
     ({"name": "x", "ring": 7, "G": ["1"], "H": ["0"]}, "'ring'"),
     ({"name": ["x"], "ring": "Z", "G": ["1"], "H": ["0"]}, "'name'"),
     ({"name": "x", "ring": "Q", "G": ["1", "sqrt(2)"], "H": ["0"]}, "'G'"),
+    ({"name": "x", "ring": "Z", "G": ["1"], "H": ["0"], "level": [1, 2]}, "'level'"),
 ])
 def test_malformed_def_fields_are_named(doc, field, tmp_path, capsys):
     path = tmp_path / "def.json"

@@ -13,7 +13,9 @@ default and ``--level`` ``verify-qseries`` pins at 00595b9, before each
 level row's X and Z became product specs built once per row; the other
 ``reproduce`` pins at 477e434, before every table came from one registry;
 the ``catalog`` listing and ``--key`` pins at b6fbb59, before the weight-one
-and weight-two rows became one row type.
+and weight-two rows became one row type; the ``asymptotics`` pins when
+``exact_min_root`` began returning the exact root equal to the certified
+numeric one, which gave level22 and level33 their exact R and b1.
 A refactor must leave every pinned payload byte-identical.
 """
 
@@ -92,6 +94,12 @@ PINS = {
     # a corrected level row with its B^2 and H data; recorded at b6fbb59
     ("catalog", "--key", "level8"):
         "5e88f89b6daec40fa0434453d946acf94029f1b5f4f1959a96802388e850bf25",
+    # R = 8 and b1 = -525/968 from a linear factor beside a cubic
+    ("asymptotics", "--seq", "level22", "--no-constant"):
+        "744640ef9361949e73524292fe230302277aecc32bd80dae64f496567482831a",
+    # R = 1+2*sqrt(3) from a quadratic factor beside a cubic
+    ("asymptotics", "--seq", "level33", "--no-constant"):
+        "c7190e932db71d8efbd87bb0cab66819ef95ae61eb35b36accb89a12b85c3d89",
 }
 
 
@@ -104,7 +112,8 @@ def payload_digest(payload) -> str:
 def test_sweep_payload_matches_its_pin(argv, capsys):
     assert main(list(argv)) == 0
     doc = json.loads(capsys.readouterr().out)
-    data = argv[0] in ("catalog", "terms", "scan") or argv[:2] == ("reproduce", "cp-counts")
+    data = (argv[0] in ("catalog", "terms", "scan", "asymptotics")
+            or argv[:2] == ("reproduce", "cp-counts"))
     assert doc["outcome"] == ("DATA" if data else "PASS")
     assert payload_digest(doc["payload"]) == PINS[argv]
 

@@ -485,6 +485,16 @@ def test_printed_x14_comparison_needs_a_nonnegative_order(order):
     assert printed_x14_matches_reciprocal(0)
 
 
+@pytest.mark.parametrize("order", [6, 40])
+def test_printed_x14_comparison_stops_at_the_printed_exponents(order):
+    # the printed series ends at q^5; order 40 used to compare through q^5
+    # and return True
+    with pytest.raises(QSeriesError, match=r"^comparison through q\^%d: the printed series "
+                       r"stops at q\^5$" % order):
+        printed_x14_matches_reciprocal(order)
+    assert all(printed_x14_matches_reciprocal(k) for k in range(6))
+
+
 # ---------------------------------------------------------------------------
 # poly_at_series against the Horner evaluator it replaced
 # ---------------------------------------------------------------------------

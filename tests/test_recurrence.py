@@ -1,3 +1,5 @@
+import re
+from fractions import Fraction as F
 from itertools import islice
 from math import comb
 
@@ -21,7 +23,7 @@ from aperylike.recurrence import (
     recurrence_from_quadratic,
     scaled_integrality_check,
 )
-from aperylike.rings import RING_Q, RING_Z, conj
+from aperylike.rings import RING_Q, RING_Z, QuadElem, RingError, conj
 
 
 def brute_apery(n):
@@ -208,6 +210,15 @@ def test_scaled_integrality_refuses_an_n_max_outside_the_terms(terms, n_max):
     if terms:
         assert scaled_integrality_check(terms, 2, 0).ok
         assert scaled_integrality_check(terms, 1, len(terms) - 1).ok
+
+
+@pytest.mark.parametrize("term", [0.1, 1.0, QuadElem(2, 1, 1), QuadElem(5, 3, 0)])
+def test_scaled_integrality_refuses_a_term_that_is_not_rational(term):
+    # a float term went through Fraction(0.1), and a QuadElem raised a bare TypeError
+    with pytest.raises(RingError, match=r"^%s is not an exact rational \(int or Fraction\)$"
+                       % re.escape(repr(term))):
+        scaled_integrality_check([1, term], 10)
+    assert scaled_integrality_check([1, F(1, 10)], 10).ok
 
 
 def test_conjugation_symmetry_to_500():
