@@ -8,7 +8,8 @@ Subpackages by concern:
 - series       the Clausen-type and level-14/15 generating-function checks
 - qseries      q-expansions (eta, theta, Eisenstein) and modular verifiers
 - congruence   Lucas / supercongruence scanning
-- asymptotics  growth constants R, b1, and numeric estimation of C
+- asymptotics  growth constants R, b1, and numeric estimation of C (the one
+               module that imports mpmath; only the asymptotics commands load it)
 - cli          the command-line front end
 """
 

@@ -81,6 +81,19 @@ def to_mp(x: Scalar):
     return mp.mpc(a) + mp.mpc(0, 1) * b * mp.sqrt(-d)
 
 
+def nstr(x, digits: int) -> str:
+    """x at `digits` significant digits, trailing zeros kept: the
+    fixed-precision string a report gives for a float."""
+    return mp.nstr(x, digits, strip_zeros=False)
+
+
+def certificate_strings(cert: dict) -> dict:
+    """The certificate with each mpmath number at 8 significant digits and
+    every other value as it is."""
+    return {k: nstr(v, 8) if isinstance(v, (mp.mpf, mp.mpc)) else v
+            for k, v in cert.items()}
+
+
 def term_to_mp(x: Scalar, dps: int):
     """Embed a term safely even when a + b*sqrt(d) cancels catastrophically
     (real quadratic sequences whose conjugate grows faster than they do):
@@ -331,6 +344,12 @@ def conjectured_C(key: str, dps: int = 60):
         if key == "level7":
             return mp.sqrt(27) / (4 * pi32)
         raise catalog.UnknownKeyError("no conjectured C for %r" % (key,))
+
+
+def C_matches_conjecture(key: str, C) -> bool:
+    """Whether an estimated C is within 1e-5 relative of conjectured_C(key)."""
+    want = conjectured_C(key)
+    return abs(C - want) / abs(want) < mp.mpf("1e-5")
 
 
 def apery_constant_check(cfg: PrecisionConfig = DEFAULT_CONFIG) -> dict:

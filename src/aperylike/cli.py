@@ -6,6 +6,10 @@ report whose payload is deterministic for fixed inputs and precision:
 exact scalars are decimal strings, floats are fixed-precision strings,
 and sweep results are emitted in sorted order regardless of scheduling.
 Exit status is 0 for PASS/DATA, 2 for bad keys and usage errors, else 1.
+
+Only the asymptotics commands need floating-point numerics, so only they
+import the asymptotics module and the numeric library behind it; every
+other command starts without either.
 """
 
 from __future__ import annotations
@@ -18,14 +22,9 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence
 
-import mpmath as mp
-
-from . import asymptotics, catalog, congruence, qseries, series
+from . import catalog, congruence, qseries, series
 from .recurrence import InexactDivision, fourterm_params
 from .rings import conj, scalar_to_str
-
-def _mpstr(x, digits: int) -> str:
-    return mp.nstr(x, digits, strip_zeros=False)
 
 
 class RunReport:
@@ -301,25 +300,26 @@ def cmd_scan(args) -> RunReport:
 
 
 def cmd_asymptotics(args) -> RunReport:
+    from . import asymptotics
+
     cfg = asymptotics.PrecisionConfig(digits=args.digits, terms=args.terms,
                                       diff_order=args.diffs)
     params = asymptotics.analyze(args.seq, cfg, with_C=not args.no_constant)
     digits = args.digits
     payload = {
         "seq": args.seq,
-        "R": _mpstr(params.R, digits),
+        "R": asymptotics.nstr(params.R, digits),
         "alpha": "-3/2",
-        "b1": _mpstr(params.b1, digits),
-        "certificates": {k: _mpstr(v, 8) if isinstance(v, (mp.mpf, mp.mpc))
-                         else v for k, v in params.certificate.items()},
+        "b1": asymptotics.nstr(params.b1, digits),
+        "certificates": asymptotics.certificate_strings(params.certificate),
     }
     if params.R_exact is not None:
         payload["R_exact"] = scalar_to_str(params.R_exact)
     if params.b1_exact is not None:
         payload["b1_exact"] = scalar_to_str(params.b1_exact)
     if params.C is not None:
-        payload["C"] = _mpstr(params.C, digits)
-        payload["C_error"] = _mpstr(params.C_error, 5)
+        payload["C"] = asymptotics.nstr(params.C, digits)
+        payload["C_error"] = asymptotics.nstr(params.C_error, 5)
     return RunReport("asymptotics",
                      {"seq": args.seq, "terms": args.terms, "diffs": args.diffs,
                       "digits": digits},
@@ -377,18 +377,19 @@ def _level_terms_rows(level: int):
 
 
 def _asymptotic_rows():
+    from . import asymptotics
+
     cfg = asymptotics.PrecisionConfig()
     for key, ref in sorted(catalog.REFERENCE_ASYMPTOTICS.items()):
         pr = asymptotics.analyze(key, cfg)
         if "R" in ref:
             cells = {"R": pr.R_exact == ref["R"], "b1": pr.b1_exact == ref["b1"]}
         else:  # the committed decimals are rounded at 7 significant digits
-            cells = {"R": _mpstr(pr.R, 7) == ref["R_decimal"],
-                     "b1": _mpstr(pr.b1, 7) == ref["b1_decimal"]}
-        want_C = asymptotics.conjectured_C(key)
-        cells["C"] = abs(pr.C - want_C) / abs(want_C) < mp.mpf("1e-5")
+            cells = {"R": asymptotics.nstr(pr.R, 7) == ref["R_decimal"],
+                     "b1": asymptotics.nstr(pr.b1, 7) == ref["b1_decimal"]}
+        cells["C"] = asymptotics.C_matches_conjecture(key, pr.C)
         yield ({"row": key, "cells": {k: "PASS" if v else "FAIL" for k, v in cells.items()},
-                "C": _mpstr(pr.C, 10)}, all(cells.values()))
+                "C": asymptotics.nstr(pr.C, 10)}, all(cells.values()))
 
 
 def _cp_count_rows(nmax: int, primes: List[int]):
@@ -543,11 +544,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         unread = _unread_options(args.table, _cli_options(args))
         if unread:
             parser.error("reproduce %s does not read --%s" % (args.table, unread[0]))
-    # exact terms run past the 4,300-digit default of int -> str conversion
-    set_int_max_str_digits = getattr(sys, "set_int_max_str_digits", None)
-    if set_int_max_str_digits is not None:
-        set_int_max_str_digits(0)
-    t0 = time.time()
+    # exact terms run past the 4,300-digit default of int -> str conversion;
+    # the caller's limit is back in place on every return
+    get_int_max_str_digits = getattr(sys, "get_int_max_str_digits", None)
+    if get_int_max_str_digits is None:
+        return _run(args)
+    limit = get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(args) -> int:
+    """Run the parsed command and emit its report; the exit code."""
+    t0 = time.perf_counter()
     try:
         report = args.func(args)
     except catalog.UnknownKeyError as exc:
@@ -559,7 +571,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
-    report.wall_time = time.time() - t0
+    report.wall_time = time.perf_counter() - t0
     try:
         code = _emit(report, args.format)
         sys.stdout.flush()

@@ -42,7 +42,30 @@ def test_terms_beyond_the_int_string_digit_limit(capsys):
     assert code == 0
     last = catalog.sequence("level11").terms(3600)[-1]
     assert last > 10 ** 4300
-    assert int(doc["payload"]["terms"][-1]) == last
+    # main gives the caller's limit back, so reading the term back lifts it here
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(doc["payload"]["terms"][-1]) == last
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int -> str digit limit before Python 3.10.7")
+@pytest.mark.parametrize("argv, code", [
+    (["catalog"], 0),
+    (["terms", "--def-file", "{tmp}/missing.json"], 1),
+    (["catalog", "--key", "bogus"], 2),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_main_restores_the_callers_int_string_digit_limit(argv, code, tmp_path, capsys):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert main([a.format(tmp=tmp_path) for a in argv]) == code
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_terms_13scaled_and_15C(capsys):
@@ -237,13 +260,16 @@ def test_library_reproduce_takes_the_options_its_table_reads():
         reproduce("nope", order=3)
 
 
-def test_cp_counts_with_nothing_to_compare_is_data_not_pass(capsys):
+def test_cp_counts_with_nothing_to_compare_is_data_not_pass(monkeypatch, capsys):
     code, doc = run_json(capsys, "reproduce", "cp-counts", "--nmax", "20", "--primes", "2,103")
     assert code == 0 and doc["outcome"] == "DATA"
     assert [r["status"] for r in doc["payload"]["rows"]] == ["DATA", "DATA"]
     assert doc["payload"]["mismatches"] == []
-    # 103 has no committed count at n <= 1000 either, 2 does
-    rep = reproduce("cp-counts", nmax=1000, primes=[2, 103])
+    # 103 has no committed count at n <= 1000 either, 2 does; a small prime
+    # whose count is taken out reaches that branch without the long p = 103 scan
+    assert 103 not in catalog.REFERENCE_CP_COUNTS
+    monkeypatch.delitem(catalog.REFERENCE_CP_COUNTS, 3)
+    rep = reproduce("cp-counts", nmax=1000, primes=[2, 3])
     assert rep.outcome == "DATA"
     assert [r["status"] for r in rep.payload["rows"]] == ["PASS", "DATA"]
 

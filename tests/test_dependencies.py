@@ -5,6 +5,7 @@ is not declared, so nothing may import it."""
 import ast
 import glob
 import os
+import subprocess
 import sys
 
 import aperylike
@@ -41,3 +42,38 @@ def test_the_import_check_sees_undeclared_imports():
     source = ("import sympy\nfrom numpy.linalg import norm\nfrom . import rings\n"
               "import os.path, gmpy2\nimport mpmath as mp\nfrom __future__ import annotations")
     assert undeclared_imports(source) == [(1, "sympy"), (2, "numpy.linalg"), (4, "gmpy2")]
+
+
+# run in a fresh interpreter: every step must leave the numeric layer unloaded,
+# until the asymptotics command loads it
+COLD_START = """
+import contextlib, io, sys
+
+NUMERIC = ("mpmath", "aperylike.asymptotics")
+
+def loaded():
+    return [name for name in NUMERIC if name in sys.modules]
+
+import aperylike, aperylike.cli
+from aperylike import catalog, cli, congruence, qseries, recurrence, rings, series
+assert loaded() == [], ("import", loaded())
+for argv in (["catalog"], ["lucas", "--seq", "level14A", "--primes", "2..7", "--nmax", "50"],
+             ["verify-qseries", "--level", "level4", "--order", "5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0, (argv, code)
+    assert loaded() == [], (argv, loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["asymptotics", "--seq", "level14A", "--no-constant"])
+assert code == 0, ("asymptotics", code)
+assert loaded() == list(NUMERIC), ("asymptotics", loaded())
+"""
+
+
+def test_only_the_asymptotics_command_loads_the_numeric_layer():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aperylike.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
