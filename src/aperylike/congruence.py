@@ -30,6 +30,12 @@ chosen per call with no option:
 Both paths return each target's residues as flat lists (see Residues): one
 int per index over Z and Q, one list per component over Z[sqrt(d)].
 
+The primes of scan_c_counts share no work, so they run in forked worker
+processes, at most one per CPU this process may use, and the scan takes as
+long as its costliest prime rather than the sum over all of them (see
+_fan_out).  Its counts and its errors are those of the primes run one
+after another.
+
 A Lucas scan builds the digit product incrementally:
 prod(n) = prod(n // p) * T(n mod p) mod p, one ring product per index.
 Every modulus must be >= 2, every p prime, every list of primes nonempty
@@ -39,6 +45,7 @@ and every class modulus >= 1; all are checked before any term is streamed.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import islice
@@ -399,11 +406,107 @@ def supercongruence_check(seq_key: str, p: int, e: int, n_max: int,
 def scan_c_counts(seq_key: str, primes: Sequence[int], n_max: int = 1000) -> Dict[int, int]:
     """c(p) = #{1 <= n <= n_max : T(p n) == T(n) mod p^2} for each prime.
 
-    Each prime runs p*n_max steps of the recurrence once (p-adically over Z),
-    retaining only residues.
+    Each prime is one supercongruence_check and shares no work with the
+    others: over Z it is a p-adic run of p*n_max steps that keeps only
+    residues, over Z[sqrt(d)] and Q it streams its own exact terms to
+    p*n_max.  So the primes are spread over the CPUs this process may use,
+    in forked workers (see _fan_out); the counts, and the exception raised
+    when a prime fails (that of the smallest such prime), are those of
+    the primes run one after another.  The primes, n_max and the sequence
+    key are checked before any worker starts.
     """
     _check_primes(primes)
-    return {p: supercongruence_check(seq_key, p, 2, n_max).passes for p in sorted(primes)}
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1, got %d" % n_max)
+    catalog.sequence(seq_key)
+    return _fan_out(lambda p: supercongruence_check(seq_key, p, 2, n_max).passes,
+                    sorted(primes))
+
+
+def _fan_out(run: Callable[[int], int], primes: List[int]) -> Dict[int, int]:
+    """{p: run(p)} for the primes in order, run in forked workers, one per
+    CPU this process may use and at most one per prime.  A prime's cost is
+    taken as its step count p*n_max, n_max being the same for all, so the
+    primes go largest first, each to the worker with the smallest sum of
+    primes so far.  The parent
+    raises the exception of the smallest failing prime, or
+    ChildProcessError naming the primes and wait status of a worker that
+    ended without a result; every worker is reaped before this returns or
+    raises, after a kill if the parent is unwinding.  With one worker, no
+    os.fork, or other threads running (forking those is unsafe), the
+    primes run here in order."""
+    import threading
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(cpus, len(primes))
+    if workers == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return {p: run(p) for p in primes}
+    groups: List[List[int]] = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for p in sorted(primes, reverse=True):
+        i = loads.index(min(loads))
+        groups[i].append(p)
+        loads[i] += p
+    import pickle
+    import signal
+
+    outcomes: Dict[int, object] = {}
+    live: Dict[int, Tuple[List[int], int]] = {}  # pid -> (primes, read end), until reaped
+    reads: List[int] = []
+    try:
+        for group in groups:
+            r, w = os.pipe()
+            reads.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _fan_out_worker(run, group, r, w)
+            finally:
+                os.close(w)
+            live[pid] = (group, r)
+        for pid, (group, r) in list(live.items()):
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            del live[pid]
+            if not data:
+                raise ChildProcessError("the worker for primes %s ended without a result "
+                                        "(wait status %d)" % (group, status))
+            outcomes.update(pickle.loads(data))
+    finally:
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for r in reads:
+            os.close(r)
+    for p in primes:
+        if isinstance(outcomes[p], BaseException):
+            raise outcomes[p]
+    return {p: outcomes[p] for p in primes}
+
+
+def _fan_out_worker(run: Callable[[int], int], primes: List[int], r: int, w: int) -> None:
+    """The body of a forked worker; never returns.  It pickles one outcome
+    per prime, run(p) or the exception it raised, into the write end w of
+    its pipe and leaves with os._exit, so nothing inherited (atexit hooks,
+    buffered output, the caller's frames) runs twice."""
+    code = 1
+    try:
+        import pickle
+
+        os.close(r)
+        out = {}
+        for p in primes:
+            try:
+                out[p] = run(p)
+            except Exception as exc:
+                out[p] = exc
+        with open(w, "wb") as fh:
+            fh.write(pickle.dumps(out))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def structured_congruence_check(seq_key: str, p: int, modulus: int,

@@ -46,6 +46,10 @@ class InexactDivision(ArithmeticError):
         self.index = index
         super().__init__(message or "inexact division at index %d" % index)
 
+    def __reduce__(self):
+        # args holds only the message, so the default would pass it as index
+        return InexactDivision, (self.index, str(self))
+
 
 # ---------------------------------------------------------------------------
 # Polynomials in one variable over the exact scalars

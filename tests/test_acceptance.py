@@ -42,7 +42,7 @@ from aperylike.series import verify_asz, verify_ctyz, verify_gf_independence
 
 
 def test_criterion_1_term_tables(acceptance_record):
-    t0 = time.time()
+    t0 = time.perf_counter()
     checks = {
         "level11": catalog.REFERENCE_TERMS["level11"],
         "13scaled": catalog.REFERENCE_TERMS["13scaled"],
@@ -61,13 +61,13 @@ def test_criterion_1_term_tables(acceptance_record):
     assert checks["13scaled"][10] == 657035290739412
     assert checks["14C"][10] == QuadElem(2, 18601926816, -12933544448)
     assert checks["15C"][10] == QuadElem(-1, -151732284, 264070928)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     acceptance_record(1, True, "term tables exact, %.2fs" % elapsed)
 
 
 def test_criterion_2_oracle_equivalence(acceptance_record):
-    t0 = time.time()
+    t0 = time.perf_counter()
     keys = [k for k in catalog.sequence_keys()
             if catalog.sequence(k).oracle is not None]
     # sixteen level rows (1-10 spans twelve rows, plus 12, 14A, 18, 24)
@@ -79,11 +79,11 @@ def test_criterion_2_oracle_equivalence(acceptance_record):
         for n in range(51):
             assert terms[n] == seq.oracle(n), (key, n)
     acceptance_record(2, True, "%d sequences match their binomial sums to n=50, %.1fs"
-                      % (len(keys), time.time() - t0))
+                      % (len(keys), time.perf_counter() - t0))
 
 
 def test_criterion_3_qseries_sweep(acceptance_record):
-    t0 = time.time()
+    t0 = time.perf_counter()
     for key in catalog.TABLE_LEVEL_KEYS:
         row = catalog.LEVEL_ROWS[key]
         assert verify_level_row(row, 30) == ((True, None), (True, None)), key
@@ -93,7 +93,7 @@ def test_criterion_3_qseries_sweep(acceptance_record):
     for name in sorted(IDENTITY_BANK):
         order = 40 if name.startswith("level13") else 25 if name == "beukers-apery" else 30
         assert verify_identity_bank(name, order) == (True, None), name
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert elapsed < 60
     acceptance_record(3, True,
                       "diff+ODE on %d rows, 6 weight-one rows, %d bank identities "
@@ -102,7 +102,7 @@ def test_criterion_3_qseries_sweep(acceptance_record):
 
 
 def test_criterion_4_clausen_identities(acceptance_record):
-    t0 = time.time()
+    t0 = time.perf_counter()
     for trip in catalog.SPORADIC_SET:
         assert verify_asz(*trip, order=30) == (True, None), trip
         assert verify_ctyz(*trip, order=30) == (True, None), trip
@@ -117,11 +117,11 @@ def test_criterion_4_clausen_identities(acceptance_record):
     assert ok, why
     acceptance_record(4, True,
                       "ASZ+CTYZ on 6 sporadic and 20 random triples; generating "
-                      "functions independent at levels 14, 15; %.1fs" % (time.time() - t0))
+                      "functions independent at levels 14, 15; %.1fs" % (time.perf_counter() - t0))
 
 
 def test_criterion_5_lucas_congruences(acceptance_record):
-    t0 = time.time()
+    t0 = time.perf_counter()
     # level 11: p < 100, n < 5000
     for rep in lucas_scan_many("level11", primes_below(100), 4999):
         assert rep.ok, ("level11", rep.p, rep.violations[:3])
@@ -139,14 +139,14 @@ def test_criterion_5_lucas_congruences(acceptance_record):
     for p in (2, 5, 13, 17):
         assert reports[p].ok, (p, reports[p].violations[:3])
     assert any(not reports[p].ok for p in reports if p % 4 == 3)
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert elapsed < 600
     acceptance_record(5, True, "Lucas scans clean on conjectured prime classes, "
                                "violations found off them, %.1fs" % elapsed)
 
 
 def test_criterion_6_supercongruence_counts(acceptance_record):
-    t0 = time.time()
+    t0 = time.perf_counter()
     counts = scan_c_counts("level11", [2, 3, 5, 7, 11, 13, 59], 1000)
     want = {2: 1000, 3: 333, 5: 200, 7: 750, 11: 875, 13: 274, 59: 1000}
     assert counts == want, counts
@@ -158,14 +158,14 @@ def test_criterion_6_supercongruence_counts(acceptance_record):
     rep = supercongruence_check("level11", 2, 6, 4096, PATTERNS["level11-2adic"])
     assert rep.violations == []       # every mismatch is a predicted exception
     assert rep.pattern_passes == []   # and every predicted exception mismatches
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert elapsed < 600
     acceptance_record(6, True, "c(p) table cells exact; structured mod-9 maps and "
                                "the mod-64 exception pattern match, %.1fs" % elapsed)
 
 
 def test_criterion_7_asymptotics(acceptance_record):
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = PrecisionConfig(digits=60, terms=2000, diff_order=8)
     tol_Rb = mp.mpf("1e-10")
     tol_C = mp.mpf("1e-5")
@@ -204,27 +204,27 @@ def test_criterion_7_asymptotics(acceptance_record):
         assert not chk["variant_consistent"]  # the in-text variant is flagged
     acceptance_record(7, True, "R, b1 to 1e-10; C to 1e-5 on all ten rows; "
                                "Cohen prefactor confirmed and the in-text variant "
-                               "flagged, %.1fs" % (time.time() - t0))
+                               "flagged, %.1fs" % (time.perf_counter() - t0))
 
 
 def test_criterion_8_sato_series(acceptance_record):
-    t0 = time.time()
+    t0 = time.perf_counter()
     with mp.workdps(60):
         err = abs(evaluate_sato_series(15, dps=60) - 1 / mp.pi)
         assert err < mp.mpf("1e-12")
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     acceptance_record(8, True, "15-term 1/pi partial sum within 1e-12, %.2fs" % elapsed)
 
 
 def test_criterion_9_level13_integrality(acceptance_record):
-    t0 = time.time()
+    t0 = time.perf_counter()
     terms = catalog.sequence("level13").terms(500)
     rep4 = scaled_integrality_check(terms, 4)
     assert rep4.ok
     rep2 = scaled_integrality_check(terms, 2)
     assert not rep2.ok and rep2.first_failure == 2
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     acceptance_record(9, True, "4^n T(n) integral to n=500; base 2 fails at n=2, "
                                "%.2fs" % elapsed)

@@ -1,4 +1,7 @@
 import itertools
+import os
+import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,8 +20,8 @@ from aperylike.congruence import (
     structured_congruence_check,
     supercongruence_check,
 )
-from aperylike.recurrence import Sequence
-from aperylike.rings import RingError, RingTag, reduce_mod, reduce_pair
+from aperylike.recurrence import InexactDivision, Poly, RecurrenceSpec, Sequence
+from aperylike.rings import RING_Z, RingError, RingTag, reduce_mod, reduce_pair
 
 
 def test_primes_below():
@@ -344,3 +347,121 @@ def test_a_quad_row_structured_check_streams_once(monkeypatch):
     report = structured_congruence_check("14C", 3, 9, 3, {}, 40)
     assert report.n_max == 40
     assert calls == ["14C"]
+
+
+# ---------------------------------------------------------------------------
+# scan_c_counts spreads its primes over forked workers
+# ---------------------------------------------------------------------------
+
+FAN_OUT_PRIMES = [2, 3, 5, 7, 11, 13]
+# (n+1) T(n+1) = 24 T(n): T(n) = 24^n / n!, 2- and 3-integral; the p-adic
+# run stops at index 5 for p = 5 and at index 7 for p = 7
+FACTORIAL_SPEC = RecurrenceSpec((Poly([1, 1]), Poly([-24])))
+
+
+def _cpus(monkeypatch, k):
+    """Let scan_c_counts see k CPUs; the pids of the workers it forks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def _no_fork():
+    raise AssertionError("forked a worker")
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("key", ["level11", "level24", "apery", "level14A", "13scaled"])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_scan_c_counts_equals_the_per_prime_checks(key, cpus, monkeypatch):
+    want = {p: supercongruence_check(key, p, 2, 30).passes for p in FAN_OUT_PRIMES}
+    pids = _cpus(monkeypatch, cpus)
+    assert scan_c_counts(key, FAN_OUT_PRIMES[::-1], 30) == want
+    assert len(pids) == (0 if cpus == 1 else 2)
+    _assert_reaped(pids)
+
+
+def test_one_cpu_never_forks(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert scan_c_counts("level11", [2, 3, 5], 100) == {2: 100, 3: 33, 5: 20}
+
+
+def test_no_fork_without_sched_getaffinity_on_one_cpu(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert scan_c_counts("level11", [2, 3, 5], 100) == {2: 100, 3: 33, 5: 20}
+
+
+def test_no_fork_while_another_thread_runs(monkeypatch):
+    import threading
+
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert scan_c_counts("level11", [2, 3, 5], 100) == {2: 100, 3: 33, 5: 20}
+    finally:
+        done.set()
+        thread.join()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_the_smallest_failing_prime_raises(cpus, monkeypatch):
+    seq = Sequence("hand-built", RING_Z, FACTORIAL_SPEC)
+    monkeypatch.setattr(catalog, "sequence", lambda key: seq)
+    with pytest.raises(InexactDivision) as first:
+        for p in [2, 3, 5, 7]:
+            supercongruence_check("hand-built", p, 2, 4)
+    pids = _cpus(monkeypatch, cpus)
+    with pytest.raises(InexactDivision) as err:
+        scan_c_counts("hand-built", [7, 3, 5, 2], 4)
+    assert type(err.value) is type(first.value)
+    assert (str(err.value), err.value.index) == (str(first.value), first.value.index)
+    assert (str(err.value), err.value.index) == ("inexact division at index 5", 5)
+    assert len(pids) == (0 if cpus == 1 else cpus)
+    _assert_reaped(pids)
+
+
+def test_a_failing_exact_pass_raises_as_the_sequential_loop_does(monkeypatch):
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RingError, match=r"^residue needs integer components, got \(3/2, 0\)$"):
+        scan_c_counts("level13", [2, 3], 10)
+
+
+def test_a_worker_that_dies_names_its_primes(monkeypatch):
+    # the worker for 5 is killed; the parent kills and reaps the one still
+    # running for 3 instead of waiting for it
+    parent = os.getpid()
+
+    def check(key, p, e, n_max):
+        if os.getpid() != parent:
+            if p == 5:
+                os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(60)
+        raise AssertionError("ran in the parent")
+    monkeypatch.setattr(congruence, "supercongruence_check", check)
+    pids = _cpus(monkeypatch, 2)
+    t0 = time.perf_counter()
+    with pytest.raises(ChildProcessError, match=r"^the worker for primes \[5\] ended without "
+                                                r"a result \(wait status 9\)$"):
+        scan_c_counts("level11", [3, 5], 10)
+    assert time.perf_counter() - t0 < 30
+    assert len(pids) == 2
+    _assert_reaped(pids)

@@ -70,10 +70,42 @@ assert loaded() == list(NUMERIC), ("asymptotics", loaded())
 """
 
 
-def test_only_the_asymptotics_command_loads_the_numeric_layer():
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter that imports this aperylike."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(aperylike.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    run = subprocess.run([sys.executable, "-c", COLD_START], env=env,
-                         capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_only_the_asymptotics_command_loads_the_numeric_layer():
+    run = run_fresh(COLD_START)
+    assert run.returncode == 0, run.stderr
+
+
+# run in a fresh interpreter: a scan that forks its workers loads no pool module
+SCAN_FAN_OUT = """
+import contextlib, io, os, sys
+
+from aperylike import cli
+
+POOLS = ("multiprocessing", "concurrent.futures")
+os.sched_getaffinity = lambda pid: {0, 1}  # two workers whatever the machine has
+forks = []
+fork = os.fork
+os.fork = lambda: forks.append(1) or fork()
+for argv in (["scan", "--seq", "level11", "--primes", "2,3,5", "--nmax", "50"],
+             ["reproduce", "cp-counts", "--nmax", "30"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0, (argv, code)
+assert forks, "the scans ran without workers"
+loaded = [name for name in POOLS if name in sys.modules]
+assert loaded == [], loaded
+"""
+
+
+def test_a_fanned_out_scan_loads_no_pool_module():
+    run = run_fresh(SCAN_FAN_OUT)
     assert run.returncode == 0, run.stderr

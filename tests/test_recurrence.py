@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 from fractions import Fraction as F
 from itertools import islice
@@ -186,6 +188,21 @@ def test_inexact_division_raises_with_index():
     with pytest.raises(InexactDivision) as err:
         generate_terms(spec, 5, RING_Z)
     assert err.value.index == 1  # T(1) = 3/2 already breaks integrality
+
+
+@pytest.mark.parametrize("exc, message", [
+    (InexactDivision(5), "inexact division at index 5"),
+    (InexactDivision(7, "T(7) has denominator 35"), "T(7) has denominator 35"),
+])
+@pytest.mark.parametrize("clone", [
+    lambda e: pickle.loads(pickle.dumps(e)), copy.copy, copy.deepcopy,
+])
+def test_inexact_division_survives_pickle_and_copy(exc, message, clone):
+    # the default reduction rebuilt it from args == (message,), passing the
+    # message as the index
+    got = clone(exc)
+    assert type(got) is InexactDivision
+    assert (got.index, str(got)) == (exc.index, message)
 
 
 def test_scaled_integrality():
