@@ -4,9 +4,11 @@ Subpackages by concern:
 
 - rings        exact scalars over Z, Q, and Q(sqrt(d))
 - recurrence   (k+1)-term relations from (G, H) data and exact term streams
-- catalog      committed tables, binomial-sum oracles, reference values
+- catalog      committed tables, binomial-sum oracles, reference values; a
+               sequence is built on its first use
 - series       the Clausen-type and level-14/15 generating-function checks
 - qseries      q-expansions (eta, theta, Eisenstein) and modular verifiers
+               (the command line loads these two only where they are used)
 - congruence   Lucas / supercongruence scanning
 - asymptotics  growth constants R, b1, and numeric estimation of C (the one
                module that imports mpmath; only the asymptotics commands load it)

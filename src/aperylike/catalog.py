@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import partial
 from math import comb, factorial
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -619,50 +619,76 @@ def _factored_sequence(key: str, ring: RingTag, factors: Tuple[tuple, ...], H: P
     return Sequence.from_gh(key, ring, poly_product(factors), H, G_factors=factors, **extras)
 
 
-@cache
-def _build_sequences() -> Dict[str, Sequence]:
-    """The registry of catalog sequences by key, built once on first use."""
-    seqs: Dict[str, Sequence] = {}
-    for key, row in LEVEL_ROWS.items():
-        if key == "level13star":
-            continue
-        seqs[key] = _factored_sequence(key, row.ring, row.b2_factors, Poly(row.h_num),
-                                       oracle=ORACLES.get(key), level=row.level)
-    for key, row in ZAGIER_ROWS.items():
-        seqs[key] = Sequence(key, RING_Z, recurrence_from_quadratic(*row.triple),
-                             oracle=ORACLES.get(key), level=row.level)
-    for key, row in WEIGHT2_ROWS.items():
-        G, H = asz_gh(*row.triple)
-        seqs[key] = _factored_sequence(key, RING_Z, (G.coeffs,), H,
-                                       oracle=ORACLES.get(key), level=row.level)
-    for family in EPSILON_FAMILIES.values():
-        for name, eps in family.specials:
-            if name not in seqs:
-                seqs[name] = family.specialize(eps)
+def _level_sequence(key: str) -> Sequence:
+    row = LEVEL_ROWS[key]
+    return _factored_sequence(key, row.ring, row.b2_factors, Poly(row.h_num),
+                              oracle=ORACLES.get(key), level=row.level)
+
+
+def _zagier_sequence(key: str) -> Sequence:
+    row = ZAGIER_ROWS[key]
+    return Sequence(key, RING_Z, recurrence_from_quadratic(*row.triple),
+                    oracle=ORACLES.get(key), level=row.level)
+
+
+def _weight2_sequence(key: str) -> Sequence:
+    row = WEIGHT2_ROWS[key]
+    G, H = asz_gh(*row.triple)
+    return _factored_sequence(key, RING_Z, (G.coeffs,), H,
+                              oracle=ORACLES.get(key), level=row.level)
+
+
+def _scaled13_sequence() -> Sequence:
     # S(n) = 4^n T(n) is the level-13 row in the variable 4X
     row = LEVEL_ROWS["level13"]
-    seqs["13scaled"] = _factored_sequence(
+    return _factored_sequence(
         "13scaled", RING_Z, tuple(Poly(f).scale_arg(4).coeffs for f in row.b2_factors),
         Poly(row.h_num).scale_arg(4), level="13")
-    return seqs
+
+
+def _registry() -> Dict[str, Callable[[], Sequence]]:
+    """A zero-argument builder per catalog sequence key.  The first table to
+    claim a key keeps it: level rows, Zagier rows, weight-two rows, then the
+    family specials, then 13scaled."""
+    builders: Dict[str, Callable[[], Sequence]] = {
+        key: partial(_level_sequence, key) for key in TABLE_LEVEL_KEYS}
+    builders.update((key, partial(_zagier_sequence, key)) for key in ZAGIER_ROWS)
+    builders.update((key, partial(_weight2_sequence, key)) for key in WEIGHT2_ROWS)
+    for family in EPSILON_FAMILIES.values():
+        for name, eps in family.specials:
+            builders.setdefault(name, partial(family.specialize, eps))
+    builders["13scaled"] = _scaled13_sequence
+    return builders
+
+
+# a row is built on its first sequence() call, not before
+_BUILDERS = _registry()
+_BUILT: Dict[str, Sequence] = {}  # the sequences built so far, by key
 
 
 def sequence(key: str) -> Sequence:
+    """The catalog sequence for a key or alias, built on first use and the
+    same object on every later call."""
     key = ALIASES.get(key, key)
-    try:
-        return _build_sequences()[key]
-    except KeyError:
-        raise UnknownKeyError("unknown sequence key %r" % (key,)) from None
+    seq = _BUILT.get(key)
+    if seq is None:
+        try:
+            build = _BUILDERS[key]
+        except KeyError:
+            raise UnknownKeyError("unknown sequence key %r" % (key,)) from None
+        seq = _BUILT.setdefault(key, build())
+    return seq
 
 
 def sequence_keys() -> List[str]:
-    return sorted(_build_sequences())
+    """Every catalog sequence key, sorted; builds nothing."""
+    return sorted(_BUILDERS)
 
 
 def export_definitions() -> List[dict]:
     """All catalog sequences with (G, H) data, in the JSON def schema."""
-    seqs = _build_sequences()
-    return [seqs[key].to_json() for key in sorted(seqs) if seqs[key].G is not None]
+    seqs = [sequence(key) for key in sequence_keys()]
+    return [seq.to_json() for seq in seqs if seq.G is not None]
 
 
 # ---------------------------------------------------------------------------

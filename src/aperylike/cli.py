@@ -7,22 +7,29 @@ exact scalars are decimal strings, floats are fixed-precision strings,
 and sweep results are emitted in sorted order regardless of scheduling.
 Exit status is 0 for PASS/DATA, 2 for bad keys and usage errors, else 1.
 
-Only the asymptotics commands need floating-point numerics, so only they
-import the asymptotics module and the numeric library behind it; every
-other command starts without either.
+Each command loads only the layers it uses.  Only the asymptotics commands
+need floating-point numerics, so only they import the asymptotics module
+and the numeric library behind it.  qseries is imported by the commands
+and reproduce tables that check q-expansions (verify-qseries,
+verify-identities, reproduce zagier-table, apery-table, levels-XZ and
+levels-BH), and series by those that run the Clausen and
+generating-function checks (verify-qseries --all, verify-identities
+without --name).  The catalog builds a sequence on its first use, so
+terms, catalog, lucas, supercong, scan and the other reproduce tables
+build only the rows they use and load neither series module; csv loads
+for --format csv only.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 import time
 from typing import Dict, List, Optional, Sequence
 
-from . import catalog, congruence, qseries, series
+from . import catalog, congruence
 from .recurrence import InexactDivision, fourterm_params
 from .rings import conj, scalar_to_str
 
@@ -59,6 +66,8 @@ def _emit(report: RunReport, fmt: str) -> int:
 
 
 def _emit_csv(report: RunReport) -> None:
+    import csv
+
     payload = report.payload
     rows = payload.get("rows") if isinstance(payload, dict) else None
     # a cell with a comma (a list, say) is quoted, so each row keeps its width
@@ -87,8 +96,10 @@ def cmd_terms(args) -> RunReport:
             raise ValueError("cannot read --def-file: %s" % exc) from None
     else:
         seq = catalog.sequence(args.seq)
+    # each term becomes its string as it is streamed, so the exact terms are
+    # never all held at once
     payload = {"seq": seq.key, "n_max": args.nmax,
-               "terms": [scalar_to_str(t) for t in seq.terms(args.nmax)]}
+               "terms": [scalar_to_str(t) for t in seq.iter_terms(args.nmax)]}
     return RunReport("terms", {"seq": seq.key, "nmax": args.nmax}, "DATA", payload)
 
 
@@ -127,6 +138,8 @@ def cmd_catalog(args) -> RunReport:
 def _qseries_rows(keys: Sequence[str], order: int):
     """(row, ok) per key: the differentiation formula and the ODE for a
     level row, the weight-one check for a Zagier row."""
+    from . import qseries
+
     for key in keys:
         if key in catalog.LEVEL_ROWS:
             (ok_d, m_d), (ok_o, m_o) = qseries.verify_level_row(catalog.LEVEL_ROWS[key], order)
@@ -147,6 +160,8 @@ def _clausen_and_gf(order: int):
     """The Clausen-type identities on the sporadic set through x^order and
     the level-14/15 generating-function independence through w^6, as
     [(triple, asz ok, ctyz ok)] and [(level, ok)]; callers shape the rows."""
+    from . import series
+
     clausen = [(trip, series.verify_asz(*trip, order=order)[0],
                 series.verify_ctyz(*trip, order=order)[0])
                for trip in catalog.SPORADIC_SET]
@@ -166,6 +181,8 @@ def verify_all(order: int = 30) -> RunReport:
     level row, the six weight-one rows, the identity bank, the Clausen-type
     identities on the sporadic set, and the generating-function independence
     at levels 14 and 15.  Aggregate PASS only if every check passes."""
+    from . import qseries
+
     pairs = list(_qseries_rows(list(catalog.LEVEL_ROWS) + sorted(catalog.ZAGIER_ROWS), order))
     for name in sorted(qseries.IDENTITY_BANK):
         okk, m = qseries.verify_identity_bank(name, order)
@@ -193,6 +210,8 @@ def cmd_verify_qseries(args) -> RunReport:
 
 
 def cmd_verify_identities(args) -> RunReport:
+    from . import qseries
+
     order = args.order
     pairs = []
     for name in [args.name] if args.name else sorted(qseries.IDENTITY_BANK):
@@ -334,17 +353,23 @@ def cmd_asymptotics(args) -> RunReport:
 ORACLE_TERMS = 10
 
 
-def _weight_rows(table: Dict, verifier):
+def _weight_rows(table: Dict, verifier: str):
+    """Each row's terms against its oracle, and qseries.<verifier> on it."""
+    from . import qseries
+
+    verify = getattr(qseries, verifier)
     for key, row in sorted(table.items()):
         seq = catalog.sequence(key)
         terms = seq.terms(ORACLE_TERMS)
         oracle_ok = all(seq.oracle(n) == terms[n] for n in range(ORACLE_TERMS + 1))
-        mod_ok, _ = verifier(row, 14)
+        mod_ok, _ = verify(row, 14)
         yield ({"row": key, "oracle": "PASS" if oracle_ok else "FAIL",
                 "modular": "PASS" if mod_ok else "FAIL"}, oracle_ok and mod_ok)
 
 
 def _levels_xz_rows():
+    from . import qseries
+
     for key in catalog.TABLE_LEVEL_KEYS:
         X, Z = qseries.build_xz(catalog.LEVEL_ROWS[key], 8)
         got = qseries.expansion_coefficients(Z, X, 8)
@@ -404,8 +429,8 @@ def _cp_count_rows(nmax: int, primes: List[int]):
 # table id -> (row builder, {option it reads: default}); a builder yields
 # (row, ok), with ok None for a row that has no committed value to compare
 REPRODUCE = {
-    "zagier-table": (lambda: _weight_rows(catalog.ZAGIER_ROWS, qseries.verify_weight_one), {}),
-    "apery-table": (lambda: _weight_rows(catalog.WEIGHT2_ROWS, qseries.verify_weight_two), {}),
+    "zagier-table": (lambda: _weight_rows(catalog.ZAGIER_ROWS, "verify_weight_one"), {}),
+    "apery-table": (lambda: _weight_rows(catalog.WEIGHT2_ROWS, "verify_weight_two"), {}),
     "levels-XZ": (_levels_xz_rows, {}),
     "levels-BH": (_levels_bh_rows, {"order": 30}),
     "fourterm-params": (_fourterm_rows, {}),
@@ -568,7 +593,7 @@ def _run(args) -> int:
     except InexactDivision as exc:
         print(json.dumps({"error": str(exc), "index": exc.index}), file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, ChildProcessError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
     report.wall_time = time.perf_counter() - t0

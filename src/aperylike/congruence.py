@@ -34,7 +34,8 @@ The primes of scan_c_counts share no work, so they run in forked worker
 processes, at most one per CPU this process may use, and the scan takes as
 long as its costliest prime rather than the sum over all of them (see
 _fan_out).  Its counts and its errors are those of the primes run one
-after another.
+after another.  No worker outlives the scan: an error, an interrupt or a
+SIGTERM in the parent kills and reaps them all first.
 
 A Lucas scan builds the digit product incrementally:
 prod(n) = prod(n // p) * T(n mod p) mod p, one ring product per index.
@@ -432,7 +433,9 @@ def _fan_out(run: Callable[[int], int], primes: List[int]) -> Dict[int, int]:
     raises the exception of the smallest failing prime, or
     ChildProcessError naming the primes and wait status of a worker that
     ended without a result; every worker is reaped before this returns or
-    raises, after a kill if the parent is unwinding.  With one worker, no
+    raises, after a kill if the parent is unwinding.  A SIGTERM to the
+    parent unwinds it too, and is re-sent once the workers are gone (see
+    _SigtermTrap).  With one worker, no
     os.fork, or other threads running (forking those is unsafe), the
     primes run here in order."""
     import threading
@@ -451,6 +454,7 @@ def _fan_out(run: Callable[[int], int], primes: List[int]) -> Dict[int, int]:
     import pickle
     import signal
 
+    trap = _SigtermTrap()
     outcomes: Dict[int, object] = {}
     live: Dict[int, Tuple[List[int], int]] = {}  # pid -> (primes, read end), until reaped
     reads: List[int] = []
@@ -458,13 +462,15 @@ def _fan_out(run: Callable[[int], int], primes: List[int]) -> Dict[int, int]:
         for group in groups:
             r, w = os.pipe()
             reads.append(r)
+            trap.held = True  # a fork is recorded in live before a SIGTERM unwinds
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _fan_out_worker(run, group, r, w)
+                    _fan_out_worker(run, group, r, w, trap)
+                live[pid] = (group, r)
             finally:
                 os.close(w)
-            live[pid] = (group, r)
+            trap.release()
         for pid, (group, r) in list(live.items()):
             with open(r, "rb", closefd=False) as fh:
                 data = fh.read()
@@ -475,26 +481,75 @@ def _fan_out(run: Callable[[int], int], primes: List[int]) -> Dict[int, int]:
                                         "(wait status %d)" % (group, status))
             outcomes.update(pickle.loads(data))
     finally:
+        trap.held = True
         for pid in live:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for r in reads:
             os.close(r)
+        trap.close()
     for p in primes:
         if isinstance(outcomes[p], BaseException):
             raise outcomes[p]
     return {p: outcomes[p] for p in primes}
 
 
-def _fan_out_worker(run: Callable[[int], int], primes: List[int], r: int, w: int) -> None:
-    """The body of a forked worker; never returns.  It pickles one outcome
-    per prime, run(p) or the exception it raised, into the write end w of
-    its pipe and leaves with os._exit, so nothing inherited (atexit hooks,
-    buffered output, the caller's frames) runs twice."""
+class _Terminated(BaseException):
+    """A SIGTERM that came while _fan_out's workers ran."""
+
+
+class _SigtermTrap:
+    """SIGTERM's handler while _fan_out's workers run.  A SIGTERM raises
+    _Terminated, so _fan_out unwinds through the finally that kills its
+    workers; while held it is only noted.  close() puts the default action
+    back and re-sends a SIGTERM that came, which then ends the process as
+    it would have without the trap.  Only the main thread may set a
+    handler, and a handler the caller set stays in place: in either case
+    the trap is not installed and does nothing."""
+
+    def __init__(self):
+        import signal
+        import threading
+
+        self.held = self.came = False
+        self.installed = (threading.current_thread() is threading.main_thread()
+                          and signal.getsignal(signal.SIGTERM) == signal.SIG_DFL)
+        if self.installed:
+            signal.signal(signal.SIGTERM, self._on_sigterm)
+
+    def _on_sigterm(self, signum, frame):
+        self.came = True
+        if not self.held:
+            raise _Terminated
+
+    def release(self) -> None:
+        """Stop holding; raise _Terminated if a SIGTERM came meanwhile."""
+        self.held = False
+        if self.came:
+            raise _Terminated
+
+    def close(self) -> None:
+        import signal
+
+        self.held = True
+        if self.installed:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            if self.came:
+                os.kill(os.getpid(), signal.SIGTERM)
+
+
+def _fan_out_worker(run: Callable[[int], int], primes: List[int], r: int, w: int,
+                    trap: _SigtermTrap) -> None:
+    """The body of a forked worker; never returns.  It closes the trap it
+    inherited, so a SIGTERM ends it by the default action, then pickles one
+    outcome per prime, run(p) or the exception it raised, into the write
+    end w of its pipe and leaves with os._exit, so nothing inherited
+    (atexit hooks, buffered output, the caller's frames) runs twice."""
     code = 1
     try:
         import pickle
 
+        trap.close()
         os.close(r)
         out = {}
         for p in primes:

@@ -566,6 +566,10 @@ class Sequence:
     def terms(self, n_max: int) -> List[Scalar]:
         return generate_terms(self.spec, n_max, self.ring)
 
+    def iter_terms(self, n_max: int) -> Iterator[Scalar]:
+        """T(0..n_max) one at a time; see term_iterator."""
+        return term_iterator(self.spec, self.ring, n_max)
+
     def iter_pairs(self, n_max: int) -> Iterator[Tuple[Rat, Rat]]:
         """T(0..n_max) as exact pairs (a, b), T = a + b*sqrt(d); see term_pairs."""
         return term_pairs(self.spec, self.ring, n_max)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 from math import comb
 
@@ -208,3 +209,73 @@ def test_thirteen_scaled_is_x_over_4_substitution():
     t13 = sequence("level13").terms(12)
     s13 = seq.terms(12)
     assert all(s13[n] == t13[n] * 4 ** n for n in range(13))
+
+
+# ---------------------------------------------------------------------------
+# The registry builds a row on its first sequence() call only
+# ---------------------------------------------------------------------------
+
+# the ``catalog`` command's sequence listing, as pinned in test_payload_pins.py
+SEQUENCE_KEYS = [
+    "13scaled", "14C", "14Cbar", "15C", "15Cbar", "level1", "level10", "level11",
+    "level12", "level13", "level14A", "level14B", "level15A", "level15B", "level18",
+    "level2", "level20", "level21", "level22", "level23", "level24", "level3",
+    "level33", "level35", "level4", "level5", "level6A", "level6B", "level6C",
+    "level7", "level8", "level9", "weight2-5", "weight2-6A", "weight2-6B",
+    "weight2-6C", "weight2-8", "weight2-9", "zagier5", "zagier6A", "zagier6B",
+    "zagier6C", "zagier8", "zagier9",
+]
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """An empty registry cache; the keys whose builders run, in order."""
+    calls = []
+    monkeypatch.setattr(catalog, "_BUILT", {})
+    for key, build in list(catalog._BUILDERS.items()):
+        monkeypatch.setitem(catalog._BUILDERS, key,
+                            lambda key=key, build=build: calls.append(key) or build())
+    return calls
+
+
+def test_sequence_keys_lists_the_registry_without_building(built):
+    assert catalog.sequence_keys() == SEQUENCE_KEYS
+    assert built == [] and catalog._BUILT == {}
+
+
+def test_sequence_builds_its_key_once_and_nothing_else(built):
+    seq = sequence("level11")
+    assert sequence("T11") is seq and sequence("level11") is seq
+    assert built == ["level11"]
+
+
+def test_every_alias_resolves(built):
+    for alias, key in catalog.ALIASES.items():
+        assert sequence(alias) is sequence(key), alias
+        assert sequence(alias).key == key, alias
+    assert sorted(built) == sorted(set(catalog.ALIASES.values()))
+
+
+@pytest.mark.parametrize("key", ["nope", "level13star", "T13", ""])
+def test_an_unknown_key_builds_nothing(key, built):
+    with pytest.raises(UnknownKeyError, match="unknown sequence key"):
+        sequence(key)
+    assert built == [] and catalog._BUILT == {}
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+def test_each_key_matches_its_export_in_either_build_order(order, built, monkeypatch, capsys):
+    from aperylike.cli import main
+
+    seqs = {key: sequence(key) for key in SEQUENCE_KEYS[::order]}
+    assert built == SEQUENCE_KEYS[::order]
+    monkeypatch.setattr(catalog, "_BUILT", {})  # the export builds its own rows
+    assert main(["catalog", "--export"]) == 0
+    exported = {doc["name"]: doc
+                for doc in json.loads(capsys.readouterr().out)["payload"]["definitions"]}
+    assert sorted(exported) == [k for k in SEQUENCE_KEYS if not k.startswith("zagier")]
+    for key, seq in seqs.items():
+        if key in exported:
+            assert seq.to_json() == exported[key], key
+        else:  # a Zagier row carries its recurrence, not (G, H)
+            assert seq.G is None, key

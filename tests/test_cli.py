@@ -373,6 +373,59 @@ def test_inexact_division_exits_1_with_its_index(tmp_path, capsys):
         '{"error": "inexact division at index 2", "index": 2}\n'
 
 
+def test_inexact_division_part_way_prints_no_terms(tmp_path, capsys):
+    # the stream fails at index 2 of 10, after two terms were converted
+    path = tmp_path / "def.json"
+    path.write_text(json.dumps({"name": "x", "ring": "Z", "G": ["1"], "H": ["0", "1"]}))
+    assert main(["terms", "--def-file", str(path), "--nmax", "10"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "inexact division at index 2", "index": 2}
+
+
+def test_terms_are_converted_as_they_are_streamed(monkeypatch, capsys):
+    from aperylike import recurrence
+
+    events = []
+    stream, to_str = recurrence.term_iterator, cli.scalar_to_str
+
+    def logged_stream(*args):
+        for term in stream(*args):
+            events.append("term")
+            yield term
+    monkeypatch.setattr(recurrence, "term_iterator", logged_stream)
+    monkeypatch.setattr(cli, "scalar_to_str", lambda x: events.append("str") or to_str(x))
+    code, doc = run_json(capsys, "terms", "--seq", "level11", "--nmax", "4")
+    assert code == 0 and doc["payload"]["terms"] == ["1", "4", "28", "268", "3004"]
+    assert events == ["term", "str"] * 5
+
+
+# a worker that ends without a result, as a kill -9 on it leaves the parent
+LOST_WORKER = """
+import sys
+from aperylike import cli, congruence
+
+def lost(run, primes):
+    raise ChildProcessError("the worker for primes [59] ended without a result "
+                            "(wait status 9)")
+congruence._fan_out = lost
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [["scan", "--primes", "2,59", "--nmax", "10"],
+                                  ["reproduce", "cp-counts", "--nmax", "10"]])
+def test_a_lost_worker_exits_1_with_one_json_line(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(aperylike.__file__)))
+    proc = subprocess.run([sys.executable, "-c", LOST_WORKER] + argv, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line) == {"error": "the worker for primes [59] ended without a result "
+                                         "(wait status 9)"}
+
+
 def test_huge_quad_radicand_fails_fast(tmp_path, capsys):
     # a subprocess under a timeout first: trial division to sqrt(d) would not end
     path = tmp_path / "def.json"

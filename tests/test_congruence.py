@@ -1,8 +1,11 @@
 import itertools
 import os
 import signal
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -465,3 +468,70 @@ def test_a_worker_that_dies_names_its_primes(monkeypatch):
     assert time.perf_counter() - t0 < 30
     assert len(pids) == 2
     _assert_reaped(pids)
+
+
+@pytest.mark.parametrize("caller", [signal.SIG_DFL, lambda signum, frame: None],
+                         ids=["default", "caller's handler"])
+def test_the_workers_run_and_the_caller_returns_with_sigterm_as_it_was(caller, monkeypatch):
+    # each worker reports whether its SIGTERM handler is the caller's
+    monkeypatch.setattr(congruence, "supercongruence_check", lambda key, p, e, n_max:
+                        SimpleNamespace(passes=int(signal.getsignal(signal.SIGTERM) is caller)))
+    pids = _cpus(monkeypatch, 2)
+    previous = signal.signal(signal.SIGTERM, caller)
+    try:
+        assert scan_c_counts("level11", [2, 3], 10) == {2: 1, 3: 1}
+        assert signal.getsignal(signal.SIGTERM) is caller
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert len(pids) == 2
+    _assert_reaped(pids)
+
+
+# run in a fresh interpreter: a scan whose workers never finish, each
+# worker's pid printed as it is forked
+SIGTERM_SCAN = """
+import os, sys, time
+from aperylike import cli, congruence
+
+os.sched_getaffinity = lambda pid: {0, 1}
+fork = os.fork
+
+def recording_fork():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+os.fork = recording_fork
+congruence.supercongruence_check = lambda *args: time.sleep(60)
+sys.exit(cli.main(["scan", "--seq", "level11", "--primes", "2,59", "--nmax", "10"]))
+"""
+
+
+def _gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def test_a_sigterm_to_a_scan_stops_its_workers():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(congruence.__file__)))
+    proc = subprocess.Popen([sys.executable, "-c", SIGTERM_SCAN], stdout=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src), text=True)
+    pids = []
+    try:
+        pids = [int(proc.stdout.readline()) for _ in range(2)]
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == -signal.SIGTERM
+        deadline = time.monotonic() + 5
+        while not all(map(_gone, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [pid for pid in pids if not _gone(pid)] == []
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        for pid in pids:
+            if not _gone(pid):
+                os.kill(pid, signal.SIGKILL)

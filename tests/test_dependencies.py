@@ -109,3 +109,45 @@ assert loaded == [], loaded
 def test_a_fanned_out_scan_loads_no_pool_module():
     run = run_fresh(SCAN_FAN_OUT)
     assert run.returncode == 0, run.stderr
+
+
+# run in a fresh interpreter: commands that use no q-series leave the series
+# layer unloaded and build only the catalog rows they name; a level row's
+# check loads qseries, the Clausen and generating-function checks series too
+SERIES_ON_DEMAND = """
+import contextlib, gc, io, sys
+
+SERIES = ("aperylike.qseries", "aperylike.series")
+
+def loaded():
+    return [name for name in SERIES if name in sys.modules]
+
+def built():
+    from aperylike.recurrence import Sequence
+    return sorted(o.key for o in gc.get_objects() if isinstance(o, Sequence))
+
+import aperylike.cli
+from aperylike import cli
+assert (loaded(), built()) == ([], []), ("import", loaded(), built())
+for argv, rows in ((["catalog"], []),
+                   (["lucas", "--seq", "level14A", "--prime", "5", "--nmax", "30"],
+                    ["level14A"]),
+                   (["supercong", "--seq", "level11", "--prime", "2", "--nmax", "30"],
+                    ["level11", "level14A"]),
+                   (["terms", "--seq", "level11"], ["level11", "level14A"])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0, (argv, code)
+    assert (loaded(), built()) == ([], rows), (argv, loaded(), built())
+for argv, modules in ((["verify-qseries", "--level", "level4", "--order", "5"], SERIES[:1]),
+                      (["verify-identities", "--order", "5"], SERIES)):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0, (argv, code)
+    assert loaded() == list(modules), (argv, loaded())
+"""
+
+
+def test_only_the_q_series_commands_load_the_series_layer():
+    run = run_fresh(SERIES_ON_DEMAND)
+    assert run.returncode == 0, run.stderr
