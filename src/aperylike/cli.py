@@ -61,7 +61,8 @@ def _emit(report: RunReport, fmt: str) -> int:
     if fmt == "csv":
         _emit_csv(report)
     else:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        json.dump(report.to_json(), sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
     return report.exit_code
 
 

@@ -34,8 +34,9 @@ The primes of scan_c_counts share no work, so they run in forked worker
 processes, at most one per CPU this process may use, and the scan takes as
 long as its costliest prime rather than the sum over all of them (see
 _fan_out).  Its counts and its errors are those of the primes run one
-after another.  No worker outlives the scan: an error, an interrupt or a
-SIGTERM in the parent kills and reaps them all first.
+after another.  No worker outlives the scan: an error or an interrupt in
+the parent kills and reaps them all first, and a worker ends by itself
+once the parent process has ended, whatever ended it.
 
 A Lucas scan builds the digit product incrementally:
 prod(n) = prod(n // p) * T(n mod p) mod p, one ring product per index.
@@ -429,15 +430,16 @@ def _fan_out(run: Callable[[int], int], primes: List[int]) -> Dict[int, int]:
     CPU this process may use and at most one per prime.  A prime's cost is
     taken as its step count p*n_max, n_max being the same for all, so the
     primes go largest first, each to the worker with the smallest sum of
-    primes so far.  The parent
-    raises the exception of the smallest failing prime, or
-    ChildProcessError naming the primes and wait status of a worker that
-    ended without a result; every worker is reaped before this returns or
-    raises, after a kill if the parent is unwinding.  A SIGTERM to the
-    parent unwinds it too, and is re-sent once the workers are gone (see
-    _SigtermTrap).  With one worker, no
-    os.fork, or other threads running (forking those is unsafe), the
-    primes run here in order."""
+    primes so far.  The parent raises the exception of the smallest
+    failing prime, or ChildProcessError naming the primes and wait status
+    of a worker that ended without a result; every worker is reaped before
+    this returns or raises, after a kill if the parent is unwinding.  The
+    parent sets no signal handler.  Its workers end by themselves once it
+    closes the lifeline pipe, in the finally or by ending, so a signal that
+    ends it without unwinding, or an unwinding before a fork is recorded
+    in live, leaves no worker running (see _fan_out_worker).  With one
+    worker, no os.fork, or other threads running (forking those is
+    unsafe), the primes run here in order."""
     import threading
 
     affinity = getattr(os, "sched_getaffinity", None)
@@ -454,23 +456,21 @@ def _fan_out(run: Callable[[int], int], primes: List[int]) -> Dict[int, int]:
     import pickle
     import signal
 
-    trap = _SigtermTrap()
     outcomes: Dict[int, object] = {}
     live: Dict[int, Tuple[List[int], int]] = {}  # pid -> (primes, read end), until reaped
     reads: List[int] = []
+    lifeline = os.pipe()  # never written; the workers see EOF once this process closes it
     try:
         for group in groups:
             r, w = os.pipe()
             reads.append(r)
-            trap.held = True  # a fork is recorded in live before a SIGTERM unwinds
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _fan_out_worker(run, group, r, w, trap)
+                    _fan_out_worker(run, group, r, w, lifeline)
                 live[pid] = (group, r)
             finally:
                 os.close(w)
-            trap.release()
         for pid, (group, r) in list(live.items()):
             with open(r, "rb", closefd=False) as fh:
                 data = fh.read()
@@ -481,76 +481,40 @@ def _fan_out(run: Callable[[int], int], primes: List[int]) -> Dict[int, int]:
                                         "(wait status %d)" % (group, status))
             outcomes.update(pickle.loads(data))
     finally:
-        trap.held = True
         for pid in live:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for r in reads:
-            os.close(r)
-        trap.close()
+        for fd in reads + list(lifeline):
+            os.close(fd)
     for p in primes:
         if isinstance(outcomes[p], BaseException):
             raise outcomes[p]
     return {p: outcomes[p] for p in primes}
 
 
-class _Terminated(BaseException):
-    """A SIGTERM that came while _fan_out's workers ran."""
-
-
-class _SigtermTrap:
-    """SIGTERM's handler while _fan_out's workers run.  A SIGTERM raises
-    _Terminated, so _fan_out unwinds through the finally that kills its
-    workers; while held it is only noted.  close() puts the default action
-    back and re-sends a SIGTERM that came, which then ends the process as
-    it would have without the trap.  Only the main thread may set a
-    handler, and a handler the caller set stays in place: in either case
-    the trap is not installed and does nothing."""
-
-    def __init__(self):
-        import signal
-        import threading
-
-        self.held = self.came = False
-        self.installed = (threading.current_thread() is threading.main_thread()
-                          and signal.getsignal(signal.SIGTERM) == signal.SIG_DFL)
-        if self.installed:
-            signal.signal(signal.SIGTERM, self._on_sigterm)
-
-    def _on_sigterm(self, signum, frame):
-        self.came = True
-        if not self.held:
-            raise _Terminated
-
-    def release(self) -> None:
-        """Stop holding; raise _Terminated if a SIGTERM came meanwhile."""
-        self.held = False
-        if self.came:
-            raise _Terminated
-
-    def close(self) -> None:
-        import signal
-
-        self.held = True
-        if self.installed:
-            signal.signal(signal.SIGTERM, signal.SIG_DFL)
-            if self.came:
-                os.kill(os.getpid(), signal.SIGTERM)
-
-
 def _fan_out_worker(run: Callable[[int], int], primes: List[int], r: int, w: int,
-                    trap: _SigtermTrap) -> None:
-    """The body of a forked worker; never returns.  It closes the trap it
-    inherited, so a SIGTERM ends it by the default action, then pickles one
-    outcome per prime, run(p) or the exception it raised, into the write
-    end w of its pipe and leaves with os._exit, so nothing inherited
-    (atexit hooks, buffered output, the caller's frames) runs twice."""
+                    lifeline: Tuple[int, int]) -> None:
+    """The body of a forked worker; never returns.  It closes the read end
+    r of its pipe and its copy of the lifeline's write end, so that only
+    the parent's stays open, and starts a daemon thread that blocks reading the
+    lifeline and ends the worker when the read returns: at EOF, once the
+    parent has ended by whatever means, a kill -9 included.  It then
+    pickles one outcome per prime, run(p) or the exception it raised, into
+    the write end w of its pipe and leaves with os._exit, so nothing
+    inherited (atexit hooks, buffered output, the caller's frames) runs
+    twice."""
     code = 1
     try:
         import pickle
+        import threading
 
-        trap.close()
         os.close(r)
+        os.close(lifeline[1])
+
+        def exit_with_parent():
+            os.read(lifeline[0], 1)
+            os._exit(1)
+        threading.Thread(target=exit_with_parent, daemon=True).start()
         out = {}
         for p in primes:
             try:

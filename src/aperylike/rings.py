@@ -343,10 +343,7 @@ def scalar_from_str(s: str) -> Scalar:
     """Parse a scalar string ("5", "-3/2", "-4+4*sqrt(2)", "2-2*sqrt(-1)")."""
     text = s.strip()
     if "sqrt" not in text:
-        try:
-            return _exact(Fraction(text))
-        except ValueError:
-            raise RingError("cannot parse scalar %r" % (s,)) from None
+        return _exact(_fraction(text, s))
 
     a = Fraction(0)
     b = Fraction(0)
@@ -360,7 +357,7 @@ def scalar_from_str(s: str) -> Scalar:
         sign = -1 if m.group("sign") == "-" else 1
         if seen and m.group("sign") is None:
             raise RingError("missing sign between terms in %r" % (s,))
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        coef = _fraction(m.group("coef"), s) if m.group("coef") else Fraction(1)
         if m.group("surd"):
             td = int(m.group("d"))
             if d is not None and td != d:
@@ -372,6 +369,17 @@ def scalar_from_str(s: str) -> Scalar:
         pos = m.end()
         seen = True
     return QuadElem(d, a, b)
+
+
+def _fraction(text: str, s: str) -> Fraction:
+    """Fraction(text), where text is read from the scalar string s; a text
+    that is no fraction, or one over 0, raises RingError naming s."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        raise RingError("cannot parse scalar %r" % (s,)) from None
+    except ZeroDivisionError:
+        raise RingError("cannot parse scalar %r: zero denominator" % (s,)) from None
 
 
 def scalar_denominator(x: Scalar) -> int:

@@ -364,6 +364,16 @@ def test_def_file_errors_are_json(tmp_path, capsys):
     assert "'ring'" in error and "'quad:abc'" in error
 
 
+def test_a_zero_denominator_in_a_def_file_is_named(tmp_path, capsys):
+    path = tmp_path / "def.json"
+    path.write_text(json.dumps({"name": "x", "ring": "Z", "G": ["1", "1/0"], "H": ["0"]}))
+    assert main(["terms", "--def-file", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert "'1/0': zero denominator" in json.loads(line)["error"]
+
+
 def test_inexact_division_exits_1_with_its_index(tmp_path, capsys):
     # G = 1, H = n: over Q the terms run 1, 1, 3/8, so T(2) is not in Z
     path = tmp_path / "def.json"
@@ -398,6 +408,25 @@ def test_terms_are_converted_as_they_are_streamed(monkeypatch, capsys):
     code, doc = run_json(capsys, "terms", "--seq", "level11", "--nmax", "4")
     assert code == 0 and doc["payload"]["terms"] == ["1", "4", "28", "268", "3004"]
     assert events == ["term", "str"] * 5
+
+
+def test_the_json_report_is_written_as_it_is_encoded():
+    # the indented text of a long payload is never held whole beside it
+    import tracemalloc
+
+    argv = ["terms", "--seq", "level13", "--nmax", "2000"]
+    args = build_parser().parse_args(argv)
+
+    def peak(run):
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+            run()  # the row is built and cached before the traced run
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peak(lambda: main(argv)) <= 1.25 * peak(lambda: cli.cmd_terms(args))
 
 
 # a worker that ends without a result, as a kill -9 on it leaves the parent

@@ -515,15 +515,18 @@ def _gone(pid: int) -> bool:
     return False
 
 
-def test_a_sigterm_to_a_scan_stops_its_workers():
+# SIGKILL and SIGHUP (a closed terminal) end the parent without unwinding it
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGHUP, signal.SIGKILL],
+                         ids=["SIGTERM", "SIGHUP", "SIGKILL"])
+def test_a_sigterm_to_a_scan_stops_its_workers(sig):
     src = os.path.dirname(os.path.dirname(os.path.abspath(congruence.__file__)))
     proc = subprocess.Popen([sys.executable, "-c", SIGTERM_SCAN], stdout=subprocess.PIPE,
                             env=dict(os.environ, PYTHONPATH=src), text=True)
     pids = []
     try:
         pids = [int(proc.stdout.readline()) for _ in range(2)]
-        proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=30) == -signal.SIGTERM
+        proc.send_signal(sig)
+        assert proc.wait(timeout=30) == -sig
         deadline = time.monotonic() + 5
         while not all(map(_gone, pids)) and time.monotonic() < deadline:
             time.sleep(0.05)

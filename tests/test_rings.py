@@ -1,4 +1,5 @@
 import operator
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -173,6 +174,13 @@ def test_serialization_round_trip():
     assert scalar_to_str(QuadElem(2, -4, 4)) == "-4+4*sqrt(2)"
     assert scalar_from_str("18601926816-12933544448*sqrt(2)") == \
         QuadElem(2, 18601926816, -12933544448)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0", "1/0*sqrt(2)", "2+1/0*sqrt(2)"])
+def test_a_zero_denominator_is_named(text):
+    with pytest.raises(RingError, match="^cannot parse scalar %s: zero denominator$"
+                                        % re.escape(repr(text))):
+        scalar_from_str(text)
 
 
 _rationals = st.one_of(
