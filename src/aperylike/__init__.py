@@ -3,7 +3,7 @@
 Subpackages by concern:
 
 - rings        exact scalars over Z, Q, and Q(sqrt(d))
-- recurrence   (k+1)-term relations from (G, H) data and exact term streams
+- recurrence   (k+1)-term relations, companions too, from (G, H); term streams
 - catalog      committed tables, binomial-sum oracles, reference values; a
                sequence is built on its first use
 - series       the Clausen-type and level-14/15 generating-function checks
@@ -23,8 +23,8 @@ from .recurrence import (
     Poly,
     RecurrenceSpec,
     Sequence,
-    cubic_from_quadratic_asz,
-    cubic_from_quadratic_ctyz,
+    asz_gh,
+    ctyz_gh,
     fourterm_params,
     generate_terms,
     is_self_starting,
@@ -39,7 +39,7 @@ from .catalog import binomial_oracle, get_entry, sequence
 __all__ = [
     "QuadElem", "RingTag", "RING_Q", "RING_Z", "conj", "reduce_mod", "reduce_pair",
     "InexactDivision", "Poly", "RecurrenceSpec", "Sequence",
-    "cubic_from_quadratic_asz", "cubic_from_quadratic_ctyz", "fourterm_params",
+    "asz_gh", "ctyz_gh", "fourterm_params",
     "generate_terms", "is_self_starting", "recurrence_from_gh",
     "recurrence_from_quadratic", "scaled_integrality_check", "term_iterator",
     "term_pairs",

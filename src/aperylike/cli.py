@@ -203,8 +203,9 @@ def cmd_verify_qseries(args) -> RunReport:
     order = args.order
     if args.all:
         return verify_all(order)
-    keys = [args.level] if args.level else list(catalog.LEVEL_ROWS)
-    if args.level and args.level not in catalog.LEVEL_ROWS.keys() | catalog.ZAGIER_ROWS.keys():
+    level = catalog.ALIASES.get(args.level, args.level)
+    keys = [level] if level else list(catalog.LEVEL_ROWS)
+    if level and level not in catalog.LEVEL_ROWS.keys() | catalog.ZAGIER_ROWS.keys():
         raise catalog.UnknownKeyError("unknown level key %r" % (args.level,))
     return _sweep_report("verify-qseries", {"order": order, "level": args.level, "all": args.all},
                          order, _qseries_rows(keys, order))

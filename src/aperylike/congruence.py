@@ -60,7 +60,6 @@ from .recurrence import (
     RecurrenceSpec,
     _coeff_blocks,
     _integral_relation,
-    _rows,
 )
 from .rings import RING_Z, RingError, reduce_pair
 
@@ -223,7 +222,7 @@ def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int) -> Residue
         for j in range(2, k + 1):
             fold = [f * u for f, u in zip(fold, ext[k - j:k - j + n])]
             weights.append([b * f for b, f in zip(bs[j - 1], fold)])
-        for m, u, row in zip(range(start, start + n), units, _rows(weights, n)):
+        for m, u, row in zip(range(start, start + n), units, zip(*weights)):
             s = sum(map(mul, row, window))
             if m in hits:
                 v = hits[m]

@@ -42,7 +42,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Un
 
 from . import catalog
 from .catalog import LevelRow, WeightRow, ORACLES
-from .recurrence import (Poly, cubic_from_quadratic_asz, generate_terms,
+from .recurrence import (Poly, asz_gh, generate_terms, recurrence_from_gh,
                          recurrence_from_quadratic)
 from .rings import RING_Z, Scalar
 
@@ -677,7 +677,7 @@ def verify_weight_two(row: WeightRow, order: int = 20) -> Check:
     """z == sum s(n) x^n for a cubic-companion table row, through q^order."""
     _check_order(order)
     x, z = build_xz(row, order)
-    s = generate_terms(cubic_from_quadratic_asz(*row.triple), order, RING_Z)
+    s = generate_terms(recurrence_from_gh(*asz_gh(*row.triple)), order, RING_Z)
     return _expansion_matches(s, z, x, order)
 
 

@@ -9,7 +9,8 @@ G (constant term 1) and H (constant term 0) of degree <= k, it builds the
 
 whose solution with T(0) = 1 is the coefficient sequence of the power
 series Z = sum T(n) X^n attached to (G, H).  Terms at negative index are
-zero by convention.
+zero by convention.  The two cubic companions of the weight-one relation
+come as (G, H) pairs too: asz_gh and ctyz_gh.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import count
 from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
@@ -257,37 +258,24 @@ def recurrence_from_quadratic(alpha: Scalar, beta: Scalar, gamma: Scalar) -> Rec
     ))
 
 
-def cubic_from_quadratic_asz(alpha: Scalar, beta: Scalar, gamma: Scalar) -> RecurrenceSpec:
-    """Cubic companion of the weight-one relation:
+def asz_gh(alpha: Scalar, beta: Scalar, gamma: Scalar) -> Tuple[Poly, Poly]:
+    """(G, H) of the cubic ASZ companion of the weight-one relation:
 
     (n+1)^3 s(n+1) = -(2n+1)(a n^2 + a n + a - 2b) s(n) - (a^2 + 4c) n^3 s(n-1).
     """
-    return RecurrenceSpec((
-        _N_PLUS_1 ** 3,
-        Poly([1, 2]) * Poly([alpha - 2 * beta, alpha, alpha]),
-        Poly([0, 0, 0, alpha * alpha + 4 * gamma]),
-    ))
-
-
-def cubic_from_quadratic_ctyz(alpha: Scalar, beta: Scalar, gamma: Scalar) -> RecurrenceSpec:
-    """Central-binomial companion:
-
-    (n+1)^3 T(n+1) = 2(2n+1)(a n^2 + a n + b) T(n) + 4c n(4n^2 - 1) T(n-1),
-    solved by T(n) = binom(2n, n) t(n) for t from the weight-one relation.
-    """
-    return RecurrenceSpec((
-        _N_PLUS_1 ** 3,
-        -2 * (Poly([1, 2]) * Poly([beta, alpha, alpha])),
-        (-4 * gamma) * Poly([0, -1, 0, 4]),
-    ))
-
-
-def asz_gh(alpha: Scalar, beta: Scalar, gamma: Scalar) -> Tuple[Poly, Poly]:
-    """(G, H) whose generalT relation is the cubic ASZ companion."""
     disc = alpha * alpha + 4 * gamma
     G = Poly([1, 2 * alpha, disc])
     H = Poly([0, 2 * beta - alpha, -Fraction(1, 2) * disc])
     return G, H
+
+
+def ctyz_gh(alpha: Scalar, beta: Scalar, gamma: Scalar) -> Tuple[Poly, Poly]:
+    """(G, H) of the central-binomial companion:
+
+    (n+1)^3 T(n+1) = 2(2n+1)(a n^2 + a n + b) T(n) + 4c n(4n^2 - 1) T(n-1),
+    solved by T(n) = binom(2n, n) t(n) for t from the weight-one relation.
+    """
+    return Poly([1, -4 * alpha, -16 * gamma]), Poly([0, 2 * beta, 6 * gamma])
 
 
 def fourterm_params(G: Poly, H: Poly) -> Tuple[Scalar, Scalar, Scalar, Scalar, Scalar]:
@@ -342,12 +330,15 @@ def _integral_relation(spec: RecurrenceSpec, ring: RingTag) -> Tuple[
     each polynomial an int coefficient tuple; surds is empty over Z and Q.
     Denominators are cleared once, by the lcm of all of them, and every
     coefficient is then coerced into ring, so one outside it raises
-    RingError naming the ring.  Over Z[sqrt(d)] a lead with a surd part
-    (possible only in a hand-built spec) is multiplied through by its
-    conjugate, which turns it into its norm; both vanish at the same n, so
-    the solution is unchanged."""
+    RingError naming the ring.  A relation of order 0 gets one zero back
+    polynomial, so every kernel has a back column to zip.  Over Z[sqrt(d)]
+    a lead with a surd part (possible only in a hand-built spec) is
+    multiplied through by its conjugate, which turns it into its norm; both
+    vanish at the same n, so the solution is unchanged."""
     L = lcm(*(scalar_denominator(c) for p in spec.coeff_polys for c in p.coeffs))
     polys = [Poly([ring.coerce(c * L) for c in p.coeffs]) for p in spec.coeff_polys]
+    if len(polys) == 1:
+        polys.append(Poly([ring.coerce(0)]))
     if ring.kind != "quad":
         return (tuple(map(int, polys[0].coeffs)),
                 tuple(tuple(-int(c) for c in p.coeffs) for p in polys[1:]), ())
@@ -387,12 +378,6 @@ def _coeff_blocks(polys: List[Tuple[int, ...]], stop: int
         yield start, values
 
 
-def _rows(cols: List[List[Scalar]], n: int) -> Iterator[Tuple[Scalar, ...]]:
-    """The n per-index tuples of a block's columns; empty tuples when
-    there is no column (a relation of order 0)."""
-    return zip(*cols) if cols else repeat((), n)
-
-
 def _stream_z(spec: RecurrenceSpec, n_max: int) -> Iterator[int]:
     """Kernel for Z: T(0..n_max), every division by the lead exact.
 
@@ -403,7 +388,7 @@ def _stream_z(spec: RecurrenceSpec, n_max: int) -> Iterator[int]:
     window = deque([1] + [0] * (len(backs) - 1), maxlen=len(backs))  # window[j-1] = T(m+1-j)
     yield 1
     for start, (leads, *cols) in _coeff_blocks([lead, *backs], n_max):
-        for m, x, row in zip(count(start), leads, _rows(cols, len(leads))):
+        for m, x, row in zip(count(start), leads, zip(*cols)):
             t, r = divmod(sum(map(mul, row, window)), x)
             if r:
                 raise InexactDivision(m + 1)
@@ -423,7 +408,7 @@ def _stream_q(spec: RecurrenceSpec, n_max: int) -> Iterator[Fraction]:
     window = deque([(1, 1)] + [(0, 1)] * (len(backs) - 1), maxlen=len(backs))
     yield Fraction(1)
     for _, (leads, *cols) in _coeff_blocks([lead, *backs], n_max):
-        for x, row in zip(leads, _rows(cols, len(leads))):
+        for x, row in zip(leads, zip(*cols)):
             L = lcm(*[den for num, den in window if num])
             s = sum([c * num * (L // den) for c, (num, den) in zip(row, window)])
             t = Fraction(s, x * L)
@@ -447,8 +432,7 @@ def _stream_quad(spec: RecurrenceSpec, ring: RingTag, n_max: int) -> Iterator[Tu
     wb = deque([0] * k, maxlen=k)
     yield (1, 0)
     for _, (dens, *cols) in _coeff_blocks([lead, *backs, *surds], n_max):
-        n = len(dens)
-        for den, A, B in zip(dens, _rows(cols[:k], n), _rows(cols[k:], n)):
+        for den, A, B in zip(dens, zip(*cols[:k]), zip(*cols[k:])):
             sa = sum(map(mul, A, wa)) + d * sum(map(mul, B, wb))
             sb = sum(map(mul, A, wb)) + sum(map(mul, B, wa))
             a, r = divmod(sa, den)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import catalog
 from .qseries import QExpansion, linear_combination, poly_at_series, qexp_equal
-from .recurrence import (Poly, cubic_from_quadratic_asz, generate_terms,
+from .recurrence import (Poly, asz_gh, generate_terms, recurrence_from_gh,
                          recurrence_from_quadratic)
 from .rings import RING_Q, Scalar, parts
 
@@ -52,7 +52,7 @@ def verify_asz(alpha: Scalar, beta: Scalar, gamma: Scalar, order: int = 30
     t = generate_terms(recurrence_from_quadratic(alpha, beta, gamma), order, RING_Q)
     z = QExpansion(0, t)
     lhs = (z * z).shift(1).truncate_abs(order)
-    s = generate_terms(cubic_from_quadratic_asz(alpha, beta, gamma), order, RING_Q)
+    s = generate_terms(recurrence_from_gh(*asz_gh(alpha, beta, gamma)), order, RING_Q)
     u = _poly([0, 1], order) / _poly([1, -alpha, -gamma], order)
     rhs = poly_at_series(Poly([0] + s[:order]), u)
     mism = _mismatch(lhs, rhs, order)

@@ -113,6 +113,8 @@ def test_unknown_key_exit_code(capsys):
     (["terms", "--seq", "bogus"], "unknown sequence key 'bogus'"),
     (["verify-identities", "--name", "bogus"], "unknown identity 'bogus'"),
     (["catalog", "--key", "bogus"], "unknown catalog key 'bogus'"),
+    # an alias of a weight-two row is no level key
+    (["verify-qseries", "--level", "apery"], "unknown level key 'apery'"),
 ])
 def test_unknown_key_error_is_the_bare_message(argv, message, capsys):
     assert main(argv) == 2
@@ -139,6 +141,16 @@ def test_catalog_show_and_export(capsys):
 def test_catalog_key_resolves_aliases(capsys):
     code, doc = run_json(capsys, "catalog", "--key", "apery")
     assert code == 0 and doc["payload"]["key"] == "weight2-6A"
+
+
+@pytest.mark.parametrize("alias, key", [("14A", "level14A"), ("11", "level11"),
+                                        ("franel", "zagier6C")])
+def test_verify_qseries_level_resolves_aliases(alias, key, capsys):
+    code, by_alias = run_json(capsys, "verify-qseries", "--level", alias, "--order", "5")
+    assert code == 0
+    code, by_key = run_json(capsys, "verify-qseries", "--level", key, "--order", "5")
+    assert by_alias["payload"]["rows"] == by_key["payload"]["rows"]
+    assert by_alias["payload"]["rows"][0]["level"] == key
 
 
 def test_verify_qseries_single_level(capsys):

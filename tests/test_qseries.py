@@ -32,8 +32,8 @@ from aperylike.qseries import (
     verify_weight_one,
     verify_weight_two,
 )
-from aperylike.recurrence import (Poly, cubic_from_quadratic_asz, generate_terms,
-                                  recurrence_from_quadratic)
+from aperylike.recurrence import Poly, generate_terms, recurrence_from_quadratic
+from conftest import printed_asz
 
 
 def brute_theta(a, b, c, order, box=80):
@@ -631,7 +631,7 @@ def _expansion_cases(order):
     for key, row in sorted(catalog.ZAGIER_ROWS.items()):
         yield key, row, generate_terms(recurrence_from_quadratic(*row.triple), order)
     for key, row in sorted(catalog.WEIGHT2_ROWS.items()):
-        yield key, row, generate_terms(cubic_from_quadratic_asz(*row.triple), order)
+        yield key, row, generate_terms(printed_asz(*row.triple), order)
     apery = catalog.ORACLES["weight2-6A"]
     yield ("beukers-apery", catalog.WEIGHT2_ROWS["weight2-6A"],
            [apery(n) for n in range(order + 1)])

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 import re
 from fractions import Fraction as F
 from itertools import islice
@@ -14,8 +15,7 @@ from aperylike.recurrence import (
     RecurrenceSpec,
     Sequence,
     asz_gh,
-    cubic_from_quadratic_asz,
-    cubic_from_quadratic_ctyz,
+    ctyz_gh,
     fourterm_params,
     generate_terms,
     is_self_starting,
@@ -26,6 +26,7 @@ from aperylike.recurrence import (
     scaled_integrality_check,
 )
 from aperylike.rings import RING_Q, RING_Z, QuadElem, RingError, conj
+from conftest import printed_asz
 
 
 def brute_apery(n):
@@ -98,36 +99,56 @@ def test_quadratic_examples():
 
 
 def test_asz_cubic_examples():
-    apery = cubic_from_quadratic_asz(-17, -6, -72)
+    apery = recurrence_from_gh(*asz_gh(-17, -6, -72))
     assert generate_terms(apery, 5, RING_Z) == [brute_apery(n) for n in range(6)]
     # (11,3,1): alpha - 2 beta = 5, alpha^2 + 4 gamma = 125
-    s = cubic_from_quadratic_asz(11, 3, 1)
+    s = recurrence_from_gh(*asz_gh(11, 3, 1))
     assert s.solved_coeff(1) == -(Poly([1, 2]) * Poly([5, 11, 11]))
     assert s.solved_coeff(2) == Poly([0, 0, 0, -125])
     # alpha = gamma = 0 collapse: (n+1)^3 s(n+1) = 2 beta (2n+1) s(n)
-    z = cubic_from_quadratic_asz(0, 5, 0)
+    z = recurrence_from_gh(*asz_gh(0, 5, 0))
     assert z.solved_coeff(1) == Poly([10, 20])
-    assert z.solved_coeff(2) == Poly([0])
+    assert z.order == 1
+
+
+def _seeded_triples(count):
+    rng = random.Random(20261020)
+    return [tuple(rng.randint(-10, 10) for _ in range(3)) for _ in range(count)]
+
+
+# alpha^2 + 4 gamma = 0 (the ASZ companion loses its last term) or
+# gamma = 0 (the central-binomial one does)
+DEGENERATE = ((2, 1, -1), (-6, 4, -9), (0, 3, 0), (5, -2, 0))
 
 
 def test_asz_gh_reproduces_cubic_relation_identically():
     for trip in catalog.SPORADIC_SET + ((3, 1, 2),):
-        G, H = asz_gh(*trip)
-        built = recurrence_from_gh(G, H)
-        direct = cubic_from_quadratic_asz(*trip)
-        assert built.coeff_polys == direct.coeff_polys
+        built = recurrence_from_gh(*asz_gh(*trip))
+        assert built.coeff_polys == printed_asz(*trip).coeff_polys
+    for trip in _seeded_triples(60) + list(DEGENERATE):
+        built = recurrence_from_gh(*asz_gh(*trip))
+        printed = printed_asz(*trip)
+        assert generate_terms(built, 60, RING_Q) == generate_terms(printed, 60, RING_Q), trip
+        # recurrence_from_gh carries no zero trailing term
+        degenerate = trip[0] ** 2 + 4 * trip[2] == 0
+        assert built.coeff_polys == printed.coeff_polys[:2 if degenerate else 3], trip
 
 
 def test_ctyz_examples_and_binomial_link():
-    spec = cubic_from_quadratic_ctyz(10, 3, -9)
+    spec = recurrence_from_gh(*ctyz_gh(10, 3, -9))
     assert spec.solved_coeff(1) == 2 * (Poly([1, 2]) * Poly([3, 10, 10]))
     assert spec.solved_coeff(2) == -36 * Poly([0, -1, 0, 4])
     # T(n) = binom(2n, n) t(n) for all six sporadic triples
     for trip in catalog.SPORADIC_SET:
         t = generate_terms(recurrence_from_quadratic(*trip), 200, RING_Z)
-        T = generate_terms(cubic_from_quadratic_ctyz(*trip), 200, RING_Z)
+        T = generate_terms(recurrence_from_gh(*ctyz_gh(*trip)), 200, RING_Z)
         assert all(T[n] == comb(2 * n, n) * t[n] for n in range(201))
-    zero = cubic_from_quadratic_ctyz(0, 0, 0)
+    # and over Q for arbitrary triples, gamma = 0 included
+    for trip in _seeded_triples(60) + list(DEGENERATE):
+        t = generate_terms(recurrence_from_quadratic(*trip), 60, RING_Q)
+        T = generate_terms(recurrence_from_gh(*ctyz_gh(*trip)), 60, RING_Q)
+        assert T == [comb(2 * n, n) * tn for n, tn in enumerate(t)], trip
+    zero = recurrence_from_gh(*ctyz_gh(0, 0, 0))
     assert generate_terms(zero, 3, RING_Z) == [1, 0, 0, 0]
 
 

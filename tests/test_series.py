@@ -2,8 +2,10 @@
 
 The differential tests run the checks against the FormalSeries-based
 implementation they replaced.  That reference is kept below verbatim apart
-from its names; it looks up ``series.generate_terms`` and the catalog at
-call time, so a patched term stream or reference series reaches both sides.
+from its names and its ASZ companion, which it takes from the printed
+relation (``conftest.printed_asz``), not from the code under test.  It looks
+up ``series.generate_terms`` and the catalog at call time, so a patched term
+stream or reference series reaches both sides.
 """
 
 import random
@@ -15,9 +17,10 @@ import pytest
 
 from aperylike import catalog, series
 from aperylike.qseries import QExpansion, qexp_equal
-from aperylike.recurrence import cubic_from_quadratic_asz, recurrence_from_quadratic
+from aperylike.recurrence import recurrence_from_quadratic
 from aperylike.rings import RING_Q, QuadElem, Scalar
 from aperylike.series import verify_asz, verify_ctyz, verify_gf_independence
+from conftest import printed_asz
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +197,7 @@ def ref_verify_asz(alpha: Scalar, beta: Scalar, gamma: Scalar, order: int = 30
     t = series.generate_terms(recurrence_from_quadratic(alpha, beta, gamma), order, RING_Q)
     z = RefSeries(t)
     lhs = (RefSeries([0, 1] + [0] * (order - 1)) * (z * z)).truncate(order)
-    s = series.generate_terms(cubic_from_quadratic_asz(alpha, beta, gamma), order, RING_Q)
+    s = series.generate_terms(printed_asz(alpha, beta, gamma), order, RING_Q)
     u = geometric_over([1, -alpha, -gamma], order)
     rhs = RefSeries([0] * (order + 1))
     upow = RefSeries([1] + [0] * order)

@@ -132,11 +132,14 @@ def test_streams_evaluate_coefficients_only_up_to_the_last_index(key, monkeypatc
 
 @pytest.mark.parametrize("ring", [RING_Z, RING_Q, RING_SQRT2])
 def test_relation_of_order_zero_streams_zeros(ring):
-    # (n+1)^3 T(n+1) = 0: T = 1, 0, 0, ... in every kernel
+    # (n+1)^3 T(n+1) = 0: T = 1, 0, 0, ... in every kernel, the p-adic one too
     spec = RecurrenceSpec((Poly([1, 1]) ** 3,))
     got = generate_terms(spec, 600, ring)
     assert got == reference_terms(spec, ring, 600)
     assert got[:3] == [1, 0, 0]
+    if ring is RING_Z:
+        zeros = [1] + [0] * 200
+        assert congruence._padic_residues(spec, 3, 2, 200) == ((zeros, zeros),)
 
 
 def test_kernel_matches_generic_loop_on_epsilon_specials():
