@@ -309,7 +309,7 @@ def cmd_supercong(args) -> RunReport:
 
 def cmd_scan(args) -> RunReport:
     counts = congruence.scan_c_counts(args.seq, args.primes, args.nmax)
-    payload = {"seq": args.seq, "n_max": args.nmax,
+    payload = {"seq": catalog.sequence(args.seq).key, "n_max": args.nmax,
                "counts": {str(p): counts[p] for p in sorted(counts)}}
     return RunReport("scan", {"seq": args.seq, "primes": args.primes,
                               "nmax": args.nmax}, "DATA", payload)
@@ -328,7 +328,7 @@ def cmd_asymptotics(args) -> RunReport:
     params = asymptotics.analyze(args.seq, cfg, with_C=not args.no_constant)
     digits = args.digits
     payload = {
-        "seq": args.seq,
+        "seq": catalog.sequence(args.seq).key,
         "R": asymptotics.nstr(params.R, digits),
         "alpha": "-3/2",
         "b1": asymptotics.nstr(params.b1, digits),

@@ -1,19 +1,19 @@
 """Lucas-congruence and supercongruence scanning.
 
-A residue request is a target (modulus, stride): keep T(n) mod modulus for
-n <= n_max and for n = stride * k with k <= n_max.  Lucas scans use stride
-1; every T(pn) scan uses stride p.  Residues come from one of two paths,
-chosen per call with no option:
+A residue request is a list of targets (modulus, stride): keep T(n) mod
+modulus for n <= n_max and for n = stride * k with k <= n_max.  Lucas
+scans use stride 1; every T(pn) scan uses stride p.  Every scan reads its
+residues from one request, _residues, which checks n_max and the moduli
+and picks the kernel by one rule, with no option:
 
-* The T(pn)-shaped scans over Z (supercongruence_check, scan_c_counts, and
-  structured_congruence_check when the modulus is a power of p) run the
-  recurrence p-adically.  The division by the lead coefficient, (n+1)^3 for
-  the cubic family, is not invertible modulo p^e at the indices it
-  vanishes mod p, so the run starts with a precision budget of
-  e + sum_m v_p(lead(m)) p-adic digits, divides out p^v exactly at each
-  such step, and shrinks the modulus by the precision spent; the p-free
-  parts of the leads are folded into the back coefficients, so the run
-  takes no modular inverse of its big modulus.  The coefficients are
+* Over Z, a request whose targets are all (p^e, p), e >= 1, gets one
+  p-adic run of the recurrence per prime.  The division by the lead
+  coefficient, (n+1)^3 for the cubic family, is not invertible modulo p^e
+  at the indices it vanishes mod p, so the run starts with a precision
+  budget of e + sum_m v_p(lead(m)) p-adic digits, divides out p^v exactly
+  at each such step, and shrinks the modulus by the precision spent; the
+  p-free parts of the leads are folded into the back coefficients, so the
+  run takes no modular inverse of its big modulus.  The coefficients are
   evaluated a block of indices at a time: each block strips the p-part
   from its leads once and builds the unit-folded weights
   b_j(m) u_(m-1)...u_(m-j+1), so a step is one sum of k products over a
@@ -21,22 +21,22 @@ chosen per call with no option:
   It certifies p-integrality only: a term that is not p-integral raises
   InexactDivision, while a denominator prime to p goes unseen.  That is
   sound for residues in Z_(p), which is all a congruence mod p^e reads.
-* Everything else (Lucas scans, the Z[sqrt(d)] and Q rings, moduli that
-  are not a power of p) reduces exact big-integer terms: one pass streams
-  the terms once and reduces each kept term once, modulo the lcm of the
-  moduli of the targets that keep it; each target's residue is then read
-  from that one small remainder.
+  The runs share no work, so they are spread over forked workers, at most
+  one per CPU this process may use, and the request takes as long as its
+  costliest prime rather than the sum over all of them (see _fan_out).
+  Its residues and its errors are those of the primes run one after
+  another.  No worker outlives the request: an error or an interrupt in
+  the parent kills and reaps them all first, and a worker ends by itself
+  once the parent process has ended, whatever ended it.
+* Every other request (Lucas scans, the Z[sqrt(d)] and Q rings, moduli
+  that are not a power of p) is one exact pass for all its targets: it
+  streams the big-integer terms once and reduces each kept term once,
+  modulo the lcm of the moduli of the targets that keep it; each target's
+  residue is then read from that one small remainder.  A many-prime scan
+  over Z[sqrt(d)] or Q thus streams once and forks nothing.
 
-Both paths return each target's residues as flat lists (see Residues): one
-int per index over Z and Q, one list per component over Z[sqrt(d)].
-
-The primes of scan_c_counts share no work, so they run in forked worker
-processes, at most one per CPU this process may use, and the scan takes as
-long as its costliest prime rather than the sum over all of them (see
-_fan_out).  Its counts and its errors are those of the primes run one
-after another.  No worker outlives the scan: an error or an interrupt in
-the parent kills and reaps them all first, and a worker ends by itself
-once the parent process has ended, whatever ended it.
+Both kernels return each target's residues as flat lists (see Residues):
+one int per index over Z and Q, one list per component over Z[sqrt(d)].
 
 A Lucas scan builds the digit product incrementally:
 prod(n) = prod(n // p) * T(n mod p) mod p, one ring product per index.
@@ -109,7 +109,6 @@ def _exact_residues(seq: catalog.Sequence, n_max: int,
     the small remainders mod P: one component over Z and Q, two over
     Z[sqrt(d)].  The exact terms are discarded beyond the recurrence
     window."""
-    _check_moduli(m for m, _ in targets)
     if not targets:
         return []
     P = math.lcm(*(m for m, _ in targets))
@@ -136,22 +135,13 @@ def _exact_residues(seq: catalog.Sequence, n_max: int,
     return out
 
 
-def _check_moduli(moduli) -> None:
-    if any(m < 2 for m in moduli):
-        raise RingError("modulus must be >= 2")
-
-
-def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError("%d is not prime" % p)
-
-
 def _check_primes(primes: Sequence[int]) -> None:
     if not primes:
         raise ValueError("no primes given")
     seen = set()
     for p in primes:
-        _check_prime(p)
+        if not is_prime(p):
+            raise ValueError("%d is not prime" % p)
         if p in seen or seen.add(p):
             raise ValueError("prime %d is listed twice" % p)
 
@@ -253,18 +243,33 @@ def _exponent_of(p: int, modulus: int) -> Optional[int]:
     return e if e and q == 1 else None
 
 
-def _tpn_matches(seq_key: str, p: int, modulus: int, n_max: int,
-                 offsets: Dict[int, int], class_mod: int = 1) -> List[bool]:
-    """For n = 1..n_max, whether T(p n) - T(n) == offsets[n mod class_mod]
-    (mod modulus), componentwise with the offset on the rational part.
-
-    The residues come from the p-adic kernel when the ring is Z and the
-    modulus is a power of p, from the exact pass with target (modulus, p)
-    otherwise."""
+def _residues(seq: catalog.Sequence, n_max: int,
+              targets: Sequence[Target]) -> List[Residues]:
+    """One Residues per (modulus, stride) target of seq, by the rule of the
+    module docstring: over Z, targets that are all (p^e, p) with e >= 1
+    and p distinct get one _padic_residues run per prime, spread by
+    _fan_out over the primes in order, so the smallest failing prime's
+    exception is raised; any other request is one _exact_residues pass.
+    n_max and the moduli are checked first."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1, got %d" % n_max)
-    _check_prime(p)
-    _check_moduli([modulus])
+    if any(m < 2 for m, _ in targets):
+        raise RingError("modulus must be >= 2")
+    exps = {p: _exponent_of(p, m) for m, p in targets}
+    if (seq.ring.kind == "Z" and targets and len(exps) == len(targets)
+            and None not in exps.values()):
+        runs = _fan_out(lambda p: _padic_residues(seq.spec, p, exps[p], n_max), sorted(exps))
+        return [runs[p] for _, p in targets]
+    return _exact_residues(seq, n_max, targets)
+
+
+def _tpn_matches(seq_key: str, targets: Sequence[Target], n_max: int,
+                 offsets: Dict[int, int], class_mod: int = 1) -> List[List[bool]]:
+    """For each target (modulus, p), in order, whether
+    T(p n) - T(n) == offsets[n mod class_mod] (mod modulus) for
+    n = 1..n_max, componentwise with the offset on the rational part; all
+    the targets' residues come from one _residues request."""
+    _check_primes([p for _, p in targets])
     if class_mod < 1:
         raise ValueError("class_mod must be >= 1, got %d" % class_mod)
     for k, v in offsets.items():
@@ -272,18 +277,15 @@ def _tpn_matches(seq_key: str, p: int, modulus: int, n_max: int,
             raise ValueError("offset class %r is not in range(%d)" % (k, class_mod))
         if not isinstance(v, int):
             raise ValueError("offset %r of class %d is not an int" % (v, k))
-    seq = catalog.sequence(seq_key)
-    e = _exponent_of(p, modulus)
-    if seq.ring.kind == "Z" and e is not None:
-        res = _padic_residues(seq.spec, p, e, n_max)
-    else:
-        res = _exact_residues(seq, n_max, [(modulus, p)])[0]
-    (low, high), *surd = res
-    out = [(high[n] - low[n] - offsets.get(n % class_mod, 0)) % modulus == 0
-           for n in range(1, n_max + 1)]
-    for surd_low, surd_high in surd:
-        out = [held and (surd_high[n] - surd_low[n]) % modulus == 0
-               for n, held in enumerate(out, 1)]
+    out = []
+    for (modulus, _), ((low, high), *surd) in zip(
+            targets, _residues(catalog.sequence(seq_key), n_max, targets)):
+        held = [(high[n] - low[n] - offsets.get(n % class_mod, 0)) % modulus == 0
+                for n in range(1, n_max + 1)]
+        for surd_low, surd_high in surd:
+            held = [h and (surd_high[n] - surd_low[n]) % modulus == 0
+                    for n, h in enumerate(held, 1)]
+        out.append(held)
     return out
 
 
@@ -321,13 +323,11 @@ def _lucas_report(key: str, p: int, d: int, res: Residues,
 def lucas_scan_many(seq_key: str, primes: Sequence[int], n_max: int) -> List[CongruenceReport]:
     """Lucas scans for several primes, ordered by prime, from one exact pass
     that streams the terms once and reduces each once for all the primes."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1, got %d" % n_max)
     primes = sorted(primes)
     _check_primes(primes)
     seq = catalog.sequence(seq_key)
     d = seq.ring.d if seq.ring.kind == "quad" else 0
-    tables = _exact_residues(seq, n_max, [(p, 1) for p in primes])
+    tables = _residues(seq, n_max, [(p, 1) for p in primes])
     return [_lucas_report(seq.key, p, d, res, n_max) for p, res in zip(primes, tables)]
 
 
@@ -389,8 +389,9 @@ def supercongruence_check(seq_key: str, p: int, e: int, n_max: int,
     exactly in both directions.  Over Z the residues come from the p-adic
     kernel (p-integrality certified, see the module docstring).
     """
-    matches = _tpn_matches(seq_key, p, p ** e, n_max, {})
-    report = CongruenceReport(seq_key, p, e, n_max, 0, kind="supercongruence")
+    matches, = _tpn_matches(seq_key, [(p ** e, p)], n_max, {})
+    report = CongruenceReport(catalog.sequence(seq_key).key, p, e, n_max, 0,
+                              kind="supercongruence")
     for n, holds in enumerate(matches, 1):
         in_pattern = bool(pattern and pattern(n))
         if holds:
@@ -405,26 +406,13 @@ def supercongruence_check(seq_key: str, p: int, e: int, n_max: int,
 
 
 def scan_c_counts(seq_key: str, primes: Sequence[int], n_max: int = 1000) -> Dict[int, int]:
-    """c(p) = #{1 <= n <= n_max : T(p n) == T(n) mod p^2} for each prime.
-
-    Each prime is one supercongruence_check and shares no work with the
-    others: over Z it is a p-adic run of p*n_max steps that keeps only
-    residues, over Z[sqrt(d)] and Q it streams its own exact terms to
-    p*n_max.  So the primes are spread over the CPUs this process may use,
-    in forked workers (see _fan_out); the counts, and the exception raised
-    when a prime fails (that of the smallest such prime), are those of
-    the primes run one after another.  The primes, n_max and the sequence
-    key are checked before any worker starts.
-    """
-    _check_primes(primes)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1, got %d" % n_max)
-    catalog.sequence(seq_key)
-    return _fan_out(lambda p: supercongruence_check(seq_key, p, 2, n_max).passes,
-                    sorted(primes))
+    """c(p) = #{1 <= n <= n_max : T(p n) == T(n) mod p^2} for each prime,
+    ordered by prime, from one _residues request for all the primes."""
+    matches = _tpn_matches(seq_key, [(p * p, p) for p in primes], n_max, {})
+    return {p: sum(held) for p, held in sorted(zip(primes, matches))}
 
 
-def _fan_out(run: Callable[[int], int], primes: List[int]) -> Dict[int, int]:
+def _fan_out(run: Callable[[int], Residues], primes: List[int]) -> Dict[int, Residues]:
     """{p: run(p)} for the primes in order, run in forked workers, one per
     CPU this process may use and at most one per prime.  A prime's cost is
     taken as its step count p*n_max, n_max being the same for all, so the
@@ -491,7 +479,7 @@ def _fan_out(run: Callable[[int], int], primes: List[int]) -> Dict[int, int]:
     return {p: outcomes[p] for p in primes}
 
 
-def _fan_out_worker(run: Callable[[int], int], primes: List[int], r: int, w: int,
+def _fan_out_worker(run: Callable[[int], Residues], primes: List[int], r: int, w: int,
                     lifeline: Tuple[int, int]) -> None:
     """The body of a forked worker; never returns.  It closes the read end
     r of its pipe and its copy of the lifeline's write end, so that only
@@ -539,10 +527,10 @@ def structured_congruence_check(seq_key: str, p: int, modulus: int,
     modulus p^e over Z goes through the p-adic kernel, any other through
     the exact pass.
     """
-    matches = _tpn_matches(seq_key, p, modulus, n_max, offsets, class_mod)
+    matches, = _tpn_matches(seq_key, [(modulus, p)], n_max, offsets, class_mod)
     violations = [n for n, holds in enumerate(matches, 1) if not holds]
-    return CongruenceReport(seq_key, p, 0, n_max, n_max - len(violations), violations,
-                            kind="structured")
+    return CongruenceReport(catalog.sequence(seq_key).key, p, 0, n_max,
+                            n_max - len(violations), violations, kind="structured")
 
 
 # The sieve holds one byte per candidate, so the largest candidate is capped.

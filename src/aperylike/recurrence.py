@@ -237,15 +237,13 @@ def recurrence_from_gh(G: Poly, H: Poly) -> RecurrenceSpec:
         raise ValueError("G must have constant term 1")
     if H[0] != 0:
         raise ValueError("H must have constant term 0")
-    k = max(G.degree, H.degree)
     half = Fraction(1, 2)
     polys = [_N_PLUS_1 ** 3]
-    for j in range(1, k + 1):
-        gj, hj = G[j], H[j]
-        # (n+1) g_j (n+1-j/2)(n+1-j) - 2 h_j (n+1-j/2)
-        mid = Poly([1 - j * half, 1])
-        p = (_N_PLUS_1 * mid * Poly([1 - j, 1])) * gj - (2 * hj) * mid
-        polys.append(p)
+    for j in range(1, max(G.degree, H.degree) + 1):
+        gj = G[j]
+        # (n+1-j/2) [(n+1)(n+1-j) g_j - 2 h_j] = (2n+2-j) [...] / 2
+        inner = Poly([(1 - j) * gj - 2 * H[j], (2 - j) * gj, gj])
+        polys.append(Poly([2 - j, 2]) * inner * half)
     return RecurrenceSpec(tuple(polys))
 
 

@@ -153,6 +153,23 @@ def test_verify_qseries_level_resolves_aliases(alias, key, capsys):
     assert by_alias["payload"]["rows"][0]["level"] == key
 
 
+@pytest.mark.parametrize("alias, key", [("11", "level11"), ("T11", "level11"),
+                                        ("14A", "level14A")])
+@pytest.mark.parametrize("argv", [
+    ["supercong", "--prime", "3", "--exp", "2", "--nmax", "5"],
+    ["scan", "--primes", "2,3", "--nmax", "5"],
+    ["asymptotics", "--terms", "200", "--diffs", "4", "--no-constant"],
+], ids=["supercong", "scan", "asymptotics"])
+def test_payloads_name_the_resolved_key(alias, key, argv, capsys):
+    # the payload names the row that ran; the parameters echo the input
+    code_alias, by_alias = run_json(capsys, argv[0], "--seq", alias, *argv[1:])
+    code_key, by_key = run_json(capsys, argv[0], "--seq", key, *argv[1:])
+    assert code_alias == code_key
+    assert by_alias["payload"] == by_key["payload"]
+    assert by_alias["payload"]["seq"] == key
+    assert by_alias["parameters"]["seq"] == alias
+
+
 def test_verify_qseries_single_level(capsys):
     code, doc = run_json(capsys, "verify-qseries", "--level", "level4",
                          "--order", "12")

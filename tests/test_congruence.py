@@ -5,7 +5,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -158,6 +157,12 @@ def test_report_json_shape():
                         "pattern_hits", "ok"}
 
 
+@pytest.mark.parametrize("alias", ["11", "T11"])
+def test_t_pn_reports_name_the_resolved_key(alias):
+    assert supercongruence_check(alias, 3, 2, 5).seq == "level11"
+    assert structured_congruence_check(alias, 3, 9, 1, {}, 5).seq == "level11"
+
+
 def test_is_prime():
     from aperylike.congruence import is_prime
     small = set(primes_below(5000))
@@ -231,7 +236,7 @@ def test_incremental_lucas_product_matches_the_digit_loop_on_the_catalog(key):
 @pytest.mark.parametrize("scan", [
     lambda m: structured_congruence_check("level11", 3, m, 3, {}, 5),
     lambda m: structured_congruence_check("14C", 3, m, 1, {}, 5),
-    lambda m: _exact_residues(catalog.sequence("level11"), 5, [(7, 1), (m, 3)]),
+    lambda m: congruence._residues(catalog.sequence("level11"), 5, [(7, 1), (m, 3)]),
 ])
 def test_moduli_below_two_are_rejected_before_the_stream(scan):
     # modulus 0 used to hang: 0 % p == 0 for every power of p
@@ -353,7 +358,7 @@ def test_a_quad_row_structured_check_streams_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# scan_c_counts spreads its primes over forked workers
+# over Z, scan_c_counts spreads its p-adic runs over forked workers
 # ---------------------------------------------------------------------------
 
 FAN_OUT_PRIMES = [2, 3, 5, 7, 11, 13]
@@ -448,18 +453,29 @@ def test_a_failing_exact_pass_raises_as_the_sequential_loop_does(monkeypatch):
         scan_c_counts("level13", [2, 3], 10)
 
 
+@pytest.mark.parametrize("key", ["14C", "14Cbar", "15C", "15Cbar"])
+def test_a_quad_row_scan_streams_once_and_forks_nothing(key, monkeypatch):
+    primes = primes_below(30)
+    want = {p: supercongruence_check(key, p, 2, 40).passes for p in primes}
+    calls = _count_streams(monkeypatch)
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert scan_c_counts(key, primes, 40) == want
+    assert calls == [key]
+
+
 def test_a_worker_that_dies_names_its_primes(monkeypatch):
     # the worker for 5 is killed; the parent kills and reaps the one still
     # running for 3 instead of waiting for it
     parent = os.getpid()
 
-    def check(key, p, e, n_max):
+    def check(spec, p, e, n_max):
         if os.getpid() != parent:
             if p == 5:
                 os.kill(os.getpid(), signal.SIGKILL)
             time.sleep(60)
         raise AssertionError("ran in the parent")
-    monkeypatch.setattr(congruence, "supercongruence_check", check)
+    monkeypatch.setattr(congruence, "_padic_residues", check)
     pids = _cpus(monkeypatch, 2)
     t0 = time.perf_counter()
     with pytest.raises(ChildProcessError, match=r"^the worker for primes \[5\] ended without "
@@ -470,12 +486,19 @@ def test_a_worker_that_dies_names_its_primes(monkeypatch):
     _assert_reaped(pids)
 
 
+def _one_match_if(flag, n_max):
+    """One target's residues on which T(pn) == T(n) holds at n = 1 alone if
+    flag is true, and at no n if it is false."""
+    return (([0] * (n_max + 1), [0, 0 if flag else 1] + [1] * (n_max - 1)),)
+
+
 @pytest.mark.parametrize("caller", [signal.SIG_DFL, lambda signum, frame: None],
                          ids=["default", "caller's handler"])
 def test_the_workers_run_and_the_caller_returns_with_sigterm_as_it_was(caller, monkeypatch):
-    # each worker reports whether its SIGTERM handler is the caller's
-    monkeypatch.setattr(congruence, "supercongruence_check", lambda key, p, e, n_max:
-                        SimpleNamespace(passes=int(signal.getsignal(signal.SIGTERM) is caller)))
+    # each worker reports whether its SIGTERM handler is the caller's, as
+    # residues that give a count of 1 if it is and 0 if not
+    monkeypatch.setattr(congruence, "_padic_residues", lambda spec, p, e, n_max:
+                        _one_match_if(signal.getsignal(signal.SIGTERM) is caller, n_max))
     pids = _cpus(monkeypatch, 2)
     previous = signal.signal(signal.SIGTERM, caller)
     try:
@@ -502,7 +525,7 @@ def recording_fork():
         print(pid, flush=True)
     return pid
 os.fork = recording_fork
-congruence.supercongruence_check = lambda *args: time.sleep(60)
+congruence._padic_residues = lambda *args: time.sleep(60)
 sys.exit(cli.main(["scan", "--seq", "level11", "--primes", "2,59", "--nmax", "10"]))
 """
 

@@ -134,6 +134,26 @@ def test_asz_gh_reproduces_cubic_relation_identically():
         assert built.coeff_polys == printed.coeff_polys[:2 if degenerate else 3], trip
 
 
+def _gh_relation_from_products(G, H):
+    """recurrence_from_gh as it was built before, one product of Poly
+    factors with Fraction(1, 2) coefficients per back polynomial."""
+    half = F(1, 2)
+    polys = [Poly([1, 1]) ** 3]
+    for j in range(1, max(G.degree, H.degree) + 1):
+        mid = Poly([1 - j * half, 1])
+        polys.append((Poly([1, 1]) * mid * Poly([1 - j, 1])) * G[j] - (2 * H[j]) * mid)
+    return RecurrenceSpec(tuple(polys))
+
+
+def test_gh_relation_equals_the_product_form_on_every_catalog_row():
+    rows = [catalog.sequence(key) for key in catalog.sequence_keys()]
+    rows = [seq for seq in rows if seq.G is not None]
+    assert len(rows) == 38
+    for seq in rows:
+        assert recurrence_from_gh(seq.G, seq.H) == _gh_relation_from_products(seq.G, seq.H), \
+            seq.key
+
+
 def test_ctyz_examples_and_binomial_link():
     spec = recurrence_from_gh(*ctyz_gh(10, 3, -9))
     assert spec.solved_coeff(1) == 2 * (Poly([1, 2]) * Poly([3, 10, 10]))
