@@ -27,6 +27,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 from typing import Dict, List, Optional, Sequence
 
 from . import catalog, congruence
@@ -483,6 +484,12 @@ def _cli_options(args) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _late(name: str):
+    """The command called name in this module, looked up when it runs, so
+    the one parser a process builds reaches a function replaced later."""
+    return lambda args: globals()[name](args)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="aperylike",
@@ -497,13 +504,13 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--seq")
     which.add_argument("--def-file", help="JSON sequence definition file")
     p.add_argument("--nmax", type=_nonnegative_int, default=10)
-    p.set_defaults(func=cmd_terms)
+    p.set_defaults(func=_late("cmd_terms"))
 
     p = sub.add_parser("catalog", help="list or export catalog entries")
     which = p.add_mutually_exclusive_group()
     which.add_argument("--key")
     which.add_argument("--export", action="store_true")
-    p.set_defaults(func=cmd_catalog)
+    p.set_defaults(func=_late("cmd_catalog"))
 
     p = sub.add_parser("verify-qseries",
                        help="check the differentiation formula and ODE rows")
@@ -511,14 +518,14 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--level", help="one catalog level key")
     which.add_argument("--all", action="store_true", help="include weight-one rows")
     p.add_argument("--order", type=_positive_int, default=30)
-    p.set_defaults(func=cmd_verify_qseries)
+    p.set_defaults(func=_late("cmd_verify_qseries"))
 
     p = sub.add_parser("verify-identities",
                        help="check the named q-series identity bank and the "
                             "Clausen-type series identities")
     p.add_argument("--name", help="a single identity from the bank")
     p.add_argument("--order", type=_positive_int, default=30)
-    p.set_defaults(func=cmd_verify_identities)
+    p.set_defaults(func=_late("cmd_verify_identities"))
 
     p = sub.add_parser("lucas", help="Lucas congruence scan")
     p.add_argument("--seq", required=True)
@@ -526,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--prime", type=_prime)
     which.add_argument("--primes", type=_primes, help='"2,3,5" or "2..97"')
     p.add_argument("--nmax", type=_positive_int, default=2000)
-    p.set_defaults(func=cmd_lucas)
+    p.set_defaults(func=_late("cmd_lucas"))
 
     p = sub.add_parser("supercong", help="T(pn) = T(n) mod p^e scan")
     p.add_argument("--seq", required=True)
@@ -534,13 +541,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exp", type=_positive_int, default=2)
     p.add_argument("--nmax", type=_positive_int, default=1000)
     p.add_argument("--pattern", choices=sorted(congruence.PATTERNS))
-    p.set_defaults(func=cmd_supercong)
+    p.set_defaults(func=_late("cmd_supercong"))
 
     p = sub.add_parser("scan", help="c(p) counts over a prime range")
     p.add_argument("--seq", default="level11")
     p.add_argument("--primes", type=_primes, required=True)
     p.add_argument("--nmax", type=_positive_int, default=1000)
-    p.set_defaults(func=cmd_scan)
+    p.set_defaults(func=_late("cmd_scan"))
 
     p = sub.add_parser("asymptotics", help="R, b1 and the constant C")
     p.add_argument("--seq", required=True)
@@ -548,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diffs", type=_positive_int, default=8)
     p.add_argument("--digits", type=_digits, default=60)
     p.add_argument("--no-constant", action="store_true")
-    p.set_defaults(func=cmd_asymptotics)
+    p.set_defaults(func=_late("cmd_asymptotics"))
 
     p = sub.add_parser("reproduce", help="regenerate a committed table and diff")
     p.add_argument("table", choices=list(REPRODUCE))
@@ -561,8 +568,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused by every later one."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.cmd == "asymptotics" and args.terms <= 10 * args.diffs:
         parser.error("asymptotics: --terms %d must be > 10 * --diffs %d"

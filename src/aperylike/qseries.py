@@ -24,7 +24,9 @@ dot products over the coefficients solved so far and one gcd.
 
 ``linear_combination`` sums c_i f_i over one common denominator and
 reduces once, with the alignment and precision of the chain
-c_1 f_1 + c_2 f_2 + ...; ``+`` and ``-`` are its two-term case.
+c_1 f_1 + c_2 f_2 + ...; ``+`` and ``-`` are its two-term case.  A check
+that sums several polynomials in one series X builds X's ``power_chain``
+once and sums it once per polynomial.
 
 Eta quotients and Pochhammer quotients, whatever their factors and
 exponents, are built in one exact integer pass from the logarithmic
@@ -69,7 +71,7 @@ class QExpansion:
     def __init__(self, offset, coeffs: Sequence):
         offset = _exact(offset)
         cs = list(coeffs)
-        if all(type(c) is int for c in cs):
+        if {int}.issuperset(map(type, cs)):
             num, den = cs, 1
         else:
             fs = [_exact(c) for c in cs]
@@ -554,23 +556,31 @@ def build_product(spec: tuple, order: int) -> QExpansion:
     raise QSeriesError("unknown product spec %r" % (kind,))
 
 
+def power_chain(X: QExpansion, k_max: int) -> List[QExpansion]:
+    """[1, X, X^2, ..., X^k_max], each power cut at X's precision, so a sum
+    over them is known as far as X: through q^(X.prec - 1).
+
+    Each power is the one before times X.  When X has positive valuation v,
+    X^k starts at q^(k v) and the chain stops at the first power that would
+    start at or past X's precision, since it adds nothing known: zip it
+    with the coefficients."""
+    Xn = X.normalized()
+    prec = Xn.prec
+    powers = [_embed_scalar(1, prec), Xn][:max(k_max + 1, 0)]
+    while len(powers) <= k_max and powers[-1].offset + Xn.offset < prec:
+        powers.append((powers[-1] * Xn).truncate_abs(prec - 1))
+    return powers
+
+
 def poly_at_series(p: Poly, X: QExpansion) -> QExpansion:
     """p(X) = sum p_k X^k, known as far as X: through q^(X.prec - 1), from
-    q^0.  X must have positive valuation v.
-
-    X^k starts at q^(k v), so each power of the chain X, X^2, ... is cut at
-    X's precision and is shorter than the one before; the chain stops at
-    the first power that would start at or past that precision, since it
-    adds nothing known.  The sum is one ``linear_combination``."""
+    q^0.  X must have positive valuation.  The powers are one
+    ``power_chain`` and the sum is one ``linear_combination``."""
     Xn = X.normalized()
     if Xn.offset <= 0:
         raise QSeriesError("polynomial substitution needs valuation >= 1")
-    prec = Xn.prec
     coeffs = [_exact(c) for c in p.coeffs]  # those past the chain are refused too
-    powers = [_embed_scalar(1, prec), Xn]
-    while len(powers) < len(coeffs) and powers[-1].offset + Xn.offset < prec:
-        powers.append((powers[-1] * Xn).truncate_abs(prec - 1))
-    return linear_combination(zip(coeffs, powers))
+    return linear_combination(zip(coeffs, power_chain(Xn, len(coeffs) - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -635,19 +645,24 @@ def verify_level_row(row: LevelRow, order: int = 30) -> Tuple[Check, Check]:
     """The differentiation formula (q dX/dq)^2 == Z^2 X^2 G(X) (squared form,
     no roots) and the ODE D^2 Z - (DZ)^2/(2Z) == H(X) Z with D = (1/Z) q d/dq,
     each through q^order, from one build of (X, Z).  Returns
-    ((ok, first mismatch), (ok, first mismatch)) for the two in that order."""
+    ((ok, first mismatch), (ok, first mismatch)) for the two in that order.
+
+    One power chain of X serves X^2 G(X), H_num(X) and H_den(X), and one
+    Z^2 serves both checks.  The ODE is compared multiplied by the unit Z,
+    as q d(DZ)/dq - (DZ)^2/2 == H(X) Z^2, so it takes one quotient; since
+    Z = 1 + O(q), that moves neither the verdict nor the first mismatch."""
     _check_order(order)
     X, Z = build_xz(row, order)
+    g, hnum, hden = row.G().coeffs, Poly(row.h_num).coeffs, Poly(row.h_den).coeffs
+    chain = power_chain(X, max(len(g) + 1, len(hnum) - 1, len(hden) - 1))
     dX = X.q_derivative()
-    diff = qexp_equal(dX * dX, Z * Z * X * X * poly_at_series(row.G(), X), order)
+    Z2 = Z * Z
+    diff = qexp_equal(dX * dX, Z2 * linear_combination(zip(g, chain[2:])), order)
     DZ = Z.q_derivative() / Z
-    D2Z = DZ.q_derivative() / Z
-    lhs = D2Z - (DZ * DZ) / (2 * Z)
-    rhs = poly_at_series(Poly(row.h_num), X) * Z
-    hden = Poly(row.h_den)
-    if hden.degree > 0 or hden[0] != 1:
-        lhs = lhs * poly_at_series(hden, X)
-    return diff, qexp_equal(lhs, rhs, order)
+    lhs = DZ.q_derivative() - DZ * DZ / 2
+    if hden != (1,):
+        lhs = lhs * linear_combination(zip(hden, chain))
+    return diff, qexp_equal(lhs, linear_combination(zip(hnum, chain)) * Z2, order)
 
 
 def _expansion_matches(terms: Sequence, z: QExpansion, x: QExpansion,
@@ -660,17 +675,18 @@ def _expansion_matches(terms: Sequence, z: QExpansion, x: QExpansion,
 
 
 def verify_weight_one(row: WeightRow, order: int = 30) -> Check:
-    """z == sum t(n) x^n and q dx/dq == z^2 x (1 - a x - c x^2), through q^order."""
+    """z == sum t(n) x^n and q dx/dq == z^2 x (1 - a x - c x^2), through
+    q^order, both sums over one power chain of x."""
     _check_order(order)
     a, b, g = row.triple
     x, z = build_xz(row, order)
     t = generate_terms(recurrence_from_quadratic(a, b, g), order, RING_Z)
-    ok, where = _expansion_matches(t, z, x, order)
+    chain = power_chain(x, order)
+    ok, where = qexp_equal(z, linear_combination(zip(t, chain)), order)
     if not ok:
         return ok, where
-    lhs = x.q_derivative()
-    rhs = z * z * x * poly_at_series(Poly([1, -a, -g]), x)
-    return qexp_equal(lhs, rhs, order)
+    rhs = z * z * linear_combination(zip((1, -a, -g), chain[1:]))
+    return qexp_equal(x.q_derivative(), rhs, order)
 
 
 def verify_weight_two(row: WeightRow, order: int = 20) -> Check:
@@ -729,18 +745,21 @@ def _bank_laurent(name: str, order: int) -> Check:
     """sum a_k w^k == sum b_k v^k through q^order for the relation
     (level, w, {k: a_k}, v, {k: b_k}) named in catalog.LAURENT_RELATIONS.
 
-    With -K the most negative power (K = 0 if none), each side is
-    P(f) / f^K for its eta quotient f and the polynomial P with
-    coefficients P_j = a_(j - K).  f is built through q^(order + K v_w),
-    v_w its valuation, so the quotient is known exactly through q^order."""
+    Each side sums one power chain of its eta quotient f and, when its
+    most negative power is -K < 0, one of 1/f.  f is built through
+    q^(order + K v_f), v_f its valuation, so f^-K is known through q^order."""
     level, w, a, v, b = catalog.LAURENT_RELATIONS[name]
     sides = []
     for symbol, coeffs in ((w, a), (v, b)):
         factors = catalog.ETA_W[level][symbol]
         K = max(0, -min(coeffs))
         f = eta_quotient(factors, order + K * sum(N * e for N, e in factors) // 24)
-        P = Poly(coeffs.get(j - K, 0) for j in range(max(coeffs) + K + 1))
-        sides.append(poly_at_series(P, f) / f ** K)
+        top = max(coeffs)
+        pairs = list(zip([coeffs.get(k, 0) for k in range(top + 1)], power_chain(f, top)))
+        if K:
+            pairs += zip([coeffs.get(-k, 0) for k in range(1, K + 1)],
+                         power_chain(1 / f, K)[1:])
+        sides.append(linear_combination(pairs))
     return qexp_equal(*sides, order)
 
 

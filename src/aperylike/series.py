@@ -9,12 +9,14 @@ through x^order and reports the first mismatching exponent as an int.
 
 from __future__ import annotations
 
-from math import comb
-from typing import Optional, Sequence, Tuple
+from fractions import Fraction as F
+from math import comb, lcm
+from operator import add
+from typing import List, Optional, Sequence, Tuple
 
 from . import catalog
-from .qseries import QExpansion, linear_combination, poly_at_series, qexp_equal
-from .recurrence import (Poly, asz_gh, generate_terms, recurrence_from_gh,
+from .qseries import QExpansion, linear_combination, qexp_equal
+from .recurrence import (asz_gh, generate_terms, recurrence_from_gh,
                          recurrence_from_quadratic)
 from .rings import RING_Q, Scalar, parts
 
@@ -39,6 +41,57 @@ def _mismatch(a: QExpansion, b: QExpansion, through: int) -> Optional[int]:
     return None if ok else int(e)
 
 
+def ratio_powers(num: Sequence[Scalar], den: Sequence[Scalar], k_max: int, order: int
+                 ) -> List[QExpansion]:
+    """[(N/D)^k for k = 0..k_max], each known through x^order, for the
+    polynomials N = sum num[i] x^i != 0 and D = sum den[i] x^i with
+    D(0) != 0; the list stops at the first power that starts past x^order.
+
+    Each power is the one before times N and divided by D: one short
+    convolution and one short recurrence on integer coefficient lists, not
+    a dense series product.  Over their common denominators N = Nn / n_d
+    and D = Dn / d_d, and x = L y makes Dn(x) / Dn(0) an integer polynomial
+    in y with constant term 1, so N/D = r y^a N'(y) / D'(y) with N' and D'
+    integer and r rational, and every power of N'/D' is an integer series.
+    """
+    Nq, Dq = QExpansion(0, num), QExpansion(0, den)  # refuses a float
+    d0 = Dq.num[0]
+    if not d0:
+        raise ValueError("the denominator needs a nonzero constant term")
+    if Nq.is_zero():
+        raise ValueError("the numerator is zero")
+    a = next(i for i, c in enumerate(Nq.num) if c)
+    L = lcm(*(F(c, d0).denominator for c in Dq.num[1:]))
+    n1 = [c * L ** i for i, c in enumerate(Nq.num[a:], a)]
+    d1 = [(j, c * L ** j // d0) for j, c in enumerate(Dq.num) if j and c]
+    r = F(Dq.den, Nq.den * d0)
+    # L^(order - e) puts the x^e coefficient, P[e - k a] r^k / L^e, over r.den^k L^order
+    lpow = [L ** e for e in range(order + 1)][::-1]
+    P = [1] + [0] * order
+    out = [QExpansion(0, P)]
+    for k in range(1, k_max + 1):
+        o = k * a
+        n = order + 1 - o
+        if n <= 0:
+            break
+        t = [n1[0] * c for c in P[:n]]
+        for j, c in enumerate(n1[1:n], 1):
+            t[j:] = map(add, t[j:], [c * p for p in P[:n - j]])
+        for i in range(n):
+            for j, c in d1:
+                if j > i:
+                    break
+                t[i] -= c * t[i - j]
+        P = t
+        if L == 1 and r == 1:
+            out.append(QExpansion(o, P))
+        else:
+            rk = r ** k
+            out.append(QExpansion(o, [rk.numerator * c * m for c, m in zip(P, lpow[o:])])
+                       / (rk.denominator * L ** order))
+    return out
+
+
 def verify_asz(alpha: Scalar, beta: Scalar, gamma: Scalar, order: int = 30
                ) -> Tuple[bool, Optional[int]]:
     """x (sum t(n) x^n)^2 == sum s(n) (x/(1 - a x - c x^2))^(n+1) to x^order.
@@ -53,8 +106,8 @@ def verify_asz(alpha: Scalar, beta: Scalar, gamma: Scalar, order: int = 30
     z = QExpansion(0, t)
     lhs = (z * z).shift(1).truncate_abs(order)
     s = generate_terms(recurrence_from_gh(*asz_gh(alpha, beta, gamma)), order, RING_Q)
-    u = _poly([0, 1], order) / _poly([1, -alpha, -gamma], order)
-    rhs = poly_at_series(Poly([0] + s[:order]), u)
+    u = ratio_powers([0, 1], [1, -alpha, -gamma], order, order)
+    rhs = linear_combination(zip(s[:order], u[1:]))
     mism = _mismatch(lhs, rhs, order)
     return mism is None, mism
 
@@ -62,14 +115,17 @@ def verify_asz(alpha: Scalar, beta: Scalar, gamma: Scalar, order: int = 30
 def verify_ctyz(alpha: Scalar, beta: Scalar, gamma: Scalar, order: int = 30
                 ) -> Tuple[bool, Optional[int]]:
     """(sum t(n) x^n)^2 == (1+c x^2)^-1 sum binom(2n,n) t(n) v^n with
-    v = x(1 - a x - c x^2)/(1 + c x^2)^2, to x^order."""
+    v = x(1 - a x - c x^2)/(1 + c x^2)^2, to x^order.
+
+    Both sides are compared multiplied by the unit 1 + c x^2, which moves
+    neither the verdict nor the first mismatching exponent."""
     _check_order(order)
     t = generate_terms(recurrence_from_quadratic(alpha, beta, gamma), order, RING_Q)
     z = QExpansion(0, t)
-    lhs = z * z
-    den = _poly([1, 0, gamma], order)
-    v = _poly([0, 1], order) * _poly([1, -alpha, -gamma], order) / (den * den)
-    rhs = poly_at_series(Poly(comb(2 * n, n) * tn for n, tn in enumerate(t)), v) / den
+    zz = z * z
+    lhs = linear_combination(((1, zz), (gamma, zz.shift(2))))
+    v = ratio_powers([0, 1, -alpha, -gamma], [1, 0, 2 * gamma, 0, gamma * gamma], order, order)
+    rhs = linear_combination((comb(2 * n, n) * tn, vn) for n, (tn, vn) in enumerate(zip(t, v)))
     mism = _mismatch(lhs, rhs, order)
     return mism is None, mism
 

@@ -549,6 +549,21 @@ def test_def_file_fuzz_never_raises(name, ring, G, H):
         assert "error" in json.loads(err.getvalue())
 
 
+def test_the_parser_is_built_once_per_process(monkeypatch, capsys):
+    cli._parser.cache_clear()
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    try:
+        assert main(["catalog", "--key", "level11"]) == 0
+        assert main(["catalog"]) == 0
+        with pytest.raises(SystemExit):
+            main(["catalog", "--nope"])
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
+
+
 def test_internal_key_error_is_not_a_bad_key(monkeypatch):
     def broken(args):
         raise KeyError(7)

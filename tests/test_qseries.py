@@ -213,6 +213,21 @@ def test_verify_level_row_matches_the_two_verifiers_it_replaced(key):
     assert verify_level_row(wrong_h, 12)[1][0] is False
 
 
+@pytest.mark.parametrize("order", [1, 12, 30])
+def test_a_perturbed_h_den_is_caught_as_the_reference_catches_it(order):
+    # level13star is the only row whose H_den is not 1; the ODE is compared
+    # multiplied by the unit Z, and H_den multiplies its left side
+    row = catalog.LEVEL_ROWS["level13star"]
+    assert row.h_den == (1, -2, 1)
+    for h_den in (_bump_last(row.h_den), (2, -2, 1), (1, -1, 1), (1, -2, 1, 3)):
+        wrong = dataclasses.replace(row, h_den=h_den)
+        got = verify_level_row(wrong, order)
+        assert got == (ref_diff(wrong, order), ref_ode(wrong, order)), h_den
+        assert got[0] == (True, None), h_den
+        # the left side starts at q^1, so through q^1 only H_den(0) shows
+        assert got[1][0] is (order == 1 and h_den[0] == 1), h_den
+
+
 # sha256 of repr([(str(offset), num, den) for X and Z of build_xz(row, 30)]),
 # recorded at 00595b9, when X and Z were read from the row fields w, x_denom,
 # x_special and z_eta

@@ -14,9 +14,10 @@ from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aperylike import catalog, series
-from aperylike.qseries import QExpansion, qexp_equal
+from aperylike.qseries import QExpansion, QSeriesError, qexp_equal
 from aperylike.recurrence import recurrence_from_quadratic
 from aperylike.rings import RING_Q, QuadElem, Scalar
 from aperylike.series import verify_asz, verify_ctyz, verify_gf_independence
@@ -336,7 +337,10 @@ def _seeded_triples(count: int) -> List[Tuple[int, int, int]]:
             for _ in range(count)]
 
 
-TRIPLES = list(catalog.SPORADIC_SET) + _seeded_triples(20)
+# the powers of u and v run over integers after x = L y; these need L > 1
+RATIONAL_TRIPLES = ((Fraction(1, 2), 1, Fraction(1, 3)),
+                    (Fraction(-3, 4), Fraction(1, 5), Fraction(7, 3)))
+TRIPLES = list(catalog.SPORADIC_SET) + _seeded_triples(20) + list(RATIONAL_TRIPLES)
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -362,11 +366,40 @@ def test_clausen_mismatch_matches_reference(order, monkeypatch):
             return terms
         monkeypatch.setattr(series, "generate_terms", corrupted)
         for new, ref in CHECKS:
-            for trip in catalog.SPORADIC_SET + ((3, -5, 0),):
+            for trip in catalog.SPORADIC_SET + ((3, -5, 0),) + RATIONAL_TRIPLES:
                 got = new(*trip, order=order)
                 assert got == ref(*trip, order=order), (new.__name__, trip, k)
                 ok, m = got
                 assert not ok and type(m) is int and m <= order, (new.__name__, trip, k)
+
+
+_small = st.one_of(st.integers(-9, 9), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_small, min_size=1, max_size=4).filter(any),
+       st.lists(_small, min_size=1, max_size=5).filter(lambda d: d[0] != 0),
+       st.integers(0, 6), st.integers(0, 9))
+def test_ratio_powers_are_the_dense_powers(num, den, k_max, order):
+    # (N/D)^k by QExpansion products of N/D, D(0) not necessarily 1
+    got = series.ratio_powers(num, den, k_max, order)
+    ratio = series._poly(num, order) / series._poly(den, order)
+    a = next(i for i, c in enumerate(num) if c)
+    assert len(got) == (k_max if a == 0 else min(k_max, order // a)) + 1
+    want = QExpansion(0, [1] + [0] * order)
+    for k, power in enumerate(got):
+        assert (power.offset, power.prec) == (k * a, order + 1), k
+        assert qexp_equal(power, want, order) == (True, None), k
+        want = want * ratio
+
+
+def test_ratio_powers_refuse_what_has_no_power_series():
+    with pytest.raises(ValueError, match="nonzero constant term"):
+        series.ratio_powers([0, 1], [0, 1], 3, 5)
+    with pytest.raises(ValueError, match="numerator is zero"):
+        series.ratio_powers([0, 0], [1, 1], 3, 5)
+    with pytest.raises(QSeriesError, match="not an exact rational"):
+        series.ratio_powers([0, 1], [1, 0.5], 3, 5)
 
 
 @pytest.mark.parametrize("order", (1, 6, 8))
