@@ -17,7 +17,11 @@ and picks the kernel by one rule, with no option:
   evaluated a block of indices at a time: each block strips the p-part
   from its leads once and builds the unit-folded weights
   b_j(m) u_(m-1)...u_(m-j+1), so a step is one sum of k products over a
-  window of the last k values and one reduction.  It builds no exact term.
+  window of the last k values.  The sum is reduced modulo p^prec only once
+  it outgrows the modulus by a fixed number of bits, by a quotient read
+  from its leading bits rather than a long division, and at p = 2 every
+  reduction, exact division and shrink of the modulus is a mask or a
+  shift, not a long division.  It builds no exact term.
   It certifies p-integrality only: a term that is not p-integral raises
   InexactDivision, while a denominator prime to p goes unseen.  That is
   sound for residues in Z_(p), which is all a congruence mod p^e reads.
@@ -163,6 +167,14 @@ def _unit_parts(leads: List[int], p: int, start: int) -> Tuple[List[int], Dict[i
     return units, hits
 
 
+# How many bits a window value of the p-adic run may carry above its
+# modulus before it is reduced.  A step adds about the bit length of its
+# largest weight (some 150 bits on level11 near index 59,000), so one
+# reduction serves several steps while the products stay near the
+# modulus' size.
+_SLACK = 1024
+
+
 def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int) -> Residues:
     """T(n) mod p^e for n <= n_max and for n = p k with k <= n_max, of the
     Z-ring stream with T(0) = 1, from a p-adic run of the recurrence to
@@ -188,6 +200,18 @@ def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int) -> Residue
     weights b_j(m) u_(m-1)...u_(m-j+1) as columns, carrying the last k-1
     units across block edges; a step is then one sum of weights times a
     deque of the last k values of W.
+
+    The deque holds each W(n) only up to a multiple of the modulus: the raw
+    sum is kept until its bit length exceeds the modulus' by _SLACK, and
+    only then reduced, to s - q M in [0, 2 M), with q read from the leading
+    bits of s and M by one short division; a product by q costs less than
+    the long division s % M.  Every read stays exact, because p^e and each
+    p^v_m divide the modulus: the divisibility test and the exact division
+    see the same class, and a kept index reads (W(n) mod p^e) D(n)^-1 mod
+    p^e.  At p = 2 the modulus is a power of two, so the reduction is a
+    mask, the test and the division by 2^v_m are a mask and a shift, and
+    the modulus shrinks by a shift; CPython's %, // and divmod do a long
+    division even by a power of two.
     """
     lead, backs, _ = _integral_relation(spec, RING_Z)
     k = len(backs)
@@ -197,6 +221,7 @@ def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int) -> Residue
         prec += sum(_unit_parts(leads, p, start)[1].values())
     pe = p ** e
     M = p ** prec
+    limit = M.bit_length() + _SLACK  # a window value is reduced mod M past this many bits
     window = deque([1] + [0] * (k - 1), maxlen=k)  # window[j-1] = W(m+1-j) while producing W(m+1)
     carry = [1] * (k - 1)  # u_(start-k+1), ..., u_(start-1); u is 1 at a negative index
     D = 1                  # D(m+1) mod p^e once u_m is folded in
@@ -216,21 +241,35 @@ def _padic_residues(spec: RecurrenceSpec, p: int, e: int, n_max: int) -> Residue
             s = sum(map(mul, row, window))
             if m in hits:
                 v = hits[m]
-                pv = p ** v
-                s, r = divmod(s, pv)
-                if r:
-                    raise InexactDivision(m + 1)
+                if p == 2:
+                    if s & ((1 << v) - 1):
+                        raise InexactDivision(m + 1)
+                    s >>= v
+                    M >>= v
+                else:
+                    pv = p ** v
+                    s, r = divmod(s, pv)
+                    if r:
+                        raise InexactDivision(m + 1)
+                    M //= pv
                 prec -= v
                 if prec < e:
                     raise ArithmeticError("p-adic precision below e at index %d" % (m + 1))
-                M //= pv
-            w = s % M
+                limit = M.bit_length() + _SLACK
+            if s.bit_length() > limit:
+                if p == 2:
+                    s &= M - 1
+                else:
+                    # q is s // M or one less: the divisor keeps 63 more
+                    # leading bits of M than q has, so 0 <= s - q M < 2 M
+                    shift = max(0, 2 * M.bit_length() - s.bit_length() - 64)
+                    q = (s >> shift) // (M >> shift)
+                    s -= q * M
             D = D * u % pe
-            if m < n_max:
-                low.append(w * pow(D, -1, pe) % pe)
-            elif (m + 1) % p == 0:
-                above.append(w * pow(D, -1, pe) % pe)
-            window.appendleft(w)
+            if m < n_max or (m + 1) % p == 0:
+                t = s & (pe - 1) if p == 2 else s % pe
+                (low if m < n_max else above).append(t * pow(D, -1, pe) % pe)
+            window.appendleft(s)
     return ((low, low[::p] + above),)
 
 

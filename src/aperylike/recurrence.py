@@ -19,7 +19,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count
+from itertools import accumulate, count
 from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
@@ -41,7 +41,9 @@ from .rings import (
 
 
 class InexactDivision(ArithmeticError):
-    """Division by (n+1)^3 left a remainder while streaming a Z-ring sequence."""
+    """The division by the lead coefficient that gives T(index) of a Z-ring
+    sequence left a remainder: the exact stream raises it when T(index) is
+    not an integer, the p-adic kernel when T(index) is not p-integral."""
 
     def __init__(self, index: int, message: str = ""):
         self.index = index
@@ -357,17 +359,32 @@ def _coeff_blocks(polys: List[Tuple[int, ...]], stop: int
 
     Yields (start, values) for consecutive blocks of up to 512 indices
     start <= m < start + len(values[i]), covering 0 <= m < stop, with
-    values[i][m - start] = polys[i](m) by list-comprehension Horner.
+    values[i][m - start] = polys[i](m) by forward differences: a
+    polynomial of degree d is evaluated by Horner at the d+1 indices from
+    start, their difference table gives Delta^j polys[i](start), and d
+    running sums (itertools.accumulate, integer additions only) rebuild
+    the block from the constant d-th difference.
     polys[0] is the lead: a block ends before the first index m where it
     vanishes, and the next request raises ZeroDivisionError naming m, so
     a stream still yields every term up to T(m)."""
     for start in range(0, stop, _BLOCK):
-        ns = range(start, min(start + _BLOCK, stop))
+        size = min(_BLOCK, stop - start)
         values = []
         for coeffs in polys:
-            col = [coeffs[-1]] * len(ns)
-            for c in reversed(coeffs[:-1]):
-                col = [v * n + c for v, n in zip(col, ns)]
+            d = len(coeffs) - 1
+            row = []  # polys[i](start + t) for t <= d, by Horner
+            for n in range(start, start + d + 1):
+                v = 0
+                for c in reversed(coeffs):
+                    v = v * n + c
+                row.append(v)
+            heads = []  # heads[j] = Delta^j polys[i](start)
+            while row:
+                heads.append(row[0])
+                row = [b - a for a, b in zip(row, row[1:])]
+            col = [heads.pop()] * size
+            while heads:
+                col = list(accumulate(col[:size - 1], initial=heads.pop()))
             values.append(col)
         if 0 in values[0]:
             z = values[0].index(0)

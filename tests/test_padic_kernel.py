@@ -158,18 +158,36 @@ def test_lead_gaining_a_power_of_p_at_a_block_edge(p, m, power):
         assert _padic_residues(spec, p, e, n_max) == want
 
 
+@pytest.mark.parametrize("slack", [0, 10 ** 9])  # reduce at every chance, or never
+@pytest.mark.parametrize("key", ["level11", "apery", "level24"])
+def test_residues_do_not_depend_on_the_slack(key, slack, monkeypatch):
+    # every run crosses the block edge at 512 and divides at each p-th step
+    monkeypatch.setattr(congruence, "_SLACK", slack)
+    seq = catalog.sequence(key)
+    for p, n_max in ((2, 300), (3, 200), (59, 10)):
+        exps = (1, 2, 6)
+        exact = _exact_residues(seq, n_max, [(p ** e, p) for e in exps])
+        for e, want in zip(exps, exact):
+            assert _padic_residues(seq.spec, p, e, n_max) == want, (p, e)
+
+
 # (n+1) T(n+1) = 24 T(n): T(n) = 24^n / n!, integral up to n = 4; T(5) has
 # denominator 5, and T(7) has denominator 35
 FACTORIAL_SPEC = RecurrenceSpec((Poly([1, 1]), Poly([-24])))
+# (n+1) T(n+1) = T(n): T(n) = 1 / n!, so T(2) = 1/2 is the first term
+# that is not 2-integral
+RECIPROCAL_FACTORIAL_SPEC = RecurrenceSpec((Poly([1, 1]), Poly([-1])))
 
 
 def test_term_not_p_integral_raises_at_the_exact_index():
-    seq = catalog.Sequence("hand-built", RING_Z, FACTORIAL_SPEC)
-    with pytest.raises(InexactDivision) as exact:
-        _exact_residues(seq, 20, [(25, 5)])
-    with pytest.raises(InexactDivision) as padic:
-        _padic_residues(FACTORIAL_SPEC, 5, 2, 20)
-    assert exact.value.index == padic.value.index == 5
+    # p = 2 takes the mask-and-shift test, p = 5 the long division
+    for spec, p, index in ((FACTORIAL_SPEC, 5, 5), (RECIPROCAL_FACTORIAL_SPEC, 2, 2)):
+        seq = catalog.Sequence("hand-built", RING_Z, spec)
+        with pytest.raises(InexactDivision) as exact:
+            _exact_residues(seq, 20, [(p ** 2, p)])
+        with pytest.raises(InexactDivision) as padic:
+            _padic_residues(spec, p, 2, 20)
+        assert exact.value.index == padic.value.index == index, p
 
 
 def test_public_scans_reject_a_term_that_is_not_p_integral(monkeypatch):

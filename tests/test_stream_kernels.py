@@ -2,6 +2,7 @@
 reference loop that does ring-scalar arithmetic (QuadElem, Fraction or
 int) on every step."""
 
+import random
 from fractions import Fraction as F
 from itertools import islice
 from math import lcm
@@ -128,6 +129,64 @@ def test_streams_evaluate_coefficients_only_up_to_the_last_index(key, monkeypatc
         assert list(term_pairs(seq.spec, seq.ring, n_max)) == [
             (t.a, t.b) if isinstance(t, QuadElem) else (t, 0) for t in want[:n_max + 1]]
         assert sum(lengths) == n_max, n_max
+
+
+def reference_blocks(polys, stop):
+    """_coeff_blocks by Horner at every index: the same blocks of 512, and
+    at a vanishing lead the same truncated block, then ZeroDivisionError."""
+    for start in range(0, stop, 512):
+        values = []
+        for coeffs in polys:
+            col = []
+            for n in range(start, min(start + 512, stop)):
+                v = 0
+                for c in reversed(coeffs):
+                    v = v * n + c
+                col.append(v)
+            values.append(col)
+        if 0 in values[0]:
+            z = values[0].index(0)
+            yield start, [col[:z] for col in values]
+            raise ZeroDivisionError("lead coefficient vanishes at index %d" % (start + z))
+        yield start, values
+
+
+def _drain(blocks):
+    """The blocks a generator yields, and the message it stops with."""
+    out = []
+    try:
+        for block in blocks:
+            out.append(block)
+    except ZeroDivisionError as exc:
+        return out, str(exc)
+    return out, None
+
+
+@pytest.mark.parametrize("d", range(10))
+def test_coeff_blocks_match_horner(d):
+    # a lead with positive coefficients never vanishes at n >= 0; the other
+    # polynomials mix signs, and one carries zero top coefficients
+    rng = random.Random(d)
+    lead = tuple(rng.randint(1, 9) for _ in range(d + 1))
+    backs = [tuple(rng.randint(-99, 99) for _ in range(d + 1)) for _ in range(2)]
+    padded = tuple(rng.randint(-9, 9) for _ in range(d // 2 + 1)) + (0,) * (d - d // 2)
+    polys = [lead, *backs, padded]
+    for stop in sorted({0, 1, 2, d, 511, 512, 513, 1100}):
+        got = _drain(recurrence._coeff_blocks(polys, stop))
+        assert got == _drain(reference_blocks(polys, stop)), stop
+        assert got[1] is None and sum(len(v[0]) for _, v in got[0]) == stop
+
+
+@pytest.mark.parametrize("root", [0, 5, 511, 512, 700])
+def test_coeff_blocks_stop_where_the_lead_vanishes(root):
+    # lead (n - root)(n^2 - n + 7) of mixed signs: the block holding root
+    # is cut before it, and the next request names it
+    lead = tuple(Poly([-root, 1]) * Poly([7, -1, 1]))
+    polys = [lead, (3, -5, 0, 2), (-4,)]
+    got = _drain(recurrence._coeff_blocks(polys, 1100))
+    assert got == _drain(reference_blocks(polys, 1100))
+    assert got[1] == "lead coefficient vanishes at index %d" % root
+    assert sum(len(v[0]) for _, v in got[0]) == root
 
 
 @pytest.mark.parametrize("ring", [RING_Z, RING_Q, RING_SQRT2])
